@@ -23,7 +23,6 @@ from .spectra import (
     distinct_gaps,
     eigensystem,
     gap_spectrum,
-    write_gaps_csv,
 )
 from .dynamics import (
     BipartiteWave,

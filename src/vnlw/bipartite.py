@@ -13,8 +13,6 @@ mu_n, and mu_n^2 are the eigenvalues of either reduced density matrix.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +23,8 @@ from .errors import (
     NonHermitianOperatorError,
     UnnormalizedStateError,
 )
-from .dynamics import BipartiteWave, WaveFunction, bipartite_norm
+from .dynamics import NORM_TOL, BipartiteWave, WaveFunction, _check_normalized, bipartite_norm
 from .spectra import EigenSystem
-
-NORM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -79,12 +75,6 @@ def _check_grids(a, b) -> None:
         raise GridMismatchError("operands were built on different grids")
 
 
-def _check_normalized(Psi: BipartiteWave) -> None:
-    n2 = bipartite_norm(Psi)
-    if abs(n2 - 1.0) > NORM_TOL:
-        raise UnnormalizedStateError(f"bipartite state not normalized: |Psi|^2 = {n2}")
-
-
 def from_product(psi: WaveFunction, phi: WaveFunction) -> BipartiteWave:
     """Product kernel Psi_ij = psi_i phi_j^*."""
     _check_grids(psi, phi)
@@ -126,7 +116,7 @@ def schmidt_reconstruction(dec: SchmidtDecomposition) -> np.ndarray:
 
 def entanglement_entropy(Psi: BipartiteWave) -> float:
     """Von Neumann entropy S = -sum mu_n^2 ln mu_n^2, with 0 ln 0 = 0."""
-    _check_normalized(Psi)
+    _check_normalized(bipartite_norm(Psi), "bipartite state")
     mu2 = np.linalg.svd(Psi.kernel * Psi.grid.dx, compute_uv=False) ** 2
     mu2 = mu2[mu2 > 0.0]
     return float(-np.sum(mu2 * np.log(mu2)))
@@ -144,7 +134,7 @@ def reduced_density_matrix(Psi: BipartiteWave, side: str = "x") -> np.ndarray:
 
 def entropy_from_reduced(Psi: BipartiteWave, side: str = "x") -> float:
     """Entropy of the eigenvalues of the reduced density matrix (cross-check route)."""
-    _check_normalized(Psi)
+    _check_normalized(bipartite_norm(Psi), "bipartite state")
     w = np.linalg.eigvalsh(reduced_density_matrix(Psi, side))
     w = w[w > 1e-300]
     return float(-np.sum(w * np.log(w)))
@@ -168,7 +158,7 @@ def expectation(Psi: BipartiteWave, O: np.ndarray, imag_tol: float = 1e-10) -> f
     dense Hamiltonian, or projector()); for product states this reduces to
     the usual <psi|O|psi>.
     """
-    _check_normalized(Psi)
+    _check_normalized(bipartite_norm(Psi), "bipartite state")
     M = Psi.kernel * Psi.grid.dx
     value = complex(np.trace(M @ np.asarray(O) @ M.conj().T))
     if abs(value.imag) > imag_tol * max(1.0, abs(value.real)):
@@ -188,7 +178,7 @@ def projection_probability(Psi: BipartiteWave, phi: WaveFunction) -> float:
 
 def position_density(Psi: BipartiteWave) -> np.ndarray:
     """Density d_i = sum_j |Psi_ij|^2 dx, the diagonal of rho rho^dagger."""
-    _check_normalized(Psi)
+    _check_normalized(bipartite_norm(Psi), "bipartite state")
     return np.sum(np.abs(Psi.kernel) ** 2, axis=1) * Psi.grid.dx
 
 
@@ -225,28 +215,3 @@ def schmidt_record(dec: SchmidtDecomposition) -> dict:
         "rank": dec.rank,
         "residual": dec.residual,
     }
-
-
-def collapse_record(stats: CollapseStatistics) -> dict:
-    return {
-        "p": [float(v) for v in stats.p],
-        "delta_E": [float(v) for v in stats.delta_E],
-        "delta_E_conditional": [float(v) for v in stats.delta_E_conditional],
-        "truncation_residual": stats.truncation_residual,
-    }
-
-
-def write_json_record(record: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_density_csv(Psi_or_grid, density: np.ndarray, path) -> None:
-    """Two-column CSV (x, density)."""
-    grid = getattr(Psi_or_grid, "grid", Psi_or_grid)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "density"])
-        for x, d in zip(grid.points, density):
-            writer.writerow([format(x, ".17g"), format(d, ".17g")])

@@ -1,21 +1,24 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 usage error (unknown subcommand, missing config),
-3 config schema violation, 4 numerical failure.  Artifacts are written to a
-temporary directory and renamed into place on success, so a failed run never
-leaves a partial output directory.
+3 config schema violation, 4 numerical failure.  Every subcommand that
+computes something returns a ScenarioReport, which `scenarios.write_report`
+writes in the chosen format.  Artifacts are written to a temporary
+directory and renamed into place on success, so a failed run never leaves a
+partial output directory.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import json
+import math
 import os
 import shutil
 import sys
 import tempfile
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,12 +33,16 @@ from .bipartite import (
     schmidt_record,
 )
 from .dynamics import (
+    METHODS,
     PropagatorConfig,
+    WaveFunction,
     bipartite_norm,
     propagate_schrodinger,
     propagate_vnl,
 )
 from .errors import ConfigError, SimulationError
+from .lattice import POTENTIAL_KINDS
+from .scenarios import SCENARIOS, ScenarioReport
 from .spectra import eigensystem
 
 SUBCOMMANDS = (
@@ -112,8 +119,19 @@ def parse_invocation(argv) -> CliInvocation:
     )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A finite int or float; JSON booleans and NaN/Infinity do not count."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return _is_int(value)
+
+
 def validate_config(config: dict) -> None:
-    """Reject unknown groups/keys and out-of-range basic parameters."""
+    """Reject unknown groups/keys and out-of-range or mistyped basic parameters."""
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
     if config.get("schema_version") != 1:
@@ -129,23 +147,34 @@ def validate_config(config: dict) -> None:
             if key not in _SCHEMA[group]:
                 raise ConfigError(f"unknown key: {group}.{key}")
     g = config.get("grid", {})
-    if "n_points" in g and (not isinstance(g["n_points"], int) or g["n_points"] < 8):
+    if "n_points" in g and not (_is_int(g["n_points"]) and g["n_points"] >= 8):
         raise ConfigError("grid.n_points: must be an integer >= 8")
+    for key in ("x_min", "x_max"):
+        if key in g and not _is_number(g[key]):
+            raise ConfigError(f"grid.{key}: must be a finite number")
     if "x_min" in g and "x_max" in g and g["x_max"] <= g["x_min"]:
         raise ConfigError("grid.x_max: must exceed grid.x_min")
+    p = config.get("potential", {})
+    if "kind" in p and p["kind"] not in POTENTIAL_KINDS:
+        raise ConfigError(f"potential.kind: must be one of {', '.join(POTENTIAL_KINDS)}")
     d = config.get("dynamics", {})
-    if "dt" in d and not (isinstance(d["dt"], (int, float)) and d["dt"] > 0):
+    if "dt" in d and not (_is_number(d["dt"]) and d["dt"] > 0):
         raise ConfigError("dynamics.dt: must be a positive number")
-    if "steps" in d and (not isinstance(d["steps"], int) or d["steps"] < 0):
+    if "steps" in d and not (_is_int(d["steps"]) and d["steps"] >= 0):
         raise ConfigError("dynamics.steps: must be a nonnegative integer")
-    if "method" in d and d["method"] not in ("crank-nicolson", "eigenbasis"):
+    if "stride" in d and not (_is_int(d["stride"]) and d["stride"] >= 1):
+        raise ConfigError("dynamics.stride: must be an integer >= 1")
+    if "method" in d and d["method"] not in METHODS:
         raise ConfigError("dynamics.method: must be crank-nicolson or eigenbasis")
     s = config.get("spectra", {})
-    if "k" in s and (not isinstance(s["k"], int) or s["k"] < 1):
+    if "k" in s and not (_is_int(s["k"]) and s["k"] >= 1):
         raise ConfigError("spectra.k: must be a positive integer")
+    sc = config.get("scenario", {})
+    if "name" in sc and sc["name"] not in SCENARIOS:
+        raise ConfigError(f"scenario.name: must be one of {', '.join(SCENARIOS)}")
     c = config.get("constants", {})
     for key in ("hbar", "mass"):
-        if key in c and not (isinstance(c[key], (int, float)) and c[key] > 0):
+        if key in c and not (_is_number(c[key]) and c[key] > 0):
             raise ConfigError(f"constants.{key}: must be a positive number")
 
 
@@ -192,207 +221,149 @@ def _outdir_name(base: str, no_timestamp: bool) -> str:
     return f"{base}-{stamp}"
 
 
+# `gaps` and `collapse` are `run` with a fixed scenario.name; their output
+# directory keeps the subcommand's name.
+_SCENARIO_SUBCOMMANDS = {"gaps": "gap-spectroscopy", "collapse": "collapse"}
+
+# The stdout summary line after the report name, filled from report.summary.
+_HEADLINES = {
+    "two-slit": "visibility={visibility}",
+    "collapse": "total_probability={total_probability}",
+    "gap-spectroscopy": "distinct_gap_count={distinct_gap_count}",
+    "product-equivalence": "frobenius_gap={frobenius_gap}",
+    "spectrum": "k={k} E0={energies[0]}",
+    "evolve": "steps={steps} final_norm={final_norm}",
+    "schmidt": "rank={rank}",
+    "entropy": "S={entropy}",
+}
+
+
 def execute(inv: CliInvocation) -> int:
     if not os.path.exists(inv.config_path):
         print(f"vnlw: config not found: {inv.config_path}", file=sys.stderr)
         return 2
     try:
-        config = load_config(inv.config_path)
-        config = apply_overrides(config, inv.overrides)
+        config = apply_overrides(load_config(inv.config_path), inv.overrides)
         validate_config(config)
-    except ConfigError as exc:
-        print(f"vnlw: invalid config: {exc}", file=sys.stderr)
-        return 3
-    if inv.seed is not None:
-        config.setdefault("scenario", {})["seed"] = inv.seed
-        config.setdefault("state", {}).setdefault("seed", inv.seed)
+        if inv.subcommand == "validate-config":
+            return 0
+        if inv.seed is not None:
+            config.setdefault("scenario", {})["seed"] = inv.seed
+            config.setdefault("state", {}).setdefault("seed", inv.seed)
+        if inv.subcommand in _SCENARIO_SUBCOMMANDS:
+            config["scenario"] = {
+                **config.get("scenario", {}), "name": _SCENARIO_SUBCOMMANDS[inv.subcommand]
+            }
+        root = Path(inv.output_dir)
+        root.mkdir(parents=True, exist_ok=True)
+        tmpdir = Path(tempfile.mkdtemp(prefix=".vnlw-", dir=root))
         try:
-            validate_config(config)
-        except ConfigError as exc:
-            print(f"vnlw: invalid config: {exc}", file=sys.stderr)
-            return 3
-
-    if inv.subcommand == "validate-config":
-        return 0
-
-    handlers = {
-        "run": _cmd_run,
-        "gaps": _cmd_gaps,
-        "collapse": _cmd_collapse,
-        "spectrum": _cmd_spectrum,
-        "evolve": _cmd_evolve,
-        "schmidt": _cmd_schmidt,
-        "entropy": _cmd_entropy,
-    }
-    root = Path(inv.output_dir)
-    root.mkdir(parents=True, exist_ok=True)
-    tmpdir = Path(tempfile.mkdtemp(prefix=".vnlw-", dir=root))
-    try:
-        summary_line, base = handlers[inv.subcommand](config, tmpdir, inv)
+            start = time.perf_counter()
+            report = _HANDLERS[inv.subcommand](config)
+            elapsed = time.perf_counter() - start
+            scenarios.write_report(report, tmpdir, inv.format)
+        except BaseException:
+            shutil.rmtree(tmpdir, ignore_errors=True)
+            raise
     except ConfigError as exc:
-        shutil.rmtree(tmpdir, ignore_errors=True)
         print(f"vnlw: invalid config: {exc}", file=sys.stderr)
         return 3
     except SimulationError as exc:
-        shutil.rmtree(tmpdir, ignore_errors=True)
         print(f"vnlw: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    final = root / _outdir_name(base, inv.no_timestamp)
-    _publish(tmpdir, final)
-    print(summary_line)
+    base = report.scenario if inv.subcommand == "run" else inv.subcommand
+    _publish(tmpdir, root / _outdir_name(base, inv.no_timestamp))
+    headline = _HEADLINES[report.scenario].format(**report.summary)
+    print(f"{report.scenario} {headline} elapsed={elapsed:.3f}s")
     return 0
 
 
-def _cmd_run(config, tmpdir, inv):
-    report = scenarios.run_scenario(config)
-    scenarios.write_report(report, tmpdir, inv.format)
-    metric_key = {
-        "two-slit": "visibility",
-        "collapse": "total_probability",
-        "gap-spectroscopy": "distinct_gap_count",
-        "product-equivalence": "frobenius_gap",
-    }[report.scenario]
-    line = (
-        f"{report.scenario} {metric_key}={report.summary[metric_key]} "
-        f"elapsed={report.elapsed_seconds:.3f}s"
-    )
-    return line, report.scenario
+def _cmd_run(config) -> ScenarioReport:
+    return scenarios.run_scenario(config)
 
 
-def _cmd_gaps(config, tmpdir, inv):
-    config = dict(config)
-    config["scenario"] = {**config.get("scenario", {}), "name": "gap-spectroscopy"}
-    report = scenarios.run_scenario(config)
-    scenarios.write_report(report, tmpdir, inv.format)
-    line = (
-        f"gap-spectroscopy distinct_gap_count={report.summary['distinct_gap_count']} "
-        f"elapsed={report.elapsed_seconds:.3f}s"
-    )
-    return line, "gaps"
-
-
-def _cmd_collapse(config, tmpdir, inv):
-    config = dict(config)
-    config["scenario"] = {**config.get("scenario", {}), "name": "collapse"}
-    report = scenarios.run_scenario(config)
-    scenarios.write_report(report, tmpdir, inv.format)
-    line = (
-        f"collapse total_probability={report.summary['total_probability']} "
-        f"elapsed={report.elapsed_seconds:.3f}s"
-    )
-    return line, "collapse"
-
-
-def _cmd_spectrum(config, tmpdir, inv):
-    import time
-
-    start = time.perf_counter()
+def _cmd_spectrum(config) -> ScenarioReport:
     grid = scenarios.grid_from_config(config)
     H = scenarios.hamiltonian_from_config(config, grid)
     k = config.get("spectra", {}).get("k", 4)
     eigs = eigensystem(H, k)
-    with open(tmpdir / "energies.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "energy"])
-        for n, e in enumerate(eigs.energies):
-            writer.writerow([n, format(float(e), ".17g")])
-    with open(tmpdir / "states.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x"] + [f"psi_{n}" for n in range(k)])
-        for i, x in enumerate(grid.points):
-            writer.writerow(
-                [format(float(x), ".17g")]
-                + [format(float(eigs.states[i, n]), ".17g") for n in range(k)]
-            )
-    _write_summary(tmpdir, "spectrum", config, {"k": k, "energies": [float(e) for e in eigs.energies]})
-    elapsed = time.perf_counter() - start
-    return f"spectrum k={k} E0={eigs.energies[0]} elapsed={elapsed:.3f}s", "spectrum"
+    energies = eigs.energies.tolist()
+    tables = {
+        "energies": {
+            "columns": ["n", "energy"],
+            "rows": [[n, e] for n, e in enumerate(energies)],
+        },
+        "states": {
+            "columns": ["x"] + [f"psi_{n}" for n in range(k)],
+            "rows": np.column_stack([grid.points, eigs.states]),
+        },
+    }
+    return ScenarioReport("spectrum", config, {"k": k, "energies": energies}, tables)
 
 
-def _cmd_evolve(config, tmpdir, inv):
-    import time
-
-    start = time.perf_counter()
+def _cmd_evolve(config) -> ScenarioReport:
     grid = scenarios.grid_from_config(config)
     H = scenarios.hamiltonian_from_config(config, grid)
     cfg = scenarios.propagator_from_config(config)
     stride = config.get("dynamics", {}).get("stride", max(1, cfg.steps // 100))
-    kind = config.get("state", {}).get("type", "gaussian")
-    rows = []
-    def _chunks():
-        done = 0
-        yield 0
-        while done < cfg.steps:
-            n = min(stride, cfg.steps - done)
-            done += n
-            yield n
-
-    if kind in ("gaussian", "eigen"):
+    if config.get("state", {}).get("type", "gaussian") in ("gaussian", "eigen"):
         state = scenarios.build_wavefunction(config, grid, H)
-        for n in _chunks():
-            if n:
-                state = propagate_schrodinger(state, H, PropagatorConfig(cfg.dt, n, cfg.method))
+        propagate, norm = propagate_schrodinger, WaveFunction.norm
+
+        def x_mean(state):
             dens = np.abs(state.amplitudes) ** 2 * grid.dx
-            rows.append([state.time, state.norm(), float(np.sum(grid.points * dens))])
-        final_norm = state.norm()
+            return float(np.sum(grid.points * dens))
     else:
         state = scenarios.build_state(config, grid, H)
-        for n in _chunks():
-            if n:
-                state = propagate_vnl(state, H, PropagatorConfig(cfg.dt, n, cfg.method))
-            dens = position_density(state)
-            rows.append(
-                [state.time, bipartite_norm(state), float(np.sum(grid.points * dens) * grid.dx)]
-            )
-        final_norm = bipartite_norm(state)
-    with open(tmpdir / "trajectory.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "norm", "x_mean"])
-        for row in rows:
-            writer.writerow([format(float(v), ".17g") for v in row])
-    _write_summary(tmpdir, "evolve", config, {"steps": cfg.steps, "dt": cfg.dt, "final_norm": float(final_norm)})
-    elapsed = time.perf_counter() - start
-    return f"evolve steps={cfg.steps} final_norm={final_norm} elapsed={elapsed:.3f}s", "evolve"
+        propagate, norm = propagate_vnl, bipartite_norm
+
+        def x_mean(state):
+            return float(np.sum(grid.points * position_density(state)) * grid.dx)
+
+    rows = []
+    done = 0
+    while True:
+        rows.append([float(state.time), float(norm(state)), x_mean(state)])
+        if done == cfg.steps:
+            break
+        n = min(stride, cfg.steps - done)
+        state = propagate(state, H, PropagatorConfig(cfg.dt, n, cfg.method))
+        done += n
+    tables = {"trajectory": {"columns": ["t", "norm", "x_mean"], "rows": rows}}
+    summary = {"steps": cfg.steps, "dt": cfg.dt, "final_norm": rows[-1][1]}
+    return ScenarioReport("evolve", config, summary, tables)
 
 
-def _cmd_schmidt(config, tmpdir, inv):
-    import time
-
-    start = time.perf_counter()
+def _bipartite_state(config):
     grid = scenarios.grid_from_config(config)
     H = scenarios.hamiltonian_from_config(config, grid)
-    Psi = scenarios.build_state(config, grid, H)
-    dec = schmidt(Psi, config.get("state", {}).get("tol", 1e-12))
-    record = schmidt_record(dec)
-    with open(tmpdir / "schmidt.json", "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_summary(tmpdir, "schmidt", config, {"rank": dec.rank, "residual": dec.residual})
-    elapsed = time.perf_counter() - start
-    return f"schmidt rank={dec.rank} elapsed={elapsed:.3f}s", "schmidt"
+    return scenarios.build_state(config, grid, H)
 
 
-def _cmd_entropy(config, tmpdir, inv):
-    import time
-
-    start = time.perf_counter()
-    grid = scenarios.grid_from_config(config)
-    H = scenarios.hamiltonian_from_config(config, grid)
-    Psi = scenarios.build_state(config, grid, H)
-    s_schmidt = entanglement_entropy(Psi)
-    s_reduced = entropy_from_reduced(Psi)
-    _write_summary(
-        tmpdir, "entropy", config,
-        {"entropy": float(s_schmidt), "entropy_reduced_route": float(s_reduced)},
-    )
-    elapsed = time.perf_counter() - start
-    return f"entropy S={s_schmidt} elapsed={elapsed:.3f}s", "entropy"
+def _cmd_schmidt(config) -> ScenarioReport:
+    dec = schmidt(_bipartite_state(config), config.get("state", {}).get("tol", 1e-12))
+    summary = {"rank": dec.rank, "residual": dec.residual}
+    return ScenarioReport("schmidt", config, summary, records={"schmidt": schmidt_record(dec)})
 
 
-def _write_summary(tmpdir: Path, name: str, config: dict, summary: dict) -> None:
-    with open(tmpdir / "summary.json", "w") as fh:
-        json.dump({"scenario": name, "config": config, "summary": summary}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _cmd_entropy(config) -> ScenarioReport:
+    Psi = _bipartite_state(config)
+    summary = {
+        "entropy": entanglement_entropy(Psi),
+        "entropy_reduced_route": entropy_from_reduced(Psi),
+    }
+    return ScenarioReport("entropy", config, summary)
+
+
+_HANDLERS = {
+    "run": _cmd_run,
+    "gaps": _cmd_run,
+    "collapse": _cmd_run,
+    "spectrum": _cmd_spectrum,
+    "evolve": _cmd_evolve,
+    "schmidt": _cmd_schmidt,
+    "entropy": _cmd_entropy,
+}
 
 
 def main(argv=None) -> int:

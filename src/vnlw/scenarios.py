@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -150,13 +150,14 @@ def fringe_visibility(density: np.ndarray, window: tuple) -> float:
 
 @dataclass
 class ScenarioReport:
-    """Outputs of one scenario run: summary metrics plus plot-ready tables."""
+    """Outputs of one run: summary metrics, plot-ready tables and JSON records."""
 
     scenario: str
     config: dict
     summary: dict
-    tables: dict = field(default_factory=dict)  # name -> {"columns": [...], "rows": [...]}
-    elapsed_seconds: float = 0.0
+    # name -> {"columns": [...], "rows": list of rows or a 2-D float array}
+    tables: dict = field(default_factory=dict)
+    records: dict = field(default_factory=dict)  # name -> JSON object, written as name.json
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +308,7 @@ def run_scenario(config: dict) -> ScenarioReport:
     }
     if name not in runners:
         raise ScenarioError(f"unknown scenario {name!r}; expected one of {SCENARIOS}")
-    start = time.perf_counter()
-    report = runners[name](config)
-    report.elapsed_seconds = time.perf_counter() - start
-    return report
+    return runners[name](config)
 
 
 def _run_gap_spectroscopy(config: dict) -> ScenarioReport:
@@ -486,13 +484,12 @@ def _run_product_equivalence(config: dict) -> ScenarioReport:
 
 
 def write_report(report: ScenarioReport, outdir, fmt: str = "csv") -> None:
-    """Write summary.json plus one data file per table into outdir.
+    """Write summary.json, one data file per table and name.json per record into outdir.
 
-    Timing is deliberately left out of summary.json so that repeat runs with
-    the same config produce byte-identical summaries.
+    Tables take the format fmt (csv, json or gnuplot); records are JSON in
+    every format.  Timing is deliberately left out of summary.json so that
+    repeat runs with the same config produce byte-identical summaries.
     """
-    from pathlib import Path
-
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     summary = {
@@ -500,14 +497,12 @@ def write_report(report: ScenarioReport, outdir, fmt: str = "csv") -> None:
         "config": report.config,
         "summary": report.summary,
     }
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(summary, outdir / "summary.json")
+    for name, record in report.records.items():
+        _write_json(record, outdir / f"{name}.json")
     for name, table in report.tables.items():
         if fmt == "json":
-            with open(outdir / f"{name}.json", "w") as fh:
-                json.dump(table, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(table, outdir / f"{name}.json")
         elif fmt == "gnuplot":
             with open(outdir / f"{name}.dat", "w") as fh:
                 fh.write("# " + " ".join(table["columns"]) + "\n")
@@ -519,6 +514,12 @@ def write_report(report: ScenarioReport, outdir, fmt: str = "csv") -> None:
                 writer.writerow(table["columns"])
                 for row in table["rows"]:
                     writer.writerow([_fmt_cell(v) for v in row])
+
+
+def _write_json(obj, path: Path) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, default=np.ndarray.tolist)
+        fh.write("\n")
 
 
 def _fmt_cell(v) -> str:

@@ -7,7 +7,6 @@ exactly the set of pairwise gaps {E_n - E_m} of the single-particle spectrum.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,12 +105,3 @@ def difference_operator_spectrum(H: HamiltonianMatrix, max_dim: int = 4096) -> n
     eye = np.eye(n)
     K = np.kron(Hd, eye) - np.kron(eye, Hd)
     return np.sort(scipy.linalg.eigvalsh(K))
-
-
-def write_gaps_csv(gaps: GapSpectrum, path) -> None:
-    """Export the gap spectrum as CSV with columns n, m, lambda."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "m", "lambda"])
-        for n, m, lam in gaps.entries:
-            writer.writerow([n, m, format(lam, ".17g")])

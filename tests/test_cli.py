@@ -1,7 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from vnlw import cli
 from vnlw.cli import apply_overrides, main, parse_invocation, validate_config
 from vnlw.errors import ConfigError
 
@@ -76,6 +79,23 @@ class TestValidateConfig:
             validate_config({**BASE, "spectra": {"k": 0}})
         with pytest.raises(ConfigError):
             validate_config({**BASE, "constants": {"hbar": 0.0}})
+        for stride in (0, -3, 1.5, True):
+            with pytest.raises(ConfigError, match="dynamics.stride"):
+                validate_config({**BASE, "dynamics": {"stride": stride}})
+
+    @pytest.mark.parametrize("group, key, value", [
+        ("grid", "x_min", "abc"),
+        ("grid", "x_max", float("nan")),
+        ("grid", "x_max", float("inf")),
+        ("dynamics", "dt", float("inf")),
+        ("dynamics", "steps", True),
+        ("potential", "kind", "nope"),
+        ("scenario", "name", "nope"),
+    ])
+    def test_mistyped_values(self, group, key, value):
+        cfg = {**BASE, group: {**BASE.get(group, {}), key: value}}
+        with pytest.raises(ConfigError, match=f"{group}.{key}"):
+            validate_config(cfg)
 
 
 class TestApplyOverrides:
@@ -110,6 +130,33 @@ class TestExitCodes:
     def test_bad_override_exit(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE)
         assert main(["gaps", "--config", path, "--set", "dynamics.dt=-1"]) == 3
+
+    @pytest.mark.parametrize("override", [
+        "grid.x_min=abc",
+        "grid.x_max=NaN",
+        "dynamics.stride=0",
+        "dynamics.stride=-3",
+        "potential.kind=nope",
+    ])
+    def test_bad_value_exit_leaves_nothing(self, tmp_path, capsys, override):
+        out = tmp_path / "out"
+        code = main([
+            "gaps", "--config", write_config(tmp_path, BASE), "--output", str(out),
+            "--set", override,
+        ])
+        assert code == 3
+        assert override.split("=")[0] in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_unmapped_exception_removes_staging(self, tmp_path, monkeypatch):
+        def boom(config):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "spectrum", boom)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["spectrum", "--config", write_config(tmp_path, BASE), "--output", str(out)])
+        assert list(out.iterdir()) == []
 
     def test_numerical_failure_leaves_no_output(self, tmp_path, capsys):
         cfg = {**BASE, "spectra": {"k": 500}}  # more states than grid points
@@ -196,6 +243,21 @@ class TestOtherCommands:
         assert states[0] == "x,psi_0,psi_1,psi_2"
         assert len(states) == 202
 
+    def test_spectrum_json_format(self, tmp_path):
+        out = tmp_path / "out"
+        code = main([
+            "spectrum", "--config", write_config(tmp_path, BASE),
+            "--output", str(out), "--no-timestamp", "--format", "json",
+        ])
+        assert code == 0
+        energies = json.loads((out / "spectrum" / "energies.json").read_text())
+        assert energies["columns"] == ["n", "energy"]
+        assert len(energies["rows"]) == 3
+        states = json.loads((out / "spectrum" / "states.json").read_text())
+        assert states["columns"] == ["x", "psi_0", "psi_1", "psi_2"]
+        assert len(states["rows"]) == 201
+        assert not list((out / "spectrum").glob("*.csv"))
+
     def test_evolve_one_partite(self, tmp_path):
         cfg = {
             **BASE,
@@ -214,6 +276,23 @@ class TestOtherCommands:
         last = [float(v) for v in lines[-1].split(",")]
         assert last[0] == pytest.approx(0.4)
         assert last[1] == pytest.approx(1.0, abs=1e-10)
+
+    def test_evolve_gnuplot_format(self, tmp_path):
+        cfg = {
+            **BASE,
+            "dynamics": {"dt": 1e-2, "steps": 40, "stride": 10},
+            "state": {"type": "gaussian", "center": 1.0, "sigma": 0.8},
+        }
+        out = tmp_path / "out"
+        code = main([
+            "evolve", "--config", write_config(tmp_path, cfg),
+            "--output", str(out), "--no-timestamp", "--format", "gnuplot",
+        ])
+        assert code == 0
+        lines = (out / "evolve" / "trajectory.dat").read_text().splitlines()
+        assert lines[0] == "# t norm x_mean"
+        assert len(lines) == 6
+        assert not (out / "evolve" / "trajectory.csv").exists()
 
     def test_evolve_bipartite(self, tmp_path):
         cfg = {
@@ -286,3 +365,26 @@ class TestOtherCommands:
         p = summary["summary"]["p"]
         assert p[0] == pytest.approx(0.5, abs=1e-10)
         assert p[1] == pytest.approx(0.5, abs=1e-10)
+
+
+class TestSchemaDocs:
+    DOC = Path(__file__).resolve().parents[1] / "docs" / "config-schema.md"
+
+    def documented_keys(self):
+        """Backticked keys in the first column of each `## group` table."""
+        keys, group = {}, None
+        for line in self.DOC.read_text().splitlines():
+            if line.startswith("## "):
+                group = line[3:].strip()
+            elif line.startswith("| `") and group is not None:
+                first_cell = line.split("|")[1]
+                keys.setdefault(group, set()).update(re.findall(r"`([^`]+)`", first_cell))
+        return keys
+
+    def test_doc_tables_match_schema(self):
+        documented = self.documented_keys()
+        schema = {group: keys for group, keys in cli._SCHEMA.items() if keys is not None}
+        assert documented == schema
+
+    def test_schema_version_documented(self):
+        assert '"schema_version": 1' in self.DOC.read_text()

@@ -14,8 +14,8 @@ from vnlw.spectra import (
     distinct_gaps,
     eigensystem,
     gap_spectrum,
-    write_gaps_csv,
 )
+from vnlw.scenarios import run_scenario, write_report
 
 
 def harmonic_hamiltonian(n_points=501, half_width=10.0, omega=1.0):
@@ -96,11 +96,15 @@ class TestGapSpectrum:
                 assert lam == 0.0
 
     def test_csv_export(self, tmp_path):
-        H = harmonic_hamiltonian(64, half_width=5.0)
-        gaps = gap_spectrum(eigensystem(H, 3))
-        path = tmp_path / "gaps.csv"
-        write_gaps_csv(gaps, path)
-        lines = path.read_text().strip().splitlines()
+        report = run_scenario({
+            "schema_version": 1,
+            "grid": {"x_min": -5.0, "x_max": 5.0, "n_points": 64},
+            "potential": {"kind": "harmonic", "omega": 1.0},
+            "spectra": {"k": 3},
+            "scenario": {"name": "gap-spectroscopy"},
+        })
+        write_report(report, tmp_path)
+        lines = (tmp_path / "gaps.csv").read_text().strip().splitlines()
         assert lines[0] == "n,m,lambda"
         assert len(lines) == 10
         n, m, lam = lines[1].split(",")
