@@ -35,6 +35,7 @@ from .dynamics import (
     normalize,
     propagate_schrodinger,
     propagate_vnl,
+    propagator,
 )
 from .bipartite import (
     CollapseStatistics,

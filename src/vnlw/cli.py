@@ -34,15 +34,16 @@ from .bipartite import (
 )
 from .dynamics import (
     METHODS,
+    BipartiteWave,
     PropagatorConfig,
     WaveFunction,
     bipartite_norm,
     propagate_schrodinger,
-    propagate_vnl,
+    propagator,
 )
 from .errors import ConfigError, SimulationError
 from .lattice import POTENTIAL_KINDS
-from .scenarios import SCENARIOS, ScenarioReport
+from .scenarios import SCENARIOS, STATE_TYPES, ScenarioReport
 from .spectra import eigensystem
 
 SUBCOMMANDS = (
@@ -157,6 +158,8 @@ def validate_config(config: dict) -> None:
     p = config.get("potential", {})
     if "kind" in p and p["kind"] not in POTENTIAL_KINDS:
         raise ConfigError(f"potential.kind: must be one of {', '.join(POTENTIAL_KINDS)}")
+    if p.get("kind") == "tabulated" and "values" not in p:
+        raise ConfigError("potential.values: required when potential.kind is tabulated")
     d = config.get("dynamics", {})
     if "dt" in d and not (_is_number(d["dt"]) and d["dt"] > 0):
         raise ConfigError("dynamics.dt: must be a positive number")
@@ -172,6 +175,11 @@ def validate_config(config: dict) -> None:
     sc = config.get("scenario", {})
     if "name" in sc and sc["name"] not in SCENARIOS:
         raise ConfigError(f"scenario.name: must be one of {', '.join(SCENARIOS)}")
+    st = config.get("state", {})
+    if "type" in st and st["type"] not in STATE_TYPES:
+        raise ConfigError(f"state.type: must be one of {', '.join(STATE_TYPES)}")
+    if st.get("type") in ("eigen-product", "eigen") and "coefficients" not in st:
+        raise ConfigError(f"state.coefficients: required when state.type is {st['type']}")
     c = config.get("constants", {})
     for key in ("hbar", "mass"):
         if key in c and not (_is_number(c[key]) and c[key] > 0):
@@ -247,6 +255,8 @@ def execute(inv: CliInvocation) -> int:
         validate_config(config)
         if inv.subcommand == "validate-config":
             return 0
+        if inv.subcommand == "run" and "name" not in config.get("scenario", {}):
+            raise ConfigError("scenario.name: required by vnlw run")
         if inv.seed is not None:
             config.setdefault("scenario", {})["seed"] = inv.seed
             config.setdefault("state", {}).setdefault("seed", inv.seed)
@@ -308,14 +318,24 @@ def _cmd_evolve(config) -> ScenarioReport:
     stride = config.get("dynamics", {}).get("stride", max(1, cfg.steps // 100))
     if config.get("state", {}).get("type", "gaussian") in ("gaussian", "eigen"):
         state = scenarios.build_wavefunction(config, grid, H)
-        propagate, norm = propagate_schrodinger, WaveFunction.norm
+        norm = WaveFunction.norm
+
+        def advance(state, n):
+            return propagate_schrodinger(state, H, PropagatorConfig(cfg.dt, n, cfg.method))
 
         def x_mean(state):
             dens = np.abs(state.amplitudes) ** 2 * grid.dx
             return float(np.sum(grid.points * dens))
     else:
         state = scenarios.build_state(config, grid, H)
-        propagate, norm = propagate_vnl, bipartite_norm
+        norm = bipartite_norm
+        propagators = {}  # chunk length -> U; a run has at most two chunk lengths
+
+        def advance(state, n):
+            if n not in propagators:
+                propagators[n] = propagator(H, PropagatorConfig(cfg.dt, n, cfg.method))
+            U = propagators[n]
+            return BipartiteWave(U @ state.kernel @ U.conj().T, grid, state.time + n * cfg.dt)
 
         def x_mean(state):
             return float(np.sum(grid.points * position_density(state)) * grid.dx)
@@ -327,7 +347,7 @@ def _cmd_evolve(config) -> ScenarioReport:
         if done == cfg.steps:
             break
         n = min(stride, cfg.steps - done)
-        state = propagate(state, H, PropagatorConfig(cfg.dt, n, cfg.method))
+        state = advance(state, n)
         done += n
     tables = {"trajectory": {"columns": ["t", "norm", "x_mean"], "rows": rows}}
     summary = {"steps": cfg.steps, "dt": cfg.dt, "final_norm": rows[-1][1]}

@@ -2,9 +2,13 @@
 
 One-partite states evolve under i hbar dpsi/dt = H psi; bipartite kernels
 Psi(x, y) evolve under i hbar dPsi/dt = (H(x) - H(y)) Psi, which is realized
-as Psi <- U Psi U^dagger with U the one-step single-particle propagator.
-Two methods are provided: Crank-Nicolson (Cayley form, exactly unitary up to
-solver tolerance) and exact eigenbasis phase evolution as a cross-check.
+as Psi <- U Psi U^dagger.  H does not depend on time, so the propagator of a
+whole run is one spectral matrix U = S diag(f(E)) S^T built from the full
+eigensystem: f(E) = exp(-i E t / hbar) for the eigenbasis method, and for
+Crank-Nicolson the Cayley factor (1 - i dt E/2hbar)/(1 + i dt E/2hbar) raised
+to the step count, exp(-2i steps atan(dt E / 2hbar)).  Kernels always go
+through U; vectors use U only for the eigenbasis method and otherwise step the
+Cayley form with one sparse LU, O(N) per step.
 """
 
 from __future__ import annotations
@@ -114,33 +118,37 @@ def _check_normalized(norm_sq: float, what: str) -> None:
         raise UnnormalizedStateError(f"{what} is not normalized: |psi|^2 = {norm_sq}")
 
 
+def _spectrum(H: HamiltonianMatrix, cfg: PropagatorConfig) -> tuple:
+    """Euclidean-orthonormal eigenvectors S of H and the factor f(E) of cfg."""
+    eigs = eigensystem(H, H.grid.n_points)
+    if cfg.method == "eigenbasis":
+        f = np.exp(-1j * eigs.energies * (cfg.steps * cfg.dt) / H.hbar)
+    else:
+        f = np.exp(-2j * cfg.steps * np.arctan(0.5 * cfg.dt * eigs.energies / H.hbar))
+    return eigs.states * np.sqrt(H.grid.dx), f
+
+
+def propagator(H: HamiltonianMatrix, cfg: PropagatorConfig) -> np.ndarray:
+    """The N x N unitary S diag(f(E)) S^T of cfg.steps steps of cfg.method."""
+    S, f = _spectrum(H, cfg)
+    return (S * f) @ S.T
+
+
 def propagate_schrodinger(psi: WaveFunction, H: HamiltonianMatrix, cfg: PropagatorConfig) -> WaveFunction:
     """Evolve psi to time t + steps*dt under the single-particle equation."""
     _check_grid(psi.grid, H.grid)
     _check_normalized(psi.norm() ** 2, "wave function")
     if cfg.steps == 0:
         return psi
-    t = cfg.steps * cfg.dt
     if cfg.method == "eigenbasis":
-        eigs = eigensystem(H, H.grid.n_points)
-        amp = _eigenbasis_evolve_columns(psi.amplitudes, eigs, t, H.hbar)
+        S, f = _spectrum(H, cfg)
+        amp = S @ (f * (S.T @ psi.amplitudes))
     else:
         stepper = CrankNicolsonStepper(H, cfg.dt)
         amp = psi.amplitudes.astype(complex)
         for _ in range(cfg.steps):
             amp = stepper.apply(amp)
-    return WaveFunction(amp, psi.grid, psi.time + t)
-
-
-def _eigenbasis_evolve_columns(columns: np.ndarray, eigs: EigenSystem, t: float, hbar: float) -> np.ndarray:
-    """Apply exp(-i H t / hbar) to columns via the full eigenbasis."""
-    S = eigs.states
-    dx = eigs.grid.dx
-    coeff = dx * (S.conj().T @ columns)
-    phases = np.exp(-1j * eigs.energies * t / hbar)
-    if coeff.ndim == 1:
-        return S @ (phases * coeff)
-    return S @ (phases[:, None] * coeff)
+    return WaveFunction(amp, psi.grid, psi.time + cfg.steps * cfg.dt)
 
 
 def propagate_vnl(Psi: BipartiteWave, H: HamiltonianMatrix, cfg: PropagatorConfig) -> BipartiteWave:
@@ -149,19 +157,8 @@ def propagate_vnl(Psi: BipartiteWave, H: HamiltonianMatrix, cfg: PropagatorConfi
     _check_normalized(bipartite_norm(Psi), "bipartite wave")
     if cfg.steps == 0:
         return Psi
-    t = cfg.steps * cfg.dt
-    K = Psi.kernel.astype(complex)
-    if cfg.method == "eigenbasis":
-        eigs = eigensystem(H, H.grid.n_points)
-        K = _eigenbasis_evolve_columns(K, eigs, t, H.hbar)
-        # right-multiplication by U^dagger via K U^dagger = (U K^H)^H
-        K = _eigenbasis_evolve_columns(K.conj().T, eigs, t, H.hbar).conj().T
-    else:
-        stepper = CrankNicolsonStepper(H, cfg.dt)
-        for _ in range(cfg.steps):
-            K = stepper.apply(K)
-            K = stepper.apply(K.conj().T).conj().T
-    return BipartiteWave(K, Psi.grid, Psi.time + t)
+    U = propagator(H, cfg)
+    return BipartiteWave(U @ Psi.kernel @ U.conj().T, Psi.grid, Psi.time + cfg.steps * cfg.dt)
 
 
 def eigenbasis_bipartite_evolution(

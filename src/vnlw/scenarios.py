@@ -223,6 +223,11 @@ def _as_complex(value) -> complex:
     return complex(value)
 
 
+# Accepted state.type values: bipartite ones for build_state, then the
+# one-partite ones for build_wavefunction.
+STATE_TYPES = ("gaussian-product", "eigen-product", "two-slit", "random", "gaussian", "eigen")
+
+
 def build_state(config: dict, grid: Grid1D, H: HamiltonianMatrix) -> BipartiteWave:
     """Construct a bipartite state from the config's `state` group."""
     state = config.get("state", {"type": "gaussian-product"})

@@ -130,6 +130,10 @@ class TestExitCodes:
     def test_bad_override_exit(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE)
         assert main(["gaps", "--config", path, "--set", "dynamics.dt=-1"]) == 3
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--output", str(out)]) == 3
+        assert "scenario.name" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("override", [
         "grid.x_min=abc",
@@ -137,6 +141,10 @@ class TestExitCodes:
         "dynamics.stride=0",
         "dynamics.stride=-3",
         "potential.kind=nope",
+        "potential.kind=tabulated",
+        "state.type=nope",
+        "state.type=eigen-product",
+        "state.type=eigen",
     ])
     def test_bad_value_exit_leaves_nothing(self, tmp_path, capsys, override):
         out = tmp_path / "out"

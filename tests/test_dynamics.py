@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vnlw.bipartite import from_product, transition_amplitudes
+from vnlw import cli, dynamics, scenarios, spectra
+from vnlw.bipartite import from_product, position_density, transition_amplitudes
 from vnlw.dynamics import (
+    METHODS,
     BipartiteWave,
+    CrankNicolsonStepper,
     PropagatorConfig,
     WaveFunction,
     bipartite_norm,
@@ -165,6 +169,91 @@ class TestVnl:
             factors.append(np.column_stack(cols))
         K_expected = (factors[0] * mu) @ factors[1].conj().T
         assert frob(g, evolved.kernel, K_expected) < 1e-9
+
+
+    def test_matches_stepped_cayley(self, harmonic):
+        # oracle: 1000 Crank-Nicolson steps applied from both sides, one at a time
+        g, H, _ = harmonic
+        Psi = random_kernel(g, seed=13)
+        stepper = CrankNicolsonStepper(H, 1e-3)
+        K = Psi.kernel
+        for _ in range(1000):
+            K = stepper.apply(K)
+            K = stepper.apply(K.conj().T).conj().T
+        out = propagate_vnl(Psi, H, PropagatorConfig(1e-3, 1000))
+        assert np.max(np.abs(out.kernel - K)) <= 1e-12
+
+    def test_evolve_builds_propagator_once(self, monkeypatch):
+        calls = []
+
+        def counting(H, k):
+            calls.append(k)
+            return eigensystem(H, k)
+
+        for module in (spectra, dynamics, scenarios, cli):
+            monkeypatch.setattr(module, "eigensystem", counting)
+        config = {
+            "schema_version": 1,
+            "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 101},
+            "potential": {"kind": "harmonic", "omega": 1.0},
+            "dynamics": {"dt": 1e-3, "steps": 1000, "stride": 10, "method": "eigenbasis"},
+            "state": {"type": "random", "seed": 3},
+        }
+        rows = cli._cmd_evolve(config).tables["trajectory"]["rows"]
+        assert len(calls) <= 1
+        assert len(rows) == 101
+        g = scenarios.grid_from_config(config)
+        H = scenarios.hamiltonian_from_config(config, g)
+        end = propagate_vnl(random_kernel(g, seed=3), H, PropagatorConfig(1e-3, 1000, "eigenbasis"))
+        x_mean = float(np.sum(g.points * position_density(end)) * g.dx)
+        assert rows[-1][2] == pytest.approx(x_mean, abs=1e-12)
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+class TestVnlProperties:
+    """Invariants of the kernel propagator on small grids, for either method."""
+
+    @staticmethod
+    def problem(n_points, seed):
+        g = build_grid(-5, 5, n_points)
+        H = build_hamiltonian(g, sample_potential(g, PotentialSpec.harmonic(1.0)))
+        return g, H, random_kernel(g, seed)
+
+    cases = dict(
+        n_points=st.integers(8, 40),
+        method=st.sampled_from(METHODS),
+        dt=st.floats(-1.0, 1.0).filter(lambda v: v != 0.0),
+        steps=st.integers(0, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+
+    @PROPERTY
+    @given(**cases)
+    def test_norm_conserved(self, n_points, method, dt, steps, seed):
+        g, H, Psi = self.problem(n_points, seed)
+        out = propagate_vnl(Psi, H, PropagatorConfig(dt, steps, method))
+        assert abs(bipartite_norm(out) - 1.0) <= 1e-12
+
+    @PROPERTY
+    @given(**cases)
+    def test_time_reversal(self, n_points, method, dt, steps, seed):
+        g, H, Psi = self.problem(n_points, seed)
+        fwd = propagate_vnl(Psi, H, PropagatorConfig(dt, steps, method))
+        back = propagate_vnl(fwd, H, PropagatorConfig(-dt, steps, method))
+        assert frob(g, back.kernel, Psi.kernel) < 1e-10
+
+    @PROPERTY
+    @given(**cases, more=st.integers(0, 50))
+    def test_composition(self, n_points, method, dt, steps, seed, more):
+        g, H, Psi = self.problem(n_points, seed)
+        two = propagate_vnl(
+            propagate_vnl(Psi, H, PropagatorConfig(dt, steps, method)),
+            H, PropagatorConfig(dt, more, method),
+        )
+        one = propagate_vnl(Psi, H, PropagatorConfig(dt, steps + more, method))
+        assert frob(g, two.kernel, one.kernel) < 1e-10
 
 
 class TestEigenbasisBipartite:
