@@ -22,12 +22,14 @@ from .spectra import (
     difference_operator_spectrum,
     distinct_gaps,
     eigensystem,
+    eigenvalues,
     gap_spectrum,
 )
 from .dynamics import (
     BipartiteWave,
     CrankNicolsonStepper,
     PropagatorConfig,
+    SpectralPropagator,
     WaveFunction,
     bipartite_norm,
     eigenbasis_bipartite_evolution,

@@ -36,10 +36,10 @@ from .dynamics import (
     METHODS,
     BipartiteWave,
     PropagatorConfig,
+    SpectralPropagator,
     WaveFunction,
     bipartite_norm,
     propagate_schrodinger,
-    propagator,
 )
 from .errors import ConfigError, SimulationError
 from .lattice import POTENTIAL_KINDS
@@ -155,6 +155,8 @@ def validate_config(config: dict) -> None:
             raise ConfigError(f"grid.{key}: must be a finite number")
     if "x_min" in g and "x_max" in g and g["x_max"] <= g["x_min"]:
         raise ConfigError("grid.x_max: must exceed grid.x_min")
+    if "box" in g and not isinstance(g["box"], bool):
+        raise ConfigError("grid.box: must be true or false")
     p = config.get("potential", {})
     if "kind" in p and p["kind"] not in POTENTIAL_KINDS:
         raise ConfigError(f"potential.kind: must be one of {', '.join(POTENTIAL_KINDS)}")
@@ -172,10 +174,27 @@ def validate_config(config: dict) -> None:
     s = config.get("spectra", {})
     if "k" in s and not (_is_int(s["k"]) and s["k"] >= 1):
         raise ConfigError("spectra.k: must be a positive integer")
+    if "dedup_tol" in s and not (_is_number(s["dedup_tol"]) and s["dedup_tol"] >= 0):
+        raise ConfigError("spectra.dedup_tol: must be a finite number >= 0")
     sc = config.get("scenario", {})
     if "name" in sc and sc["name"] not in SCENARIOS:
         raise ConfigError(f"scenario.name: must be one of {', '.join(SCENARIOS)}")
+    if "sweep_points" in sc and not (_is_int(sc["sweep_points"]) and sc["sweep_points"] >= 0):
+        raise ConfigError("scenario.sweep_points: must be a nonnegative integer")
+    if "evolve_time" in sc and not (_is_number(sc["evolve_time"]) and sc["evolve_time"] >= 0):
+        raise ConfigError("scenario.evolve_time: must be a finite number >= 0")
+    w = sc.get("window")
+    if "window" in sc and not (
+        isinstance(w, list) and len(w) == 2 and all(map(_is_number, w)) and w[0] < w[1]
+    ):
+        raise ConfigError("scenario.window: must be two finite numbers [lo, hi] with lo < hi")
     st = config.get("state", {})
+    for group, d in (("scenario", sc), ("state", st)):
+        for key in ("sigma", "separation"):
+            if key in d and not (_is_number(d[key]) and d[key] > 0):
+                raise ConfigError(f"{group}.{key}: must be a positive number")
+    if "tol" in st and not (_is_number(st["tol"]) and st["tol"] >= 0):
+        raise ConfigError("state.tol: must be a finite number >= 0")
     if "type" in st and st["type"] not in STATE_TYPES:
         raise ConfigError(f"state.type: must be one of {', '.join(STATE_TYPES)}")
     if st.get("type") in ("eigen-product", "eigen") and "coefficients" not in st:
@@ -214,12 +233,25 @@ def load_config(path) -> dict:
         raise ConfigError(f"config does not parse as JSON: {exc}") from exc
 
 
-def _publish(tmpdir: Path, final: Path) -> None:
-    """Atomically move the staged output directory into place."""
-    final.parent.mkdir(parents=True, exist_ok=True)
-    if final.exists():
-        shutil.rmtree(final)
-    os.replace(tmpdir, final)
+def _publish(tmpdir: Path, final: Path, replace: bool) -> None:
+    """Rename the staged output directory into place.
+
+    With replace, an existing directory of that name is renamed aside first
+    and removed afterwards, so the name never points at a partly removed
+    run.  Without it, an existing directory is never replaced: the run takes
+    the first free name of final, final-2, final-3, ...
+    """
+    if replace and final.exists():
+        aside = tempfile.mkdtemp(prefix=".vnlw-", dir=final.parent)
+        os.replace(final, aside)
+        os.replace(tmpdir, final)
+        shutil.rmtree(aside)
+        return
+    name, i = final, 1
+    while name.exists():
+        i += 1
+        name = final.with_name(f"{final.name}-{i}")
+    os.rename(tmpdir, name)  # a run's directory is never empty, so this cannot replace one
 
 
 def _outdir_name(base: str, no_timestamp: bool) -> str:
@@ -272,6 +304,8 @@ def execute(inv: CliInvocation) -> int:
             report = _HANDLERS[inv.subcommand](config)
             elapsed = time.perf_counter() - start
             scenarios.write_report(report, tmpdir, inv.format)
+            base = report.scenario if inv.subcommand == "run" else inv.subcommand
+            _publish(tmpdir, root / _outdir_name(base, inv.no_timestamp), inv.no_timestamp)
         except BaseException:
             shutil.rmtree(tmpdir, ignore_errors=True)
             raise
@@ -281,8 +315,6 @@ def execute(inv: CliInvocation) -> int:
     except SimulationError as exc:
         print(f"vnlw: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    base = report.scenario if inv.subcommand == "run" else inv.subcommand
-    _publish(tmpdir, root / _outdir_name(base, inv.no_timestamp))
     headline = _HEADLINES[report.scenario].format(**report.summary)
     print(f"{report.scenario} {headline} elapsed={elapsed:.3f}s")
     return 0
@@ -319,9 +351,15 @@ def _cmd_evolve(config) -> ScenarioReport:
     if config.get("state", {}).get("type", "gaussian") in ("gaussian", "eigen"):
         state = scenarios.build_wavefunction(config, grid, H)
         norm = WaveFunction.norm
+        if cfg.method == "eigenbasis":
+            spectral = SpectralPropagator(H, cfg.dt, cfg.method)
 
-        def advance(state, n):
-            return propagate_schrodinger(state, H, PropagatorConfig(cfg.dt, n, cfg.method))
+            def advance(state, n):
+                amp = spectral.apply(state.amplitudes, n)
+                return WaveFunction(amp, grid, state.time + n * cfg.dt)
+        else:
+            def advance(state, n):
+                return propagate_schrodinger(state, H, PropagatorConfig(cfg.dt, n, cfg.method))
 
         def x_mean(state):
             dens = np.abs(state.amplitudes) ** 2 * grid.dx
@@ -329,11 +367,12 @@ def _cmd_evolve(config) -> ScenarioReport:
     else:
         state = scenarios.build_state(config, grid, H)
         norm = bipartite_norm
+        spectral = SpectralPropagator(H, cfg.dt, cfg.method)
         propagators = {}  # chunk length -> U; a run has at most two chunk lengths
 
         def advance(state, n):
             if n not in propagators:
-                propagators[n] = propagator(H, PropagatorConfig(cfg.dt, n, cfg.method))
+                propagators[n] = spectral.matrix(n)
             U = propagators[n]
             return BipartiteWave(U @ state.kernel @ U.conj().T, grid, state.time + n * cfg.dt)
 

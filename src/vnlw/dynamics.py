@@ -118,20 +118,36 @@ def _check_normalized(norm_sq: float, what: str) -> None:
         raise UnnormalizedStateError(f"{what} is not normalized: |psi|^2 = {norm_sq}")
 
 
-def _spectrum(H: HamiltonianMatrix, cfg: PropagatorConfig) -> tuple:
-    """Euclidean-orthonormal eigenvectors S of H and the factor f(E) of cfg."""
-    eigs = eigensystem(H, H.grid.n_points)
-    if cfg.method == "eigenbasis":
-        f = np.exp(-1j * eigs.energies * (cfg.steps * cfg.dt) / H.hbar)
-    else:
-        f = np.exp(-2j * cfg.steps * np.arctan(0.5 * cfg.dt * eigs.energies / H.hbar))
-    return eigs.states * np.sqrt(H.grid.dx), f
+class SpectralPropagator:
+    """Propagators S diag(f(E)) S^T of one method, from one full eigensolve of H.
+
+    S holds the Euclidean-orthonormal eigenvectors of H and f(E) the method's
+    factor for a step count, so one instance serves every step count of a run.
+    """
+
+    def __init__(self, H: HamiltonianMatrix, dt: float, method: str):
+        eigs = eigensystem(H, H.grid.n_points)
+        self._S = eigs.states * np.sqrt(H.grid.dx)
+        self._E = eigs.energies
+        self._dt, self._method, self._hbar = dt, method, H.hbar
+
+    def _factor(self, steps: int) -> np.ndarray:
+        if self._method == "eigenbasis":
+            return np.exp(-1j * self._E * (steps * self._dt) / self._hbar)
+        return np.exp(-2j * steps * np.arctan(0.5 * self._dt * self._E / self._hbar))
+
+    def matrix(self, steps: int) -> np.ndarray:
+        """The N x N unitary of `steps` steps."""
+        return (self._S * self._factor(steps)) @ self._S.T
+
+    def apply(self, v: np.ndarray, steps: int) -> np.ndarray:
+        """`steps` steps applied to the vector v, O(N^2)."""
+        return self._S @ (self._factor(steps) * (self._S.T @ v))
 
 
 def propagator(H: HamiltonianMatrix, cfg: PropagatorConfig) -> np.ndarray:
     """The N x N unitary S diag(f(E)) S^T of cfg.steps steps of cfg.method."""
-    S, f = _spectrum(H, cfg)
-    return (S * f) @ S.T
+    return SpectralPropagator(H, cfg.dt, cfg.method).matrix(cfg.steps)
 
 
 def propagate_schrodinger(psi: WaveFunction, H: HamiltonianMatrix, cfg: PropagatorConfig) -> WaveFunction:
@@ -141,8 +157,7 @@ def propagate_schrodinger(psi: WaveFunction, H: HamiltonianMatrix, cfg: Propagat
     if cfg.steps == 0:
         return psi
     if cfg.method == "eigenbasis":
-        S, f = _spectrum(H, cfg)
-        amp = S @ (f * (S.T @ psi.amplitudes))
+        amp = SpectralPropagator(H, cfg.dt, cfg.method).apply(psi.amplitudes, cfg.steps)
     else:
         stepper = CrankNicolsonStepper(H, cfg.dt)
         amp = psi.amplitudes.astype(complex)

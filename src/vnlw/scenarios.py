@@ -8,9 +8,9 @@ single-particle evolution.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .lattice import (
     build_hamiltonian,
     sample_potential,
 )
-from .spectra import distinct_gaps, eigensystem, gap_spectrum
+from .spectra import distinct_gaps, eigensystem, eigenvalues, gap_spectrum
 from .dynamics import (
     BipartiteWave,
     PropagatorConfig,
@@ -320,28 +320,30 @@ def _run_gap_spectroscopy(config: dict) -> ScenarioReport:
     grid = grid_from_config(config, "gap-spectroscopy")
     H = hamiltonian_from_config(config, grid)
     k = config.get("spectra", {}).get("k", 4)
-    eigs = eigensystem(H, k)
-    gaps = gap_spectrum(eigs)
+    energies = eigenvalues(H, k)
+    gaps = gap_spectrum(energies)
     tol = config.get("spectra", {}).get("dedup_tol", 1e-9)
     dg = distinct_gaps(gaps, tol)
+    n, m = np.divmod(np.arange(k * k), k)
     tables = {
         "energies": {
             "columns": ["n", "energy"],
-            "rows": [[n, float(e)] for n, e in enumerate(eigs.energies)],
+            "rows": list(enumerate(energies.tolist())),
         },
+        # a record array, so that the index columns stay integers in JSON
         "gaps": {
             "columns": ["n", "m", "lambda"],
-            "rows": [[n, m, lam] for n, m, lam in gaps.entries],
+            "rows": np.rec.fromarrays([n, m, gaps.lambdas.ravel()]),
         },
         "distinct_gaps": {
             "columns": ["lambda"],
-            "rows": [[float(v)] for v in dg],
+            "rows": dg[:, None],
         },
     }
     summary = {
         "k": k,
         "distinct_gap_count": int(len(dg)),
-        "energies": [float(e) for e in eigs.energies],
+        "energies": energies.tolist(),
     }
     return ScenarioReport("gap-spectroscopy", config, summary, tables)
 
@@ -508,26 +510,30 @@ def write_report(report: ScenarioReport, outdir, fmt: str = "csv") -> None:
     for name, table in report.tables.items():
         if fmt == "json":
             _write_json(table, outdir / f"{name}.json")
-        elif fmt == "gnuplot":
-            with open(outdir / f"{name}.dat", "w") as fh:
-                fh.write("# " + " ".join(table["columns"]) + "\n")
-                for row in table["rows"]:
-                    fh.write(" ".join(_fmt_cell(v) for v in row) + "\n")
-        else:
-            with open(outdir / f"{name}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(table["columns"])
-                for row in table["rows"]:
-                    writer.writerow([_fmt_cell(v) for v in row])
+            continue
+        if fmt == "gnuplot":
+            suffix, sep, eol, head = ".dat", " ", "\n", "# "
+        else:  # rows of the excel csv dialect end in \r\n
+            suffix, sep, eol, head = ".csv", ",", "\r\n", ""
+        with open(outdir / f"{name}{suffix}", "w", newline="") as fh:
+            fh.write(head + sep.join(table["columns"]) + eol)
+            _write_rows(fh, table["rows"], sep.join(["%.17g"] * len(table["columns"])) + eol)
+
+
+def _write_rows(fh, rows, line: str) -> None:
+    """Write rows (a list of rows or an array) as line % row, one % per block of rows.
+
+    '%.17g' gives format(v, '.17g') for a float and str(n) for an int below 2**53.
+    """
+    block = 4096
+    for i in range(0, len(rows), block):
+        chunk = rows[i:i + block]
+        if isinstance(chunk, np.ndarray):
+            chunk = chunk.tolist()
+        fh.write((line * len(chunk)) % tuple(chain.from_iterable(chunk)))
 
 
 def _write_json(obj, path: Path) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True, default=np.ndarray.tolist)
         fh.write("\n")
-
-
-def _fmt_cell(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)

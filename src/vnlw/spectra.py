@@ -28,17 +28,34 @@ class EigenSystem:
 
 @dataclass(frozen=True)
 class GapSpectrum:
-    """All k^2 index pairs (n, m) with their gap E_n - E_m."""
+    """All k^2 gaps lambdas[n, m] = E_n - E_m, a (k, k) array."""
 
-    entries: tuple  # of (n, m, lambda)
-
-    @property
-    def lambdas(self) -> np.ndarray:
-        return np.array([lam for _, _, lam in self.entries])
+    lambdas: np.ndarray
 
     def gap(self, n: int, m: int) -> float:
-        k = int(round(np.sqrt(len(self.entries))))
-        return self.entries[n * k + m][2]
+        return float(self.lambdas[n, m])
+
+
+def _tridiagonal_eigh(H: HamiltonianMatrix, k: int, eigvals_only: bool):
+    """LAPACK's lowest k eigenvalues (and vectors) of H: stebz for k < N, stevd for k = N."""
+    n = H.grid.n_points
+    if not 1 <= k <= n:
+        raise EigensolverError(f"k={k} out of range [1, {n}]")
+    select = {} if k == n else {"select": "i", "select_range": (0, k - 1)}
+    try:
+        return scipy.linalg.eigh_tridiagonal(
+            H.diagonal, H.off_diagonal, eigvals_only=eigvals_only, **select
+        )
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - hard to provoke
+        raise EigensolverError(f"tridiagonal eigensolver failed to converge: {exc}") from exc
+
+
+def eigenvalues(H: HamiltonianMatrix, k: int) -> np.ndarray:
+    """Lowest k energies of the tridiagonal Hamiltonian, ascending, without states.
+
+    For k < n_points these are bit for bit the energies of eigensystem(H, k).
+    """
+    return _tridiagonal_eigh(H, k, eigvals_only=True)
 
 
 def eigensystem(H: HamiltonianMatrix, k: int) -> EigenSystem:
@@ -47,18 +64,7 @@ def eigensystem(H: HamiltonianMatrix, k: int) -> EigenSystem:
     States are normalized in the dx-weighted inner product and sign-fixed so
     that the first nonzero component of each state is positive.
     """
-    n = H.grid.n_points
-    if not 1 <= k <= n:
-        raise EigensolverError(f"k={k} out of range [1, {n}]")
-    try:
-        if k == n:
-            energies, vecs = scipy.linalg.eigh_tridiagonal(H.diagonal, H.off_diagonal)
-        else:
-            energies, vecs = scipy.linalg.eigh_tridiagonal(
-                H.diagonal, H.off_diagonal, select="i", select_range=(0, k - 1)
-            )
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - hard to provoke
-        raise EigensolverError(f"tridiagonal eigensolver failed to converge: {exc}") from exc
+    energies, vecs = _tridiagonal_eigh(H, k, eigvals_only=False)
     # LAPACK returns Euclidean-orthonormal columns; rescale to dx-weighted.
     vecs = vecs / np.sqrt(H.grid.dx)
     for j in range(vecs.shape[1]):
@@ -69,25 +75,30 @@ def eigensystem(H: HamiltonianMatrix, k: int) -> EigenSystem:
     return EigenSystem(energies, vecs, H.grid, int(k))
 
 
-def gap_spectrum(eigs: EigenSystem) -> GapSpectrum:
-    """All pairwise gaps lambda = E_n - E_m, one entry per index pair."""
-    E = eigs.energies
-    entries = tuple(
-        (n, m, float(E[n] - E[m])) for n in range(eigs.k) for m in range(eigs.k)
-    )
-    return GapSpectrum(entries)
+def gap_spectrum(energies: np.ndarray) -> GapSpectrum:
+    """All pairwise gaps lambda = E_n - E_m of the given energies."""
+    return GapSpectrum(np.subtract.outer(energies, energies))
 
 
 def distinct_gaps(gaps: GapSpectrum, tol: float = 1e-9) -> np.ndarray:
-    """Distinct gap values, merging entries closer than tol."""
-    lam = np.sort(gaps.lambdas)
+    """Sorted distinct gaps: a value is kept when it exceeds the last kept one by more than tol.
+
+    Neighbours more than tol apart start a new run, whose first value is
+    always kept; only runs spanning more than tol are walked value by value.
+    """
+    lam = np.sort(gaps.lambdas, axis=None)
     if lam.size == 0:
         return lam
-    keep = [lam[0]]
-    for value in lam[1:]:
-        if value - keep[-1] > tol:
-            keep.append(value)
-    return np.array(keep)
+    keep = np.concatenate(([True], np.diff(lam) > tol))
+    starts = np.flatnonzero(keep)
+    ends = np.append(starts[1:], lam.size)
+    wide = lam[ends - 1] - lam[starts] > tol
+    for s, e in zip(starts[wide], ends[wide]):
+        last = lam[s]
+        for i in range(s + 1, e):
+            if lam[i] - last > tol:
+                keep[i], last = True, lam[i]
+    return lam[keep]
 
 
 def difference_operator_spectrum(H: HamiltonianMatrix, max_dim: int = 4096) -> np.ndarray:

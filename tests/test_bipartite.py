@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vnlw.bipartite import (
     apply_rho,
@@ -110,6 +111,28 @@ class TestSchmidt:
         for fam in (dec.left_states, dec.right_states):
             gram = fam.conj().T @ fam * g.dx
             assert np.max(np.abs(gram - np.eye(fam.shape[1]))) < 1e-9
+
+
+class TestSchmidtProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        n_points=st.integers(8, 40),
+        rank=st.integers(1, 8),
+        decay=st.floats(0.0, 40.0),
+        noise=st.sampled_from([0.0, 1e-14, 1e-8, 1e-3]),
+        tol=st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_norm_budget(self, n_points, rank, decay, noise, tol, seed):
+        # sum mu^2 + residual = |Psi|^2 for every truncation
+        g = build_grid(-5, 5, n_points)
+        r = min(rank, n_points)
+        mu = np.exp(-decay * np.linspace(0.0, 1.0, r))
+        K = (random_orthonormal(g, r, seed) * mu) @ random_orthonormal(g, r, seed + 1).conj().T
+        K = K + noise * random_kernel(g, seed + 2).kernel
+        Psi = BipartiteWave(K / np.sqrt(bipartite_norm(BipartiteWave(K, g))), g)
+        dec = schmidt(Psi, tol)
+        assert abs(np.sum(dec.coefficients**2) + dec.residual - bipartite_norm(Psi)) <= 1e-12
 
 
 class TestEntropy:

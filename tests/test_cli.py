@@ -1,3 +1,4 @@
+import datetime
 import json
 import re
 from pathlib import Path
@@ -145,6 +146,24 @@ class TestExitCodes:
         "state.type=nope",
         "state.type=eigen-product",
         "state.type=eigen",
+        "spectra.dedup_tol=abc",
+        "spectra.dedup_tol=NaN",
+        "spectra.dedup_tol=-1e-9",
+        "scenario.sweep_points=abc",
+        "scenario.sweep_points=-1",
+        "scenario.window=3",
+        "scenario.window=[1, -1]",
+        "scenario.window=[-1, NaN]",
+        "scenario.sigma=abc",
+        "scenario.sigma=0",
+        "scenario.separation=-4",
+        "scenario.evolve_time=-1",
+        "state.tol=abc",
+        "state.tol=-1",
+        "state.sigma=Infinity",
+        "state.separation=0",
+        "grid.box=abc",
+        "grid.box=1",
     ])
     def test_bad_value_exit_leaves_nothing(self, tmp_path, capsys, override):
         out = tmp_path / "out"
@@ -175,6 +194,33 @@ class TestExitCodes:
         assert code == 4
         visible = [p for p in out.iterdir() if not p.name.startswith(".")]
         assert visible == []
+
+
+class TestOutputNames:
+    def test_same_second_runs_both_kept(self, tmp_path, monkeypatch):
+        class Frozen(datetime.datetime):
+            @classmethod
+            def now(cls, tz=None):
+                return cls(2026, 1, 2, 3, 4, 5)
+
+        monkeypatch.setattr(cli.datetime, "datetime", Frozen)
+        out = tmp_path / "out"
+        args = ["gaps", "--config", write_config(tmp_path, BASE), "--output", str(out)]
+        assert cli.execute(parse_invocation(args)) == 0
+        assert cli.execute(parse_invocation(args + ["--set", "spectra.k=4"])) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["gaps-20260102T030405", "gaps-20260102T030405-2"]
+        ks = [json.loads((out / n / "summary.json").read_text())["summary"]["k"] for n in names]
+        assert ks == [3, 4]
+
+    def test_no_timestamp_replaces_whole_run(self, tmp_path):
+        out = tmp_path / "out"
+        args = ["gaps", "--config", write_config(tmp_path, BASE), "--output", str(out), "--no-timestamp"]
+        assert main(args + ["--set", "spectra.k=4"]) == 0
+        assert main(args) == 0
+        assert [p.name for p in out.iterdir()] == ["gaps"]
+        assert json.loads((out / "gaps" / "summary.json").read_text())["summary"]["k"] == 3
+        assert len((out / "gaps" / "gaps.csv").read_text().splitlines()) == 10
 
 
 class TestValidateConfigCommand:

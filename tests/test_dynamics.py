@@ -40,6 +40,19 @@ def random_kernel(grid, seed=0):
     return BipartiteWave(K, grid)
 
 
+def count_eigensolves(monkeypatch):
+    """The k of every eigensystem call, through every module binding."""
+    calls = []
+
+    def counting(H, k):
+        calls.append(k)
+        return eigensystem(H, k)
+
+    for module in (spectra, dynamics, scenarios, cli):
+        monkeypatch.setattr(module, "eigensystem", counting)
+    return calls
+
+
 def frob(grid, A, B):
     return float(np.sqrt(np.sum(np.abs(A - B) ** 2) * grid.dx**2))
 
@@ -184,14 +197,7 @@ class TestVnl:
         assert np.max(np.abs(out.kernel - K)) <= 1e-12
 
     def test_evolve_builds_propagator_once(self, monkeypatch):
-        calls = []
-
-        def counting(H, k):
-            calls.append(k)
-            return eigensystem(H, k)
-
-        for module in (spectra, dynamics, scenarios, cli):
-            monkeypatch.setattr(module, "eigensystem", counting)
+        calls = count_eigensolves(monkeypatch)
         config = {
             "schema_version": 1,
             "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 101},
@@ -206,6 +212,27 @@ class TestVnl:
         H = scenarios.hamiltonian_from_config(config, g)
         end = propagate_vnl(random_kernel(g, seed=3), H, PropagatorConfig(1e-3, 1000, "eigenbasis"))
         x_mean = float(np.sum(g.points * position_density(end)) * g.dx)
+        assert rows[-1][2] == pytest.approx(x_mean, abs=1e-12)
+
+    def test_evolve_one_partite_eigenbasis_solves_once(self, monkeypatch):
+        calls = count_eigensolves(monkeypatch)
+        config = {
+            "schema_version": 1,
+            "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 101},
+            "potential": {"kind": "harmonic", "omega": 1.0},
+            "dynamics": {"dt": 1e-3, "steps": 1000, "stride": 10, "method": "eigenbasis"},
+            "state": {"type": "gaussian", "center": 1.0, "sigma": 0.8, "momentum": 0.5},
+        }
+        rows = cli._cmd_evolve(config).tables["trajectory"]["rows"]
+        assert len(calls) <= 1
+        assert len(rows) == 101
+        g = scenarios.grid_from_config(config)
+        H = scenarios.hamiltonian_from_config(config, g)
+        psi = gaussian_packet(g, 1.0, 0.8, 0.5)
+        end = propagate_schrodinger(psi, H, PropagatorConfig(1e-3, 1000, "eigenbasis"))
+        x_mean = float(np.sum(g.points * np.abs(end.amplitudes) ** 2 * g.dx))
+        assert rows[-1][0] == pytest.approx(1.0, abs=1e-12)
+        assert rows[-1][1] == pytest.approx(1.0, abs=1e-12)
         assert rows[-1][2] == pytest.approx(x_mean, abs=1e-12)
 
 

@@ -1,3 +1,7 @@
+import csv
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,7 @@ from vnlw.bipartite import entanglement_entropy, position_density
 from vnlw.errors import ScenarioError
 from vnlw.lattice import build_grid
 from vnlw.scenarios import (
+    ScenarioReport,
     TwoSlitCoefficients,
     fringe_visibility,
     make_slit_modes,
@@ -153,3 +158,51 @@ class TestRunScenario:
         assert len(gaps) == 10
         write_report(report, tmp_path / "gnu", fmt="gnuplot")
         assert (tmp_path / "gnu" / "gaps.dat").read_text().startswith("# n m lambda")
+
+
+class TestWriteReportFormats:
+    """Every table format against a reference written with csv.writer and format(v, '.17g')."""
+
+    SPECIAL = [0.0, -0.0, 1.0, -3.0, 2.0**52, 1e-300, -2.5e300, 0.1, 1 / 3, 123456789.0, 5e-324]
+
+    @staticmethod
+    def cell(v):
+        return format(v, ".17g") if isinstance(v, float) else str(v)
+
+    @classmethod
+    def reference(cls, table, fmt):
+        rows = table["rows"].tolist() if isinstance(table["rows"], np.ndarray) else table["rows"]
+        if fmt == "json":
+            obj = {"columns": table["columns"], "rows": [list(r) for r in rows]}
+            return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        if fmt == "gnuplot":
+            lines = ["# " + " ".join(table["columns"])]
+            lines += [" ".join(cls.cell(v) for v in row) for row in rows]
+            return "".join(line + "\n" for line in lines)
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(table["columns"])
+        for row in rows:
+            writer.writerow([cls.cell(v) for v in row])
+        return buf.getvalue()
+
+    def test_byte_identical_to_reference(self, tmp_path):
+        values = np.array(self.SPECIAL)
+        many = np.random.default_rng(5).standard_normal((9000, 2)) * 1e3
+        k = len(values)
+        tables = {
+            "listed": {"columns": ["n", "value"], "rows": [[i, v] for i, v in enumerate(self.SPECIAL)]},
+            "dense": {"columns": ["a", "b", "c"], "rows": np.column_stack([values, -values, values * 3])},
+            "indexed": {
+                "columns": ["n", "m", "lambda"],
+                "rows": np.rec.fromarrays([np.arange(k), np.arange(k)[::-1], values]),
+            },
+            "many": {"columns": ["x", "y"], "rows": many},  # more than one block of rows
+            "empty": {"columns": ["a"], "rows": []},
+        }
+        report = ScenarioReport("t", {"schema_version": 1}, {"x": 1.0}, tables)
+        for fmt, suffix in (("csv", "csv"), ("gnuplot", "dat"), ("json", "json")):
+            write_report(report, tmp_path / fmt, fmt=fmt)
+            for name, table in tables.items():
+                written = (tmp_path / fmt / f"{name}.{suffix}").read_bytes()
+                assert written == self.reference(table, fmt).encode(), (fmt, name)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vnlw.errors import DimensionTooLargeError, EigensolverError
 from vnlw.lattice import (
@@ -11,8 +13,10 @@ from vnlw.lattice import (
 )
 from vnlw.spectra import (
     difference_operator_spectrum,
+    GapSpectrum,
     distinct_gaps,
     eigensystem,
+    eigenvalues,
     gap_spectrum,
 )
 from vnlw.scenarios import run_scenario, write_report
@@ -65,35 +69,71 @@ class TestEigensystem:
             eigensystem(H, 0)
         with pytest.raises(EigensolverError):
             eigensystem(H, 65)
+        with pytest.raises(EigensolverError):
+            eigenvalues(H, 0)
+        with pytest.raises(EigensolverError):
+            eigenvalues(H, 65)
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+class TestEigenvalues:
+    @PROPERTY
+    @given(
+        n_points=st.integers(8, 300),
+        omega=st.floats(0.1, 3.0),
+        fraction=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_bitwise_equal_to_eigensystem(self, n_points, omega, fraction):
+        H = harmonic_hamiltonian(n_points, half_width=8.0, omega=omega)
+        k = 1 + int(fraction * (n_points - 1))  # 1 <= k < n_points
+        assert np.array_equal(eigenvalues(H, k), eigensystem(H, k).energies)
+
+    def test_full_spectrum_round_off(self):
+        # k = N uses stevd, whose values-only path may differ in the last bits
+        H = harmonic_hamiltonian(201)
+        E = eigenvalues(H, 201)
+        ref = eigensystem(H, 201).energies
+        assert np.max(np.abs(E - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestGapSpectrum:
     def test_harmonic_distinct_gaps(self):
         H = harmonic_hamiltonian(1001)
-        gaps = gap_spectrum(eigensystem(H, 3))
+        gaps = gap_spectrum(eigensystem(H, 3).energies)
         dg = distinct_gaps(gaps, tol=1e-3)
         assert np.allclose(dg, [-2, -1, 0, 1, 2], atol=1e-3)
 
     def test_single_state(self):
         H = harmonic_hamiltonian(64, half_width=5.0)
-        gaps = gap_spectrum(eigensystem(H, 1))
-        assert gaps.entries == ((0, 0, 0.0),)
+        gaps = gap_spectrum(eigensystem(H, 1).energies)
+        assert gaps.lambdas.tolist() == [[0.0]]
 
     def test_box_first_gap(self):
         g = box_grid(1.0, 2001)
         H = build_hamiltonian(g, np.zeros(2001))
-        gaps = gap_spectrum(eigensystem(H, 2))
+        gaps = gap_spectrum(eigensystem(H, 2).energies)
         assert gaps.gap(1, 0) == pytest.approx(3 * np.pi**2 / 2, rel=1e-3)
 
     def test_antisymmetry_and_diagonal(self):
         H = harmonic_hamiltonian(201)
-        gaps = gap_spectrum(eigensystem(H, 5))
-        lookup = {(n, m): lam for n, m, lam in gaps.entries}
-        assert len(lookup) == 25
-        for (n, m), lam in lookup.items():
-            assert lookup[(m, n)] == -lam
-            if n == m:
-                assert lam == 0.0
+        gaps = gap_spectrum(eigensystem(H, 5).energies)
+        lam = gaps.lambdas
+        assert lam.shape == (5, 5)
+        for n in range(5):
+            for m in range(5):
+                assert lam[m, n] == -lam[n, m]
+                if n == m:
+                    assert lam[n, m] == 0.0
+
+    @PROPERTY
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60))
+    def test_gap_identity(self, energies):
+        lam = gap_spectrum(np.sort(energies)).lambdas
+        assert np.array_equal(lam, -lam.T)
+        assert np.all(np.diag(lam) == 0.0)
+        assert gap_spectrum(energies).gap(len(energies) - 1, 0) == energies[-1] - energies[0]
 
     def test_csv_export(self, tmp_path):
         report = run_scenario({
@@ -148,7 +188,48 @@ class TestDistinctGaps:
     def test_dedup_of_degenerate_ladder(self):
         # harmonic ladder produces each gap value k-|d| times
         H = harmonic_hamiltonian(1001)
-        gaps = gap_spectrum(eigensystem(H, 4))
+        gaps = gap_spectrum(eigensystem(H, 4).energies)
         dg = distinct_gaps(gaps, tol=1e-3)
         assert len(dg) == 7  # -3 .. 3
         assert np.allclose(dg, np.arange(-3, 4), atol=1e-3)
+
+    @staticmethod
+    def sequential_merge(values, tol):
+        """The per-value loop distinct_gaps replaced, kept as the oracle."""
+        lam = np.sort(np.asarray(values, dtype=float).ravel())
+        if lam.size == 0:
+            return lam
+        keep = [lam[0]]
+        for value in lam[1:]:
+            if value - keep[-1] > tol:
+                keep.append(value)
+        return np.array(keep)
+
+    @PROPERTY
+    @given(
+        centers=st.lists(st.floats(-50.0, 50.0), min_size=0, max_size=30),
+        spreads=st.lists(st.sampled_from([0.0, 0.3, 0.9, 1.0, 1.5, 4.0]), min_size=30, max_size=30),
+        counts=st.lists(st.integers(1, 6), min_size=30, max_size=30),
+        tol=st.sampled_from([0.0, 1e-9, 0.1, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        presorted=st.booleans(),
+    )
+    def test_matches_sequential_merge(self, centers, spreads, counts, tol, seed, presorted):
+        # clusters of planted ties, runs narrower and wider than tol, negative values
+        rng = np.random.default_rng(seed)
+        parts = []
+        for c, w, n in zip(centers, spreads, counts):
+            parts.append(c + tol * w * rng.random(n))
+            parts.append(np.full(n // 2, c))
+        values = np.concatenate(parts) if parts else np.zeros(0)
+        values = np.sort(values) if presorted else rng.permutation(values)
+        side = values.size
+        got = distinct_gaps(GapSpectrum(values.reshape(1, side)), tol)
+        expected = self.sequential_merge(values, tol)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_wide_run_walked(self):
+        # steps of 0.6 with tol 1: one run spanning 3, kept at 0, 1.2, 2.4
+        values = np.arange(6) * 0.6
+        dg = distinct_gaps(GapSpectrum(values.reshape(2, 3)), tol=1.0)
+        assert dg.tolist() == self.sequential_merge(values, 1.0).tolist() == [0.0, 1.2, 2.4]
