@@ -22,14 +22,13 @@ from scipy.sparse.linalg import splu
 
 from .errors import GridMismatchError, SimulationError, UnnormalizedStateError
 from .lattice import Grid1D, HamiltonianMatrix
+from .schema import METHODS
 from .spectra import EigenSystem, eigensystem
 
 if TYPE_CHECKING:
     from .bipartite import TransitionAmplitudes
 
 NORM_TOL = 1e-6
-
-METHODS = ("crank-nicolson", "eigenbasis")
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,8 @@ class CrankNicolsonStepper:
     """One Cayley step (I + i dt H / 2 hbar)^-1 (I - i dt H / 2 hbar).
 
     The LU factorization is computed once and reused for every step; apply()
-    accepts a vector or a matrix of column vectors.
+    accepts a vector or a matrix of column vectors.  A dt so large that the
+    factors overflow raises SimulationError.
     """
 
     def __init__(self, H: HamiltonianMatrix, dt: float):
@@ -101,8 +101,12 @@ class CrankNicolsonStepper:
         )
         alpha = 0.5j * dt / H.hbar
         eye = identity(n, dtype=complex, format="csc")
-        self._lu = splu((eye + alpha * Hs).tocsc())
-        self._B = (eye - alpha * Hs).tocsr()
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            A = (eye + alpha * Hs).tocsc()
+            self._B = (eye - alpha * Hs).tocsr()
+        if not (np.isfinite(A.data).all() and np.isfinite(self._B.data).all()):
+            raise SimulationError(f"Crank-Nicolson factors are not finite at dt={dt}")
+        self._lu = splu(A)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self._lu.solve(self._B @ v)
@@ -123,6 +127,8 @@ class SpectralPropagator:
 
     S holds the Euclidean-orthonormal eigenvectors of H and f(E) the method's
     factor for a step count, so one instance serves every step count of a run.
+    A factor that is not finite (dt or steps * dt overflows) raises
+    SimulationError.
     """
 
     def __init__(self, H: HamiltonianMatrix, dt: float, method: str):
@@ -132,9 +138,14 @@ class SpectralPropagator:
         self._dt, self._method, self._hbar = dt, method, H.hbar
 
     def _factor(self, steps: int) -> np.ndarray:
-        if self._method == "eigenbasis":
-            return np.exp(-1j * self._E * (steps * self._dt) / self._hbar)
-        return np.exp(-2j * steps * np.arctan(0.5 * self._dt * self._E / self._hbar))
+        with np.errstate(over="ignore", invalid="ignore"):  # atan(inf) is finite; the rest is checked
+            if self._method == "eigenbasis":
+                f = np.exp(-1j * self._E * (steps * self._dt) / self._hbar)
+            else:
+                f = np.exp(-2j * steps * np.arctan(0.5 * self._dt * self._E / self._hbar))
+        if not np.isfinite(f).all():
+            raise SimulationError(f"{self._method} factor is not finite at dt={self._dt}, steps={steps}")
+        return f
 
     def matrix(self, steps: int) -> np.ndarray:
         """The N x N unitary of `steps` steps."""

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, HamiltonianError, PotentialError
-
-POTENTIAL_KINDS = ("infinite-box", "harmonic", "double-well", "barrier", "tabulated")
+from .schema import POTENTIAL_KINDS
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,7 @@ def sample_potential(grid: Grid1D, spec: PotentialSpec) -> np.ndarray:
                 f"tabulated length mismatch: {values.shape[0]} values for {grid.n_points} grid points"
             )
         return values.copy()
-    raise PotentialError(f"unknown potential kind: {spec.kind!r}")
+    raise PotentialError(f"unknown potential kind: {spec.kind!r}; expected one of {POTENTIAL_KINDS}")
 
 
 def load_potential_csv(grid: Grid1D, path) -> PotentialSpec:

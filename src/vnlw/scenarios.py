@@ -3,7 +3,9 @@
 Four scenarios: two-slit duality (interference vs which-path statistics),
 collapse statistics over an eigenbasis, gap spectroscopy, and the
 product-state equivalence between the bipartite evolution and ordinary
-single-particle evolution.
+single-particle evolution.  Besides them, the spectrum, evolve, schmidt and
+entropy runs of the subcommands of those names.  Every runner takes a config
+resolved by `schema.resolve`, its grid and H, and returns a ScenarioReport.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ScenarioError
+from .schema import ONE_PARTITE, amplitudes, resolve, two_slit_amplitudes
 from .lattice import (
     Grid1D,
     HamiltonianMatrix,
@@ -29,6 +32,7 @@ from .spectra import distinct_gaps, eigensystem, eigenvalues, gap_spectrum
 from .dynamics import (
     BipartiteWave,
     PropagatorConfig,
+    SpectralPropagator,
     WaveFunction,
     bipartite_norm,
     gaussian_packet,
@@ -38,13 +42,14 @@ from .dynamics import (
 )
 from .bipartite import (
     entanglement_entropy,
+    entropy_from_reduced,
     from_product,
     position_density,
+    schmidt,
+    schmidt_record,
     transition_amplitudes,
     collapse_statistics,
 )
-
-SCENARIOS = ("two-slit", "collapse", "gap-spectroscopy", "product-equivalence")
 
 
 @dataclass(frozen=True)
@@ -161,169 +166,80 @@ class ScenarioReport:
 
 
 # ---------------------------------------------------------------------------
-# config helpers
-
-_DEFAULT_GRIDS = {
-    "two-slit": {"x_min": -20.0, "x_max": 20.0, "n_points": 801},
-    "collapse": {"x_min": -10.0, "x_max": 10.0, "n_points": 401},
-    "gap-spectroscopy": {"x_min": -10.0, "x_max": 10.0, "n_points": 2001},
-    "product-equivalence": {"x_min": -20.0, "x_max": 20.0, "n_points": 401},
-}
+# builders from a resolved config (schema.resolve)
 
 
-def potential_from_dict(d: dict) -> PotentialSpec:
-    kind = d.get("kind", "infinite-box")
-    params = {k: v for k, v in d.items() if k != "kind"}
-    if kind == "infinite-box":
-        return PotentialSpec.infinite_box()
-    if kind == "harmonic":
-        return PotentialSpec.harmonic(params.get("omega", 1.0), params.get("mass", 1.0))
-    if kind == "double-well":
-        return PotentialSpec.double_well(params.get("a", 1.0), params.get("b", 1.0))
-    if kind == "barrier":
-        return PotentialSpec.barrier(
-            params.get("height", 1.0), params.get("width", 1.0), params.get("center", 0.0)
-        )
-    if kind == "tabulated":
-        return PotentialSpec.tabulated(params["values"])
-    raise ScenarioError(f"unknown potential kind {kind!r}")
+def potential_from_config(c) -> PotentialSpec:
+    p = c.potential
+    return {
+        "infinite-box": PotentialSpec.infinite_box,
+        "harmonic": lambda: PotentialSpec.harmonic(p.omega, p.mass),
+        "double-well": lambda: PotentialSpec.double_well(p.a, p.b),
+        "barrier": lambda: PotentialSpec.barrier(p.height, p.width, p.center),
+        "tabulated": lambda: PotentialSpec.tabulated(p.values),
+    }[p.kind]()
 
 
-def grid_from_config(config: dict, scenario: str | None = None) -> Grid1D:
-    g = dict(_DEFAULT_GRIDS.get(scenario, _DEFAULT_GRIDS["collapse"]))
-    g.update(config.get("grid", {}))
-    if g.pop("box", False):
-        return box_grid(g["x_max"] - g["x_min"], g["n_points"], g["x_min"])
-    return build_grid(g["x_min"], g["x_max"], g["n_points"])
+def grid_from_config(c) -> Grid1D:
+    g = c.grid
+    if g.box:
+        return box_grid(g.x_max - g.x_min, g.n_points, g.x_min)
+    return build_grid(g.x_min, g.x_max, g.n_points)
 
 
-def hamiltonian_from_config(config: dict, grid: Grid1D) -> HamiltonianMatrix:
-    constants = config.get("constants", {})
-    spec = potential_from_dict(config.get("potential", {"kind": "infinite-box"}))
-    return build_hamiltonian(
-        grid,
-        sample_potential(grid, spec),
-        hbar=constants.get("hbar", 1.0),
-        mass=constants.get("mass", 1.0),
-    )
+def hamiltonian_from_config(c, grid: Grid1D) -> HamiltonianMatrix:
+    potential = sample_potential(grid, potential_from_config(c))
+    return build_hamiltonian(grid, potential, hbar=c.constants.hbar, mass=c.constants.mass)
 
 
-def propagator_from_config(config: dict, steps: int | None = None) -> PropagatorConfig:
-    d = config.get("dynamics", {})
-    return PropagatorConfig(
-        dt=d.get("dt", 1e-3),
-        steps=steps if steps is not None else d.get("steps", 1000),
-        method=d.get("method", "crank-nicolson"),
-    )
+def build_state(c, grid: Grid1D, H: HamiltonianMatrix) -> WaveFunction | BipartiteWave:
+    """The initial state of the `state` group.
 
-
-def _as_complex(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        return complex(value[0], value[1])
-    return complex(value)
-
-
-# Accepted state.type values: bipartite ones for build_state, then the
-# one-partite ones for build_wavefunction.
-STATE_TYPES = ("gaussian-product", "eigen-product", "two-slit", "random", "gaussian", "eigen")
-
-
-def build_state(config: dict, grid: Grid1D, H: HamiltonianMatrix) -> BipartiteWave:
-    """Construct a bipartite state from the config's `state` group."""
-    state = config.get("state", {"type": "gaussian-product"})
-    kind = state.get("type", "gaussian-product")
-    if kind == "gaussian-product":
-        psi = gaussian_packet(
-            grid,
-            state.get("center", 0.0),
-            state.get("sigma", 1.0),
-            state.get("momentum", 0.0),
-        )
-        return from_product(psi, psi)
-    if kind == "eigen-product":
-        a = np.array([_as_complex(v) for v in state["coefficients"]])
-        a = a / np.linalg.norm(a)
-        eigs = eigensystem(H, len(a))
-        psi = WaveFunction(eigs.states @ a, grid)
-        return from_product(psi, psi)
-    if kind == "two-slit":
-        modes = make_slit_modes(
-            grid, state.get("separation", 4.0), state.get("sigma", 0.35)
-        )
-        return two_slit_state(modes, _parse_coefficients(state.get("coefficients", "wave")))
-    if kind == "random":
-        rng = np.random.default_rng(state.get("seed", 0))
-        K = rng.standard_normal((grid.n_points, grid.n_points)) + 1j * rng.standard_normal(
-            (grid.n_points, grid.n_points)
-        )
+    A one-partite type gives the wave function psi; its bipartite
+    counterpart gives the product kernel psi(x) psi^*(y).
+    """
+    st = c.state
+    if st.type == "random":
+        rng = np.random.default_rng(st.seed)
+        shape = (grid.n_points, grid.n_points)
+        K = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         K /= np.sqrt(np.sum(np.abs(K) ** 2) * grid.dx**2)
         return BipartiteWave(K, grid)
-    raise ScenarioError(f"unknown state type {kind!r}")
-
-
-def build_wavefunction(config: dict, grid: Grid1D, H: HamiltonianMatrix) -> WaveFunction:
-    """Construct a one-partite state from the config's `state` group."""
-    state = config.get("state", {"type": "gaussian"})
-    kind = state.get("type", "gaussian")
-    if kind == "gaussian":
-        return gaussian_packet(
-            grid,
-            state.get("center", 0.0),
-            state.get("sigma", 1.0),
-            state.get("momentum", 0.0),
-        )
-    if kind == "eigen":
-        a = np.array([_as_complex(v) for v in state["coefficients"]])
+    if st.type == "two-slit":
+        modes = make_slit_modes(grid, st.separation, st.sigma)
+        return two_slit_state(modes, TwoSlitCoefficients(*two_slit_amplitudes(st.coefficients)))
+    if st.type in ("gaussian", "gaussian-product"):
+        psi = gaussian_packet(grid, st.center, st.sigma, st.momentum)
+    else:  # eigen, eigen-product
+        a = np.array(amplitudes(st.coefficients))
         a = a / np.linalg.norm(a)
-        eigs = eigensystem(H, len(a))
-        return WaveFunction(eigs.states @ a, grid)
-    raise ScenarioError(f"unknown one-partite state type {kind!r}")
-
-
-def _parse_coefficients(value) -> TwoSlitCoefficients:
-    if value == "wave":
-        return TwoSlitCoefficients.wave()
-    if value == "particle":
-        return TwoSlitCoefficients.particle()
-    if isinstance(value, dict):
-        return TwoSlitCoefficients(
-            _as_complex(value.get("a11", 0)),
-            _as_complex(value.get("a12", 0)),
-            _as_complex(value.get("a21", 0)),
-            _as_complex(value.get("a22", 0)),
-        )
-    if isinstance(value, (list, tuple)) and len(value) == 4:
-        return TwoSlitCoefficients(*[_as_complex(v) for v in value])
-    raise ScenarioError(f"cannot parse two-slit coefficients from {value!r}")
+        psi = WaveFunction(eigensystem(H, len(a)).states @ a, grid)
+    return psi if st.type in ONE_PARTITE else from_product(psi, psi)
 
 
 # ---------------------------------------------------------------------------
-# scenario runners
+# runners: one per run name
 
 
-def run_scenario(config: dict) -> ScenarioReport:
-    """Dispatch on scenario name; deterministic given the config (incl. seed)."""
-    scenario = config.get("scenario", {})
-    name = scenario.get("name")
-    runners = {
-        "two-slit": _run_two_slit,
-        "collapse": _run_collapse,
-        "gap-spectroscopy": _run_gap_spectroscopy,
-        "product-equivalence": _run_product_equivalence,
-    }
-    if name not in runners:
-        raise ScenarioError(f"unknown scenario {name!r}; expected one of {SCENARIOS}")
-    return runners[name](config)
+def run_scenario(config: dict, run: str | None = None) -> ScenarioReport:
+    """Perform run, by default the scenario named by scenario.name, on config.
+
+    Deterministic given the config, including its seeds.  A config that
+    breaks the schema raises ConfigError.
+    """
+    name = run or (config.get("scenario") or {}).get("name")
+    if name not in RUNNERS:
+        raise ScenarioError(f"unknown run {name!r}; expected one of {tuple(RUNNERS)}")
+    c = resolve(config, name)
+    grid = grid_from_config(c)
+    return RUNNERS[name](c, grid, hamiltonian_from_config(c, grid))
 
 
-def _run_gap_spectroscopy(config: dict) -> ScenarioReport:
-    grid = grid_from_config(config, "gap-spectroscopy")
-    H = hamiltonian_from_config(config, grid)
-    k = config.get("spectra", {}).get("k", 4)
+def _run_gap_spectroscopy(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
+    k = c.spectra.k
     energies = eigenvalues(H, k)
     gaps = gap_spectrum(energies)
-    tol = config.get("spectra", {}).get("dedup_tol", 1e-9)
-    dg = distinct_gaps(gaps, tol)
+    dg = distinct_gaps(gaps, c.spectra.dedup_tol)
     n, m = np.divmod(np.arange(k * k), k)
     tables = {
         "energies": {
@@ -345,15 +261,13 @@ def _run_gap_spectroscopy(config: dict) -> ScenarioReport:
         "distinct_gap_count": int(len(dg)),
         "energies": energies.tolist(),
     }
-    return ScenarioReport("gap-spectroscopy", config, summary, tables)
+    return ScenarioReport("gap-spectroscopy", c.given, summary, tables)
 
 
-def _run_collapse(config: dict) -> ScenarioReport:
-    grid = grid_from_config(config, "collapse")
-    H = hamiltonian_from_config(config, grid)
-    k = config.get("spectra", {}).get("k", 8)
+def _run_collapse(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
+    k = c.spectra.k
     eigs = eigensystem(H, k)
-    Psi = build_state(config, grid, H)
+    Psi = build_state(c, grid, H)
     amps = transition_amplitudes(Psi, eigs)
     stats = collapse_statistics(amps)
     tables = {
@@ -373,22 +287,15 @@ def _run_collapse(config: dict) -> ScenarioReport:
         "total_probability": float(np.sum(stats.p)),
         "truncation_residual": stats.truncation_residual,
     }
-    return ScenarioReport("collapse", config, summary, tables)
+    return ScenarioReport("collapse", c.given, summary, tables)
 
 
-def _run_two_slit(config: dict) -> ScenarioReport:
-    scenario = config.get("scenario", {})
-    grid = grid_from_config(config, "two-slit")
-    H = hamiltonian_from_config(config, grid)
-    modes = make_slit_modes(
-        grid, scenario.get("separation", 4.0), scenario.get("sigma", 0.35)
-    )
-    coeffs = _parse_coefficients(scenario.get("coefficients", "wave"))
-    T = scenario.get("evolve_time", 2.0)
-    dt = config.get("dynamics", {}).get("dt", 1e-3)
-    steps = int(round(T / dt))
-    cfg = PropagatorConfig(dt=dt, steps=steps, method=config.get("dynamics", {}).get("method", "crank-nicolson"))
-    window = _window_indices(grid, scenario.get("window", [-8.0, 8.0]))
+def _run_two_slit(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
+    sc = c.scenario
+    modes = make_slit_modes(grid, sc.separation, sc.sigma)
+    coeffs = TwoSlitCoefficients(*two_slit_amplitudes(sc.coefficients))
+    cfg = PropagatorConfig(c.dynamics.dt, int(round(sc.evolve_time / c.dynamics.dt)), c.dynamics.method)
+    window = _window_indices(grid, sc.window)
 
     psi1_t = propagate_schrodinger(modes.psi1, H, cfg)
     psi2_t = propagate_schrodinger(modes.psi2, H, cfg)
@@ -408,13 +315,12 @@ def _run_two_slit(config: dict) -> ScenarioReport:
     summary = {
         "entropy": float(entropy),
         "visibility": float(visibility),
-        "evolve_time": float(T),
+        "evolve_time": float(sc.evolve_time),
     }
 
-    sweep_points = scenario.get("sweep_points", 0)
-    if sweep_points:
+    if sc.sweep_points:
         thetas, entropies, visibilities = complementarity_sweep(
-            modes, evolved, window, n_points=sweep_points
+            modes, evolved, window, n_points=sc.sweep_points
         )
         tables["sweep"] = {
             "columns": ["theta", "entropy", "visibility"],
@@ -423,8 +329,8 @@ def _run_two_slit(config: dict) -> ScenarioReport:
                 for t, s, v in zip(thetas, entropies, visibilities)
             ],
         }
-        summary["sweep_points"] = int(sweep_points)
-    return ScenarioReport("two-slit", config, summary, tables)
+        summary["sweep_points"] = int(sc.sweep_points)
+    return ScenarioReport("two-slit", c.given, summary, tables)
 
 
 def complementarity_sweep(modes: SlitModes, evolved: SlitModes, window, n_points: int = 11):
@@ -461,17 +367,10 @@ def _window_indices(grid: Grid1D, window_x) -> tuple:
     return lo, hi
 
 
-def _run_product_equivalence(config: dict) -> ScenarioReport:
-    scenario = config.get("scenario", {})
-    grid = grid_from_config(config, "product-equivalence")
-    H = hamiltonian_from_config(config, grid)
-    psi = gaussian_packet(
-        grid,
-        scenario.get("center", 0.0),
-        scenario.get("sigma", 1.0),
-        scenario.get("momentum", 1.0),
-    )
-    cfg = propagator_from_config(config)
+def _run_product_equivalence(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
+    sc = c.scenario
+    psi = gaussian_packet(grid, sc.center, sc.sigma, sc.momentum)
+    cfg = PropagatorConfig(c.dynamics.dt, c.dynamics.steps, c.dynamics.method)
     Psi_t = propagate_vnl(from_product(psi, psi), H, cfg)
     psi_t = propagate_schrodinger(psi, H, cfg)
     outer = from_product(psi_t, psi_t)
@@ -483,7 +382,98 @@ def _run_product_equivalence(config: dict) -> ScenarioReport:
         "time": cfg.steps * cfg.dt,
         "norm_vnl": bipartite_norm(Psi_t),
     }
-    return ScenarioReport("product-equivalence", config, summary, {})
+    return ScenarioReport("product-equivalence", c.given, summary, {})
+
+
+def _run_spectrum(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
+    k = c.spectra.k
+    eigs = eigensystem(H, k)
+    energies = eigs.energies.tolist()
+    tables = {
+        "energies": {
+            "columns": ["n", "energy"],
+            "rows": [[n, e] for n, e in enumerate(energies)],
+        },
+        "states": {
+            "columns": ["x"] + [f"psi_{n}" for n in range(k)],
+            "rows": np.column_stack([grid.points, eigs.states]),
+        },
+    }
+    return ScenarioReport("spectrum", c.given, {"k": k, "energies": energies}, tables)
+
+
+def _run_evolve(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
+    cfg = PropagatorConfig(c.dynamics.dt, c.dynamics.steps, c.dynamics.method)
+    state = build_state(c, grid, H)
+    if isinstance(state, WaveFunction):
+        norm = WaveFunction.norm
+        if cfg.method == "eigenbasis":
+            spectral = SpectralPropagator(H, cfg.dt, cfg.method)
+
+            def advance(state, n):
+                amp = spectral.apply(state.amplitudes, n)
+                return WaveFunction(amp, grid, state.time + n * cfg.dt)
+        else:
+            def advance(state, n):
+                return propagate_schrodinger(state, H, PropagatorConfig(cfg.dt, n, cfg.method))
+
+        def x_mean(state):
+            dens = np.abs(state.amplitudes) ** 2 * grid.dx
+            return float(np.sum(grid.points * dens))
+    else:
+        norm = bipartite_norm
+        spectral = SpectralPropagator(H, cfg.dt, cfg.method)
+        propagators = {}  # chunk length -> U; a run has at most two chunk lengths
+
+        def advance(state, n):
+            if n not in propagators:
+                propagators[n] = spectral.matrix(n)
+            U = propagators[n]
+            return BipartiteWave(U @ state.kernel @ U.conj().T, grid, state.time + n * cfg.dt)
+
+        def x_mean(state):
+            return float(np.sum(grid.points * position_density(state)) * grid.dx)
+
+    rows = []
+    done = 0
+    while True:
+        rows.append([float(state.time), float(norm(state)), x_mean(state)])
+        if done == cfg.steps:
+            break
+        n = min(c.dynamics.stride, cfg.steps - done)
+        state = advance(state, n)
+        done += n
+    tables = {"trajectory": {"columns": ["t", "norm", "x_mean"], "rows": rows}}
+    summary = {"steps": cfg.steps, "dt": cfg.dt, "final_norm": rows[-1][1]}
+    return ScenarioReport("evolve", c.given, summary, tables)
+
+
+def _run_schmidt(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
+    dec = schmidt(build_state(c, grid, H), c.state.tol)
+    summary = {"rank": dec.rank, "residual": dec.residual}
+    return ScenarioReport("schmidt", c.given, summary, records={"schmidt": schmidt_record(dec)})
+
+
+def _run_entropy(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
+    Psi = build_state(c, grid, H)
+    summary = {
+        "entropy": entanglement_entropy(Psi),
+        "entropy_reduced_route": entropy_from_reduced(Psi),
+    }
+    return ScenarioReport("entropy", c.given, summary)
+
+
+# Run name -> runner(resolved config, grid, H).
+RUNNERS = {
+    "two-slit": _run_two_slit,
+    "collapse": _run_collapse,
+    "gap-spectroscopy": _run_gap_spectroscopy,
+    "product-equivalence": _run_product_equivalence,
+    "spectrum": _run_spectrum,
+    "evolve": _run_evolve,
+    "schmidt": _run_schmidt,
+    "entropy": _run_entropy,
+}
 
 
 # ---------------------------------------------------------------------------

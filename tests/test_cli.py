@@ -1,11 +1,11 @@
 import datetime
 import json
-import re
+import time
 from pathlib import Path
 
 import pytest
 
-from vnlw import cli
+from vnlw import cli, scenarios, schema
 from vnlw.cli import apply_overrides, main, parse_invocation, validate_config
 from vnlw.errors import ConfigError
 
@@ -164,6 +164,15 @@ class TestExitCodes:
         "state.separation=0",
         "grid.box=abc",
         "grid.box=1",
+        "potential.omega=abc",
+        "potential.values=abc",
+        "state.center=abc",
+        "state.momentum=abc",
+        "state.seed=abc",
+        "state.seed=-1",
+        "state.seed=null",
+        "scenario.coefficients=abc",
+        "scenario.coefficients=[0, 0, 0, 0]",
     ])
     def test_bad_value_exit_leaves_nothing(self, tmp_path, capsys, override):
         out = tmp_path / "out"
@@ -175,11 +184,52 @@ class TestExitCodes:
         assert override.split("=")[0] in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("subcommand, args, key", [
+        ("evolve", ["--seed", "-1", "--set", "state.type=random"], "seed"),
+        ("collapse", ["--set", "state.type=eigen-product", "--set", "state.coefficients=[0, 0]"],
+         "state.coefficients"),
+        ("gaps", ["--set", "potential.kind=barrier", "--set", "potential.width=0"], "potential.width"),
+        ("spectrum", ["--set", "potential.kind=tabulated", "--set", "potential.values=[1, 2, 3]"],
+         "potential.values"),
+        ("run", ["--set", "scenario.name=two-slit", "--set", "scenario.coefficients=[0, 0, 0, 0]"],
+         "scenario.coefficients"),
+        ("run", ["--set", "scenario.name=two-slit", "--set", "scenario.coefficients=abc"],
+         "scenario.coefficients"),
+        ("collapse", ["--set", "grid.n_points=32", "--set", "state.type=eigen-product",
+                      "--set", f"state.coefficients={[1.0] * 40}"], "state.coefficients"),
+        ("entropy", ["--set", "state.type=gaussian"], "state.type"),
+        # the work budget
+        ("collapse", ["--set", "grid.n_points=100000000"], "grid.n_points"),
+        ("run", ["--set", "scenario.name=two-slit", "--set", "scenario.evolve_time=1e300"],
+         "scenario.evolve_time"),
+        ("entropy", ["--set", "state.type=random", "--set", "grid.n_points=20000"], "grid.n_points"),
+        ("evolve", ["--set", "dynamics.steps=10000000", "--set", "dynamics.stride=1"], "dynamics.stride"),
+    ])
+    def test_bad_run_exit_leaves_nothing(self, tmp_path, capsys, subcommand, args, key):
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        code = main([subcommand, "--config", write_config(tmp_path, BASE), "--output", str(out), *args])
+        assert time.perf_counter() - start < 5.0
+        assert code == 3
+        assert key in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("method", ["crank-nicolson", "eigenbasis"])
+    def test_overflowing_dt_exits_4(self, tmp_path, capsys, method):
+        out = tmp_path / "out"
+        code = main([
+            "evolve", "--config", write_config(tmp_path, BASE), "--output", str(out),
+            "--set", "dynamics.dt=1e308", "--set", f"dynamics.method={method}",
+        ])
+        assert code == 4
+        assert "not finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_unmapped_exception_removes_staging(self, tmp_path, monkeypatch):
-        def boom(config):
+        def boom(*args):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(cli._HANDLERS, "spectrum", boom)
+        monkeypatch.setitem(scenarios.RUNNERS, "spectrum", boom)
         out = tmp_path / "out"
         with pytest.raises(RuntimeError, match="boom"):
             main(["spectrum", "--config", write_config(tmp_path, BASE), "--output", str(out)])
@@ -425,20 +475,22 @@ class TestSchemaDocs:
     DOC = Path(__file__).resolve().parents[1] / "docs" / "config-schema.md"
 
     def documented_keys(self):
-        """Backticked keys in the first column of each `## group` table."""
+        """(type, default) of each backticked key in the `## group` tables."""
         keys, group = {}, None
         for line in self.DOC.read_text().splitlines():
             if line.startswith("## "):
                 group = line[3:].strip()
-            elif line.startswith("| `") and group is not None:
-                first_cell = line.split("|")[1]
-                keys.setdefault(group, set()).update(re.findall(r"`([^`]+)`", first_cell))
+            elif line.startswith("| `") and group in schema.GROUPS:
+                key, type_, default = (cell.strip() for cell in line.split("|")[1:4])
+                keys.setdefault(group, {})[key.strip("`")] = (type_, default)
         return keys
 
     def test_doc_tables_match_schema(self):
-        documented = self.documented_keys()
-        schema = {group: keys for group, keys in cli._SCHEMA.items() if keys is not None}
-        assert documented == schema
+        table = {
+            group: {key: (e.check.doc, e.default_doc) for key, e in entries.items()}
+            for group, entries in schema.GROUPS.items()
+        }
+        assert self.documented_keys() == table
 
     def test_schema_version_documented(self):
         assert '"schema_version": 1' in self.DOC.read_text()

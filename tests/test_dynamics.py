@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vnlw import cli, dynamics, scenarios, spectra
+from vnlw import dynamics, scenarios, spectra
 from vnlw.bipartite import from_product, position_density, transition_amplitudes
 from vnlw.dynamics import (
     METHODS,
@@ -18,6 +18,7 @@ from vnlw.dynamics import (
 )
 from vnlw.errors import GridMismatchError, SimulationError, UnnormalizedStateError
 from vnlw.lattice import PotentialSpec, build_grid, build_hamiltonian, sample_potential
+from vnlw.schema import resolve
 from vnlw.spectra import eigensystem
 
 
@@ -48,7 +49,7 @@ def count_eigensolves(monkeypatch):
         calls.append(k)
         return eigensystem(H, k)
 
-    for module in (spectra, dynamics, scenarios, cli):
+    for module in (spectra, dynamics, scenarios):
         monkeypatch.setattr(module, "eigensystem", counting)
     return calls
 
@@ -205,11 +206,11 @@ class TestVnl:
             "dynamics": {"dt": 1e-3, "steps": 1000, "stride": 10, "method": "eigenbasis"},
             "state": {"type": "random", "seed": 3},
         }
-        rows = cli._cmd_evolve(config).tables["trajectory"]["rows"]
+        rows = scenarios.run_scenario(config, "evolve").tables["trajectory"]["rows"]
         assert len(calls) <= 1
         assert len(rows) == 101
-        g = scenarios.grid_from_config(config)
-        H = scenarios.hamiltonian_from_config(config, g)
+        g = scenarios.grid_from_config(resolve(config))
+        H = scenarios.hamiltonian_from_config(resolve(config), g)
         end = propagate_vnl(random_kernel(g, seed=3), H, PropagatorConfig(1e-3, 1000, "eigenbasis"))
         x_mean = float(np.sum(g.points * position_density(end)) * g.dx)
         assert rows[-1][2] == pytest.approx(x_mean, abs=1e-12)
@@ -223,11 +224,11 @@ class TestVnl:
             "dynamics": {"dt": 1e-3, "steps": 1000, "stride": 10, "method": "eigenbasis"},
             "state": {"type": "gaussian", "center": 1.0, "sigma": 0.8, "momentum": 0.5},
         }
-        rows = cli._cmd_evolve(config).tables["trajectory"]["rows"]
+        rows = scenarios.run_scenario(config, "evolve").tables["trajectory"]["rows"]
         assert len(calls) <= 1
         assert len(rows) == 101
-        g = scenarios.grid_from_config(config)
-        H = scenarios.hamiltonian_from_config(config, g)
+        g = scenarios.grid_from_config(resolve(config))
+        H = scenarios.hamiltonian_from_config(resolve(config), g)
         psi = gaussian_packet(g, 1.0, 0.8, 0.5)
         end = propagate_schrodinger(psi, H, PropagatorConfig(1e-3, 1000, "eigenbasis"))
         x_mean = float(np.sum(g.points * np.abs(end.amplitudes) ** 2 * g.dx))

@@ -1,0 +1,227 @@
+import importlib
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import vnlw
+from vnlw import schema
+from vnlw.errors import ConfigError
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NAMES = {*schema.POTENTIAL_KINDS, *schema.METHODS, *schema.SCENARIOS, *schema.STATE_TYPES}
+
+
+def _unit_norm(values):
+    norm = math.sqrt(sum(v * v for v in values))
+    return [v / norm for v in values]
+
+
+FOUR = st.lists(st.floats(0.1, 10), min_size=4, max_size=4).map(_unit_norm)
+AMPLITUDE = st.floats(-1e6, 1e6) | st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2)
+VALID = {
+    schema.FLAG: st.booleans(),
+    schema.WINDOW: st.tuples(FINITE, FINITE).filter(lambda w: w[0] != w[1]).map(sorted),
+    schema.VALUES: st.lists(FINITE, min_size=1, max_size=20),
+    schema.AMPLITUDES: st.lists(AMPLITUDE, min_size=0, max_size=20).map(lambda a: a + [1.0]),
+    schema.TWO_SLIT: (
+        st.sampled_from(["wave", "particle"])
+        | FOUR
+        | FOUR.map(lambda a: dict(zip(("a11", "a12", "a21", "a22"), a)))
+    ),
+}
+VALID[schema.COEFFICIENTS] = VALID[schema.AMPLITUDES] | VALID[schema.TWO_SLIT]
+# Values of the right JSON type that each check must refuse.
+OUT_OF_RANGE = {
+    schema.FLAG: [0, 1],
+    schema.WINDOW: [[1, -1], [1, 1], [0], [0, 1, 2]],
+    schema.VALUES: [[], [1, "a"]],
+    schema.AMPLITUDES: [[], [0, [0, 0]], [[1, 2, 3]]],
+    schema.TWO_SLIT: [[0, 0, 0, 0], [1, 1, 1, 1], [1, 0, 0], {"a11": 1, "b": 0}],
+    schema.COEFFICIENTS: [[], [0, 0], {"a11": 2}],
+}
+
+
+def documented_number(check):
+    """(integer, minimum, strict) of a number check, read from its documented type."""
+    m = re.fullmatch(r"(int|finite number)(?: (>=?) (\d+))?", check.doc)
+    if m is None:
+        return None
+    return m[1] == "int", None if m[3] is None else int(m[3]), m[2] == ">"
+
+
+def valid(check):
+    """Values the check must accept, built from its documented type."""
+    if documented_number(check):
+        integer, minimum, strict = documented_number(check)
+        lo = -10**6 if minimum is None else minimum
+        if integer:
+            return st.integers(lo + strict, lo + 10**6)
+        return st.floats(lo, 1e300, exclude_min=strict) | st.integers(lo + 1, 10**6)
+    if check.doc.startswith("one of "):
+        return st.sampled_from(check.doc[len("one of "):].split(", "))
+    return VALID[check]
+
+
+def out_of_range(check) -> list:
+    if documented_number(check):
+        integer, minimum, strict = documented_number(check)
+        if minimum is None:
+            return [1.5] if integer else []
+        return [minimum if strict else minimum - 1, 10**400]
+    return OUT_OF_RANGE.get(check, [])
+
+
+def invalid(check):
+    """A string, boolean, NaN, infinity, null or out-of-range value for the check."""
+    values = [float("nan"), float("inf"), -float("inf"), None, *out_of_range(check)]
+    if check is not schema.FLAG:
+        values += [True, False]
+    strings = st.text().filter(lambda s: s not in NAMES and s not in ("wave", "particle"))
+    return st.sampled_from(values) | strings
+
+
+def config_with(entry, value) -> dict:
+    return {"schema_version": 1, entry.group: {entry.key: value}}
+
+
+@pytest.mark.parametrize("entry", schema.TABLE, ids=lambda e: f"{e.group}.{e.key}")
+class TestTable:
+    @PROPERTY
+    @given(data=st.data())
+    def test_valid_values_pass(self, entry, data):
+        schema.validate_config(config_with(entry, data.draw(valid(entry.check))))
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_invalid_values_name_the_key(self, entry, data):
+        value = data.draw(invalid(entry.check))
+        with pytest.raises(ConfigError, match=f"^{entry.group}\\.{entry.key}: "):
+            schema.validate_config(config_with(entry, value))
+
+    def test_default_passes_its_check(self, entry):
+        for run in (None, *schema.SCENARIOS, "spectrum", "evolve", "schmidt", "entropy"):
+            value = getattr(getattr(schema.resolve({"schema_version": 1}, run), entry.group), entry.key)
+            assert value is None or entry.check.accepts(value)
+
+
+class TestResolve:
+    @pytest.mark.parametrize("run, grid, k", [
+        ("two-slit", (-20.0, 20.0, 801), 4),
+        ("gap-spectroscopy", (-10.0, 10.0, 2001), 4),
+        ("product-equivalence", (-20.0, 20.0, 401), 4),
+        ("collapse", (-10.0, 10.0, 401), 8),
+        ("spectrum", (-10.0, 10.0, 401), 4),
+        (None, (-10.0, 10.0, 401), 4),
+    ])
+    def test_per_run_defaults(self, run, grid, k):
+        c = schema.resolve({"schema_version": 1}, run)
+        assert (c.grid.x_min, c.grid.x_max, c.grid.n_points) == grid
+        assert c.spectra.k == k
+
+    def test_defaults_that_depend_on_keys(self):
+        c = schema.resolve({"schema_version": 1, "dynamics": {"steps": 1234}}, "evolve")
+        assert (c.dynamics.stride, c.state.type, c.state.sigma) == (12, "gaussian", 1.0)
+        c = schema.resolve({"schema_version": 1, "dynamics": {"steps": 50}, "state": {"type": "two-slit"}})
+        assert (c.dynamics.stride, c.state.sigma, c.state.coefficients) == (1, 0.35, "wave")
+        assert c.state.type == "two-slit" and c.run is None
+        c = schema.resolve({"schema_version": 1, "scenario": {"name": "two-slit"}})
+        assert (c.run, c.scenario.sigma) == ("two-slit", 0.35)
+        assert schema.resolve({"schema_version": 1}, "product-equivalence").scenario.sigma == 1.0
+
+    def test_given_values_kept_as_given(self):
+        config = {"schema_version": 1, "dynamics": {"dt": 1, "stride": 3}, "grid": {"n_points": 64}}
+        c = schema.resolve(config, "evolve")
+        assert (c.dynamics.dt, c.dynamics.stride, c.grid.n_points) == (1, 3, 64)
+        assert type(c.dynamics.dt) is int
+        assert c.given is config
+
+    @pytest.mark.parametrize("config, run, key", [
+        ({"grid": {"x_min": 30}}, None, "grid.x_max"),
+        ({"grid": {"n_points": 5000}}, "entropy", "grid.n_points"),
+        ({"grid": {"n_points": 5000}, "dynamics": {"method": "eigenbasis"}}, "evolve", "grid.n_points"),
+        ({"spectra": {"k": 4000}}, "gap-spectroscopy", "spectra.k"),
+        ({"spectra": {"k": 10**5}, "grid": {"n_points": 10**5}}, "spectrum", "spectra.k"),
+        ({"dynamics": {"steps": 10**7 + 1}}, None, "dynamics.steps"),
+        ({"dynamics": {"steps": 10**7, "stride": 2}}, "evolve", "dynamics.stride"),
+        ({"scenario": {"evolve_time": 1e5}, "dynamics": {"dt": 1e-3}}, "two-slit", "scenario.evolve_time"),
+        ({"state": {"type": "eigen"}}, "evolve", "state.coefficients"),
+        ({"state": {"type": "eigen", "coefficients": "wave"}}, "evolve", "state.coefficients"),
+        ({"state": {"type": "two-slit", "coefficients": [1, 2]}}, "entropy", "state.coefficients"),
+        ({"state": {"type": "gaussian"}}, "collapse", "state.type"),
+    ])
+    def test_rules_and_budget(self, config, run, key):
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            schema.resolve({"schema_version": 1, **config}, run)
+
+    def test_budget_admits_the_largest_allowed_sizes(self):
+        schema.resolve({"schema_version": 1, "grid": {"n_points": 4096}}, "entropy")
+        schema.resolve({"schema_version": 1, "spectra": {"k": 3344}}, "gap-spectroscopy")
+        schema.resolve({"schema_version": 1, "dynamics": {"steps": 10**7}}, "product-equivalence")
+        schema.resolve({"schema_version": 1, "grid": {"n_points": 10**7}, "state": {"type": "gaussian"}},
+                       "evolve")
+
+
+@pytest.mark.parametrize("args, code", [
+    (["validate-config"], 0),
+    (["gaps", "--set", "grid.x_min=abc"], 3),
+    (["collapse", "--set", "grid.n_points=100000000"], 3),
+    (["run"], 3),
+    (["spectrum"], 2),  # the config file is missing
+])
+def test_front_end_loads_no_numerics(tmp_path, args, code):
+    cfg = tmp_path / "cfg.json"
+    if code != 2:
+        cfg.write_text(json.dumps({"schema_version": 1, "grid": {"n_points": 64}}))
+    script = (
+        "import sys\n"
+        "from vnlw.cli import main\n"
+        f"code = main({args!r} + ['--config', {str(cfg)!r}, '--output', {str(tmp_path / 'out')!r}])\n"
+        "print(code, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+    )
+    src = str(Path(vnlw.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout.split("\n")[0] == f"{code} []", out.stderr
+
+
+# The public names of the package before its names were resolved on first access.
+EXPORTS = {
+    "lattice": ["Grid1D", "HamiltonianMatrix", "PotentialSpec", "build_grid", "box_grid",
+                "build_hamiltonian", "load_potential_csv", "sample_potential"],
+    "spectra": ["EigenSystem", "GapSpectrum", "difference_operator_spectrum", "distinct_gaps",
+                "eigensystem", "eigenvalues", "gap_spectrum"],
+    "dynamics": ["BipartiteWave", "CrankNicolsonStepper", "PropagatorConfig", "SpectralPropagator",
+                 "WaveFunction", "bipartite_norm", "eigenbasis_bipartite_evolution", "gaussian_packet",
+                 "normalize", "propagate_schrodinger", "propagate_vnl", "propagator"],
+    "bipartite": ["CollapseStatistics", "SchmidtDecomposition", "TransitionAmplitudes", "apply_rho",
+                  "collapse_statistics", "entanglement_entropy", "entropy_from_reduced", "expectation",
+                  "from_product", "position_density", "projection_probability", "projector", "schmidt",
+                  "schmidt_reconstruction", "transition_amplitudes"],
+    "scenarios": ["ScenarioReport", "SlitModes", "TwoSlitCoefficients", "complementarity_sweep",
+                  "fringe_visibility", "make_slit_modes", "run_scenario", "two_slit_state",
+                  "write_report"],
+}
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items() for n in names])
+def test_package_exports(module, name):
+    namespace = {}
+    exec(f"from vnlw import {name}", namespace)
+    assert namespace[name] is getattr(importlib.import_module(f"vnlw.{module}"), name)
+
+
+def test_package_exports_nothing_else():
+    assert sorted(vnlw.__all__) == sorted(n for names in EXPORTS.values() for n in names)
+    assert vnlw.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        vnlw.no_such_name
