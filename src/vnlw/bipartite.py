@@ -9,6 +9,10 @@ Conventions: the kernel operator associated with Psi acts as
 (rho phi)_i = sum_j Psi_ij phi_j dx, so its Euclidean matrix representation
 is Psi*dx; singular values of Psi*dx are the continuum Schmidt coefficients
 mu_n, and mu_n^2 are the eigenvalues of either reduced density matrix.
+
+Every state is held as Psi = A C B^H with dx-orthonormal A (N x r) and B,
+so each analysis works on the r x r core C and costs O(N r^2) or O(N k r),
+never an N x N decomposition unless r = N.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     DecompositionError,
@@ -76,35 +81,48 @@ def _check_grids(a, b) -> None:
 
 
 def from_product(psi: WaveFunction, phi: WaveFunction) -> BipartiteWave:
-    """Product kernel Psi_ij = psi_i phi_j^*."""
+    """Product kernel Psi_ij = psi_i phi_j^*, the rank-1 state with core |psi| |phi|."""
     _check_grids(psi, phi)
-    for f, name in ((psi, "psi"), (phi, "phi")):
-        if abs(f.norm() - 1.0) > NORM_TOL:
+    a, b = psi.norm(), phi.norm()
+    for norm, name in ((a, "psi"), (b, "phi")):
+        if abs(norm - 1.0) > NORM_TOL:
             raise UnnormalizedStateError(f"factor {name} is not normalized")
-    kernel = np.outer(psi.amplitudes, phi.amplitudes.conj())
-    return BipartiteWave(kernel, psi.grid, psi.time)
+    left = (psi.amplitudes / a)[:, None]
+    right = left if phi is psi else (phi.amplitudes / b)[:, None]
+    return BipartiteWave(left, np.array([[a * b]], dtype=complex), right, psi.grid, psi.time)
+
+
+def distance(X: BipartiteWave, Y: BipartiteWave) -> float:
+    """|X - Y|, the norm of one state on the stacked factors [A_X A_Y] diag(C_X, -C_Y) [B_X B_Y]^H.
+
+    Its QR keeps the accuracy of a small difference, which the Gram expansion
+    |X|^2 + |Y|^2 - 2 Re<X, Y> would lose to sqrt(eps) noise.  O(N r^2).
+    """
+    _check_grids(X, Y)
+    A = np.hstack([X.left, Y.left])
+    B = A if X.right is X.left and Y.right is Y.left else np.hstack([X.right, Y.right])
+    core = scipy.linalg.block_diag(X.core, -Y.core)
+    return float(np.sqrt(bipartite_norm(BipartiteWave.from_factors(A, core, B, X.grid))))
 
 
 def schmidt(Psi: BipartiteWave, tol: float = 1e-12) -> SchmidtDecomposition:
-    """Singular value decomposition of the dx-weighted kernel.
+    """Singular value decomposition of the core, mapped through the factors.
 
     Coefficients below tol * mu_0 are dropped into the residual.
     """
     if tol < 0:
         raise DecompositionError(f"tol must be >= 0, got {tol}")
-    dx = Psi.grid.dx
     try:
-        u, s, vh = np.linalg.svd(Psi.kernel * dx, full_matrices=False)
+        u, s, vh = np.linalg.svd(Psi.core, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise DecompositionError(f"SVD failed: {exc}") from exc
     cutoff = tol * s[0] if s.size else 0.0
     keep = s > cutoff
     residual = float(np.sum(s[~keep] ** 2))
-    sqrt_dx = np.sqrt(dx)
     return SchmidtDecomposition(
         coefficients=s[keep],
-        left_states=u[:, keep] / sqrt_dx,
-        right_states=vh[keep].conj().T / sqrt_dx,
+        left_states=Psi.left @ u[:, keep],
+        right_states=Psi.right @ vh[keep].conj().T,
         residual=residual,
     )
 
@@ -117,19 +135,23 @@ def schmidt_reconstruction(dec: SchmidtDecomposition) -> np.ndarray:
 def entanglement_entropy(Psi: BipartiteWave) -> float:
     """Von Neumann entropy S = -sum mu_n^2 ln mu_n^2, with 0 ln 0 = 0."""
     _check_normalized(bipartite_norm(Psi), "bipartite state")
-    mu2 = np.linalg.svd(Psi.kernel * Psi.grid.dx, compute_uv=False) ** 2
+    mu2 = np.linalg.svd(Psi.core, compute_uv=False) ** 2
     mu2 = mu2[mu2 > 0.0]
     return float(-np.sum(mu2 * np.log(mu2)))
 
 
 def reduced_density_matrix(Psi: BipartiteWave, side: str = "x") -> np.ndarray:
-    """Euclidean matrix of the reduced density operator on the chosen side."""
-    M = Psi.kernel * Psi.grid.dx
+    """Euclidean N x N matrix of the reduced density operator on the chosen side.
+
+    With M = Psi dx, M M^H = (A C)(A C)^H dx on x and M^H M = (B C^H)(B C^H)^H dx on y.
+    """
     if side == "x":
-        return M @ M.conj().T
-    if side == "y":
-        return M.conj().T @ M
-    raise ValueError(f"side must be 'x' or 'y', got {side!r}")
+        F = Psi.left @ Psi.core
+    elif side == "y":
+        F = Psi.right @ Psi.core.conj().T
+    else:
+        raise ValueError(f"side must be 'x' or 'y', got {side!r}")
+    return F @ F.conj().T * Psi.grid.dx
 
 
 def entropy_from_reduced(Psi: BipartiteWave, side: str = "x") -> float:
@@ -141,9 +163,10 @@ def entropy_from_reduced(Psi: BipartiteWave, side: str = "x") -> float:
 
 
 def apply_rho(Psi: BipartiteWave, phi: WaveFunction) -> WaveFunction:
-    """Action of the kernel operator: (rho phi)_i = sum_j Psi_ij phi_j dx."""
+    """Action of the kernel operator: (rho phi)_i = sum_j Psi_ij phi_j dx = A C (B^H phi) dx."""
     _check_grids(Psi, phi)
-    return WaveFunction(Psi.kernel @ phi.amplitudes * Psi.grid.dx, Psi.grid, Psi.time)
+    amp = Psi.left @ (Psi.core @ (Psi.right.conj().T @ phi.amplitudes)) * Psi.grid.dx
+    return WaveFunction(amp, Psi.grid, Psi.time)
 
 
 def projector(phi: WaveFunction) -> np.ndarray:
@@ -152,15 +175,15 @@ def projector(phi: WaveFunction) -> np.ndarray:
 
 
 def expectation(Psi: BipartiteWave, O: np.ndarray, imag_tol: float = 1e-10) -> float:
-    """Measurement functional Tr[rho_Psi O rho_Psi^dagger].
+    """Measurement functional Tr[rho_Psi O rho_Psi^dagger] = Tr[C (B^H O B) C^H] dx.
 
     O is the Euclidean matrix of a Hermitian operator on the grid (e.g. the
     dense Hamiltonian, or projector()); for product states this reduces to
     the usual <psi|O|psi>.
     """
     _check_normalized(bipartite_norm(Psi), "bipartite state")
-    M = Psi.kernel * Psi.grid.dx
-    value = complex(np.trace(M @ np.asarray(O) @ M.conj().T))
+    B, C = Psi.right, Psi.core
+    value = complex(np.sum((C @ (B.conj().T @ (np.asarray(O) @ B))) * C.conj()) * Psi.grid.dx)
     if abs(value.imag) > imag_tol * max(1.0, abs(value.real)):
         raise NonHermitianOperatorError(
             f"imaginary residue {value.imag} exceeds tolerance; operator not Hermitian?"
@@ -177,18 +200,17 @@ def projection_probability(Psi: BipartiteWave, phi: WaveFunction) -> float:
 
 
 def position_density(Psi: BipartiteWave) -> np.ndarray:
-    """Density d_i = sum_j |Psi_ij|^2 dx, the diagonal of rho rho^dagger."""
+    """Density d_i = sum_j |Psi_ij|^2 dx, the diagonal of rho rho^dagger: row norms of A C, O(N r^2)."""
     _check_normalized(bipartite_norm(Psi), "bipartite state")
-    return np.sum(np.abs(Psi.kernel) ** 2, axis=1) * Psi.grid.dx
+    return np.sum(np.abs(Psi.left @ Psi.core) ** 2, axis=1)
 
 
 def transition_amplitudes(Psi: BipartiteWave, eigs: EigenSystem) -> TransitionAmplitudes:
-    """Double projection c_{n,m} = <psi_n, rho_Psi psi_m> over the truncated eigenbasis."""
+    """Double projection c_{n,m} = <psi_n, rho_Psi psi_m> = (S^H A) C (B^H S) dx^2, O(N k r)."""
     if Psi.grid != eigs.grid:
         raise GridMismatchError("state and eigensystem were built on different grids")
-    dx = Psi.grid.dx
     S = eigs.states
-    C = dx**2 * (S.conj().T @ Psi.kernel @ S)
+    C = Psi.grid.dx**2 * ((S.conj().T @ Psi.left) @ Psi.core @ (Psi.right.conj().T @ S))
     residual = float(bipartite_norm(Psi) - np.sum(np.abs(C) ** 2))
     return TransitionAmplitudes(C, eigs, residual)
 

@@ -6,9 +6,11 @@ as Psi <- U Psi U^dagger.  H does not depend on time, so the propagator of a
 whole run is one spectral matrix U = S diag(f(E)) S^T built from the full
 eigensystem: f(E) = exp(-i E t / hbar) for the eigenbasis method, and for
 Crank-Nicolson the Cayley factor (1 - i dt E/2hbar)/(1 + i dt E/2hbar) raised
-to the step count, exp(-2i steps atan(dt E / 2hbar)).  Kernels always go
-through U; vectors use U only for the eigenbasis method and otherwise step the
-Cayley form with one sparse LU, O(N) per step.
+to the step count, exp(-2i steps atan(dt E / 2hbar)).  A bipartite state is
+held factored, Psi = A C B^H, and H(x) - H(y) is separable, so U Psi U^dagger
+= (U A) C (U B)^H: U is applied to the factors and never formed.  Vectors use
+U only for the eigenbasis method and otherwise step the Cayley form with one
+sparse LU, O(N) per step.
 """
 
 from __future__ import annotations
@@ -45,11 +47,44 @@ class WaveFunction:
 
 @dataclass(frozen=True)
 class BipartiteWave:
-    """Complex kernel Psi(x, y) on the grid square at a given time."""
+    """Kernel Psi(x, y) = A C B^H on the grid square at a given time.
 
-    kernel: np.ndarray
+    The factors A = left (N x r) and B = right (N x s) have dx-orthonormal
+    columns, A^H A dx = I, so the core C (r x s) holds the amplitudes: its
+    singular values are the Schmidt coefficients and |C|_F^2 is the norm.
+    A product kernel has r = 1, a two-slit kernel r = 2, and a dense kernel
+    r = N.  Factors that are not orthonormal go through `from_factors`.
+    """
+
+    left: np.ndarray
+    core: np.ndarray
+    right: np.ndarray
     grid: Grid1D
     time: float = 0.0
+
+    @classmethod
+    def from_factors(cls, A, C, B, grid: Grid1D, time: float = 0.0) -> "BipartiteWave":
+        """Psi = A C B^H for any factors, O(N r^2).
+
+        A dx-weighted QR of A and B (one QR if B is A) moves R_A C R_B^H into the core.
+        """
+        sqrt_dx = np.sqrt(grid.dx)
+        QA, RA = np.linalg.qr(np.asarray(A) * sqrt_dx)
+        QB, RB = (QA, RA) if B is A else np.linalg.qr(np.asarray(B) * sqrt_dx)
+        left = QA / sqrt_dx
+        right = left if B is A else QB / sqrt_dx
+        return cls(left, RA @ np.asarray(C) @ RB.conj().T, right, grid, time)
+
+    @classmethod
+    def from_kernel(cls, K, grid: Grid1D, time: float = 0.0) -> "BipartiteWave":
+        """A dense N x N kernel K as the rank-N state A = B = I / sqrt(dx), C = K dx."""
+        eye = np.eye(grid.n_points) / np.sqrt(grid.dx)
+        return cls(eye, np.asarray(K) * grid.dx, eye, grid, time)
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """The dense N x N array A C B^H."""
+        return self.left @ self.core @ self.right.conj().T
 
     def norm_squared(self) -> float:
         return bipartite_norm(self)
@@ -122,6 +157,18 @@ def _check_normalized(norm_sq: float, what: str) -> None:
         raise UnnormalizedStateError(f"{what} is not normalized: |psi|^2 = {norm_sq}")
 
 
+def _real_times(S: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """S @ X for a real S; a complex X is multiplied as its interleaved real and imaginary parts.
+
+    One real product, so S is never copied to complex and the cost is half
+    that of a complex product.
+    """
+    if not np.iscomplexobj(X):
+        return S @ X
+    X = np.ascontiguousarray(X, dtype=complex)
+    return (S @ X.view(np.float64).reshape(X.shape[0], -1)).view(complex).reshape(X.shape)
+
+
 class SpectralPropagator:
     """Propagators S diag(f(E)) S^T of one method, from one full eigensolve of H.
 
@@ -155,6 +202,26 @@ class SpectralPropagator:
         """`steps` steps applied to the vector v, O(N^2)."""
         return self._S @ (self._factor(steps) * (self._S.T @ v))
 
+    def evolver(self, Psi: BipartiteWave):
+        """The function steps -> Psi evolved by `steps` steps, (U A) C (U B)^H.
+
+        The factors are projected on the eigenbasis once, so each call costs
+        one N x N by N x r product, O(N^2 r), and a factor shared by both
+        sides (B is A) is evolved once.
+        """
+        S, core, grid, t0 = self._S, Psi.core, Psi.grid, Psi.time
+        projected = _real_times(S.T, Psi.left)
+        shared = Psi.right is Psi.left
+        projected_right = projected if shared else _real_times(S.T, Psi.right)
+
+        def evolved(steps: int) -> BipartiteWave:
+            f = self._factor(steps)[:, None]
+            left = _real_times(S, f * projected)
+            right = left if shared else _real_times(S, f * projected_right)
+            return BipartiteWave(left, core, right, grid, t0 + steps * self._dt)
+
+        return evolved
+
 
 def propagator(H: HamiltonianMatrix, cfg: PropagatorConfig) -> np.ndarray:
     """The N x N unitary S diag(f(E)) S^T of cfg.steps steps of cfg.method."""
@@ -178,13 +245,12 @@ def propagate_schrodinger(psi: WaveFunction, H: HamiltonianMatrix, cfg: Propagat
 
 
 def propagate_vnl(Psi: BipartiteWave, H: HamiltonianMatrix, cfg: PropagatorConfig) -> BipartiteWave:
-    """Evolve a bipartite kernel under i hbar dPsi/dt = (H(x) - H(y)) Psi."""
+    """Evolve a bipartite kernel under i hbar dPsi/dt = (H(x) - H(y)) Psi, O(N^2 r) after the eigensolve."""
     _check_grid(Psi.grid, H.grid)
     _check_normalized(bipartite_norm(Psi), "bipartite wave")
     if cfg.steps == 0:
         return Psi
-    U = propagator(H, cfg)
-    return BipartiteWave(U @ Psi.kernel @ U.conj().T, Psi.grid, Psi.time + cfg.steps * cfg.dt)
+    return SpectralPropagator(H, cfg.dt, cfg.method).evolver(Psi)(cfg.steps)
 
 
 def eigenbasis_bipartite_evolution(
@@ -192,8 +258,9 @@ def eigenbasis_bipartite_evolution(
 ) -> BipartiteWave:
     """Closed-form state at time t from transition amplitudes over the eigenbasis.
 
-    Reconstructs sum_{n,m} c_{n,m} exp(-i (E_n - E_m) t / hbar) psi_n(x) psi_m^*(y);
-    at t = 0 this is the plain eigenbasis reconstruction of the kernel.
+    The state sum_{n,m} c_{n,m} exp(-i (E_n - E_m) t / hbar) psi_n(x) psi_m^*(y),
+    with both factors the eigenstates and the phases on the core; at t = 0
+    this is the plain eigenbasis reconstruction of the kernel.
     """
     C = np.asarray(getattr(amplitudes, "c", amplitudes), dtype=complex)
     if C.shape != (eigs.k, eigs.k):
@@ -202,10 +269,9 @@ def eigenbasis_bipartite_evolution(
         )
     phases = np.exp(-1j * eigs.energies * t / hbar)
     S = eigs.states
-    K = S @ (phases[:, None] * C * phases.conj()[None, :]) @ S.conj().T
-    return BipartiteWave(K, eigs.grid, float(t))
+    return BipartiteWave(S, phases[:, None] * C * phases.conj()[None, :], S, eigs.grid, float(t))
 
 
 def bipartite_norm(Psi: BipartiteWave) -> float:
-    """Squared norm sum |Psi_ij|^2 dx^2; the quantity conserved by the evolution."""
-    return float(np.sum(np.abs(Psi.kernel) ** 2) * Psi.grid.dx**2)
+    """Squared norm sum |Psi_ij|^2 dx^2 = |C|_F^2; the quantity conserved by the evolution."""
+    return float(np.sum(np.abs(Psi.core) ** 2))

@@ -36,11 +36,11 @@ from .dynamics import (
     WaveFunction,
     bipartite_norm,
     gaussian_packet,
-    normalize,
     propagate_schrodinger,
     propagate_vnl,
 )
 from .bipartite import (
+    distance,
     entanglement_entropy,
     entropy_from_reduced,
     from_product,
@@ -110,7 +110,7 @@ def make_slit_modes(grid: Grid1D, separation: float = 4.0, sigma: float = 0.35) 
 
 
 def two_slit_state(modes: SlitModes, coeffs: TwoSlitCoefficients) -> BipartiteWave:
-    """Kernel sum_{k,l} a_kl psi_k(x) psi_l^*(y)."""
+    """Kernel sum_{k,l} a_kl psi_k(x) psi_l^*(y): factor [psi_1 psi_2], core a."""
     if abs(coeffs.norm_squared() - 1.0) > 1e-10:
         raise ScenarioError(
             f"coefficients not normalized: sum |a|^2 = {coeffs.norm_squared()}"
@@ -119,9 +119,8 @@ def two_slit_state(modes: SlitModes, coeffs: TwoSlitCoefficients) -> BipartiteWa
     olap = abs(grid.inner(modes.psi1.amplitudes, modes.psi2.amplitudes))
     if olap > 1e-6:
         raise ScenarioError(f"slit modes not orthogonal: |<psi1, psi2>| = {olap}")
-    a = coeffs.as_matrix()
     A = np.column_stack([modes.psi1.amplitudes, modes.psi2.amplitudes])
-    return BipartiteWave(A @ a @ A.conj().T, grid, modes.psi1.time)
+    return BipartiteWave.from_factors(A, coeffs.as_matrix(), A, grid, modes.psi1.time)
 
 
 def fringe_visibility(density: np.ndarray, window: tuple) -> float:
@@ -204,7 +203,7 @@ def build_state(c, grid: Grid1D, H: HamiltonianMatrix) -> WaveFunction | Biparti
         shape = (grid.n_points, grid.n_points)
         K = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         K /= np.sqrt(np.sum(np.abs(K) ** 2) * grid.dx**2)
-        return BipartiteWave(K, grid)
+        return BipartiteWave.from_kernel(K, grid)
     if st.type == "two-slit":
         modes = make_slit_modes(grid, st.separation, st.sigma)
         return two_slit_state(modes, TwoSlitCoefficients(*two_slit_amplitudes(st.coefficients)))
@@ -337,25 +336,20 @@ def complementarity_sweep(modes: SlitModes, evolved: SlitModes, window, n_points
     """Entropy and visibility along the family cos(theta) Psi_W + sin(theta) Psi_P.
 
     The family passes through the coherent state at theta = 0 and the
-    incoherent rank-2 state at theta = pi/2; each point is renormalized.
-    Visibility is read off the position density of the freely evolved state,
-    entropy from the initial state (the bipartite evolution preserves it).
+    incoherent rank-2 state at theta = pi/2; each point's 2 x 2 coefficient
+    matrix is renormalized.  Visibility is read off the position density of
+    the freely evolved state, entropy from the initial state (the bipartite
+    evolution preserves it).
     """
     thetas = np.linspace(0.0, 0.5 * np.pi, n_points)
-    K_W0 = two_slit_state(modes, TwoSlitCoefficients.wave()).kernel
-    K_P0 = two_slit_state(modes, TwoSlitCoefficients.particle()).kernel
-    K_Wt = two_slit_state(evolved, TwoSlitCoefficients.wave()).kernel
-    K_Pt = two_slit_state(evolved, TwoSlitCoefficients.particle()).kernel
-    grid = modes.psi1.grid
+    a_W = TwoSlitCoefficients.wave().as_matrix()
+    a_P = TwoSlitCoefficients.particle().as_matrix()
     entropies, visibilities = [], []
     for theta in thetas:
-        c, s = np.cos(theta), np.sin(theta)
-        K0 = c * K_W0 + s * K_P0
-        K0 /= np.sqrt(np.sum(np.abs(K0) ** 2) * grid.dx**2)
-        Kt = c * K_Wt + s * K_Pt
-        Kt /= np.sqrt(np.sum(np.abs(Kt) ** 2) * grid.dx**2)
-        entropies.append(entanglement_entropy(BipartiteWave(K0, grid)))
-        density = position_density(BipartiteWave(Kt, grid))
+        a = np.cos(theta) * a_W + np.sin(theta) * a_P
+        coeffs = TwoSlitCoefficients(*(a / np.linalg.norm(a)).ravel())
+        entropies.append(entanglement_entropy(two_slit_state(modes, coeffs)))
+        density = position_density(two_slit_state(evolved, coeffs))
         visibilities.append(fringe_visibility(density, window))
     return thetas, np.array(entropies), np.array(visibilities)
 
@@ -373,10 +367,7 @@ def _run_product_equivalence(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioR
     cfg = PropagatorConfig(c.dynamics.dt, c.dynamics.steps, c.dynamics.method)
     Psi_t = propagate_vnl(from_product(psi, psi), H, cfg)
     psi_t = propagate_schrodinger(psi, H, cfg)
-    outer = from_product(psi_t, psi_t)
-    gap = float(
-        np.sqrt(np.sum(np.abs(Psi_t.kernel - outer.kernel) ** 2) * grid.dx**2)
-    )
+    gap = distance(Psi_t, from_product(psi_t, psi_t))
     summary = {
         "frobenius_gap": gap,
         "time": cfg.steps * cfg.dt,
@@ -410,11 +401,11 @@ def _run_evolve(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
         if cfg.method == "eigenbasis":
             spectral = SpectralPropagator(H, cfg.dt, cfg.method)
 
-            def advance(state, n):
+            def advance(state, done, n):
                 amp = spectral.apply(state.amplitudes, n)
                 return WaveFunction(amp, grid, state.time + n * cfg.dt)
         else:
-            def advance(state, n):
+            def advance(state, done, n):
                 return propagate_schrodinger(state, H, PropagatorConfig(cfg.dt, n, cfg.method))
 
         def x_mean(state):
@@ -422,14 +413,10 @@ def _run_evolve(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
             return float(np.sum(grid.points * dens))
     else:
         norm = bipartite_norm
-        spectral = SpectralPropagator(H, cfg.dt, cfg.method)
-        propagators = {}  # chunk length -> U; a run has at most two chunk lengths
+        evolved = SpectralPropagator(H, cfg.dt, cfg.method).evolver(state)
 
-        def advance(state, n):
-            if n not in propagators:
-                propagators[n] = spectral.matrix(n)
-            U = propagators[n]
-            return BipartiteWave(U @ state.kernel @ U.conj().T, grid, state.time + n * cfg.dt)
+        def advance(state, done, n):  # from the initial factors, so a sample costs one factor product
+            return evolved(done + n)
 
         def x_mean(state):
             return float(np.sum(grid.points * position_density(state)) * grid.dx)
@@ -441,7 +428,7 @@ def _run_evolve(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
         if done == cfg.steps:
             break
         n = min(c.dynamics.stride, cfg.steps - done)
-        state = advance(state, n)
+        state = advance(state, done, n)
         done += n
     tables = {"trajectory": {"columns": ["t", "norm", "x_mean"], "rows": rows}}
     summary = {"steps": cfg.steps, "dt": cfg.dt, "final_norm": rows[-1][1]}

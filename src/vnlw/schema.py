@@ -35,7 +35,7 @@ COMMANDS = {"run": None, "spectrum": "spectrum", "gaps": "gap-spectroscopy", "ev
 # one that never ends, cannot remove its staging directory.
 MAX_ARRAY_BYTES = 2**28  # the largest dense array of a run, e.g. an N x N complex kernel (N <= 4096)
 MAX_STEPS = 10**7  # time steps: dynamics.steps, or evolve_time / dt for two-slit
-MAX_ROWS = 10**6  # rows of an evolve trajectory
+MAX_ROWS = 10**6  # rows of an evolve trajectory or of a two-slit sweep
 
 
 def _finite(v) -> bool:
@@ -255,6 +255,9 @@ def _check_resolved(run, c) -> None:
     rows = dyn["steps"] // dyn["stride"] + 1
     if run == "evolve" and rows > MAX_ROWS:
         raise ConfigError(f"dynamics.stride: {rows} trajectory rows, over MAX_ROWS={MAX_ROWS}")
+    sweep = c["scenario"]["sweep_points"]
+    if run == "two-slit" and sweep > MAX_ROWS:
+        raise ConfigError(f"scenario.sweep_points: {sweep} sweep rows, over MAX_ROWS={MAX_ROWS}")
     arrays = [(16 * n, "grid.n_points complex vector")]
     if run == "spectrum":
         arrays.append((8 * n * k, "grid.n_points x spectra.k eigenvectors"))
@@ -267,3 +270,19 @@ def _check_resolved(run, c) -> None:
     largest, what = max(arrays)
     if largest > MAX_ARRAY_BYTES:
         raise ConfigError(f"{what}: a {largest:.3g}-byte array, over MAX_ARRAY_BYTES={MAX_ARRAY_BYTES}")
+    if run == "two-slit":
+        lo, hi = c["scenario"]["window"]
+        x0, dx = _grid_origin(grid)
+        inside = sum(lo <= x0 + dx * i <= hi for i in range(n))
+        if inside < 3:
+            raise ConfigError(f"scenario.window: holds {inside} grid points, at least 3 required")
+
+
+def _grid_origin(grid: dict) -> tuple:
+    """x_min and dx of the points x_min + dx * i that `build_grid` / `box_grid` make of the grid group."""
+    x_min, x_max, n = grid["x_min"], grid["x_max"], grid["n_points"]
+    if grid["box"]:
+        length = x_max - x_min
+        dx = length / (n + 1)
+        x_min, x_max = x_min + dx, x_min + length - dx
+    return x_min, (x_max - x_min) / (n - 1)

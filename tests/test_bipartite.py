@@ -52,7 +52,7 @@ def random_kernel(grid, seed):
     rng = np.random.default_rng(seed)
     K = rng.standard_normal((grid.n_points,) * 2) + 1j * rng.standard_normal((grid.n_points,) * 2)
     K /= np.sqrt(np.sum(np.abs(K) ** 2) * grid.dx**2)
-    return BipartiteWave(K, grid)
+    return BipartiteWave.from_kernel(K, grid)
 
 
 class TestFromProduct:
@@ -91,7 +91,7 @@ class TestSchmidt:
         right = random_orthonormal(g, 2, seed=2)
         mu = np.array([0.8, 0.6])
         K = (left * mu) @ right.conj().T
-        dec = schmidt(BipartiteWave(K, g))
+        dec = schmidt(BipartiteWave.from_kernel(K, g))
         assert np.allclose(dec.coefficients, mu, atol=1e-10)
         assert np.max(np.abs(schmidt_reconstruction(dec) - K)) < 1e-10
 
@@ -130,7 +130,7 @@ class TestSchmidtProperties:
         mu = np.exp(-decay * np.linspace(0.0, 1.0, r))
         K = (random_orthonormal(g, r, seed) * mu) @ random_orthonormal(g, r, seed + 1).conj().T
         K = K + noise * random_kernel(g, seed + 2).kernel
-        Psi = BipartiteWave(K / np.sqrt(bipartite_norm(BipartiteWave(K, g))), g)
+        Psi = BipartiteWave.from_kernel(K / np.sqrt(bipartite_norm(BipartiteWave.from_kernel(K, g))), g)
         dec = schmidt(Psi, tol)
         assert abs(np.sum(dec.coefficients**2) + dec.residual - bipartite_norm(Psi)) <= 1e-12
 
@@ -153,7 +153,7 @@ class TestEntropy:
         right = random_orthonormal(g, 3, seed=4)
         K = (left * np.sqrt(mu2)) @ right.conj().T
         expected = -np.sum(mu2 * np.log(mu2))  # direct evaluation, approx 1.0297
-        assert entanglement_entropy(BipartiteWave(K, g)) == pytest.approx(expected, abs=1e-10)
+        assert entanglement_entropy(BipartiteWave.from_kernel(K, g)) == pytest.approx(expected, abs=1e-10)
         assert expected == pytest.approx(1.0297, abs=1e-4)
 
     def test_route_equality_random(self):
@@ -171,14 +171,14 @@ class TestEntropy:
             a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             a /= np.linalg.norm(a)
             K = A @ a @ A.conj().T
-            S = entanglement_entropy(BipartiteWave(K, g))
+            S = entanglement_entropy(BipartiteWave.from_kernel(K, g))
             assert -1e-12 <= S <= np.log(2) + 1e-9
 
     def test_unnormalized_rejected(self):
         g = build_grid(-3, 3, 48)
         Psi = random_kernel(g, 0)
         with pytest.raises(UnnormalizedStateError):
-            entanglement_entropy(BipartiteWave(3.0 * Psi.kernel, g))
+            entanglement_entropy(BipartiteWave.from_kernel(3.0 * Psi.kernel, g))
 
 
 class TestApplyRho:

@@ -204,6 +204,11 @@ class TestExitCodes:
          "scenario.evolve_time"),
         ("entropy", ["--set", "state.type=random", "--set", "grid.n_points=20000"], "grid.n_points"),
         ("evolve", ["--set", "dynamics.steps=10000000", "--set", "dynamics.stride=1"], "dynamics.stride"),
+        ("run", ["--set", "scenario.name=two-slit", "--set", f"scenario.sweep_points={schema.MAX_ROWS + 1}"],
+         "scenario.sweep_points"),
+        # windows that hold fewer than 3 grid points, refused before any numerics
+        ("run", ["--set", "scenario.name=two-slit", "--set", "scenario.window=[100, 200]"], "scenario.window"),
+        ("run", ["--set", "scenario.name=two-slit", "--set", "scenario.window=[0.0, 0.1]"], "scenario.window"),
     ])
     def test_bad_run_exit_leaves_nothing(self, tmp_path, capsys, subcommand, args, key):
         out = tmp_path / "out"

@@ -38,7 +38,7 @@ def random_kernel(grid, seed=0):
     rng = np.random.default_rng(seed)
     K = rng.standard_normal((grid.n_points,) * 2) + 1j * rng.standard_normal((grid.n_points,) * 2)
     K /= np.sqrt(np.sum(np.abs(K) ** 2) * grid.dx**2)
-    return BipartiteWave(K, grid)
+    return BipartiteWave.from_kernel(K, grid)
 
 
 def count_eigensolves(monkeypatch):
@@ -173,7 +173,7 @@ class TestVnl:
         mu = np.array([0.8, 0.6])
         K0 = (q1 * mu) @ q2.conj().T
         cfg = PropagatorConfig(1e-3, 250)
-        evolved = propagate_vnl(BipartiteWave(K0, g), H, cfg)
+        evolved = propagate_vnl(BipartiteWave.from_kernel(K0, g), H, cfg)
         factors = []
         for q in (q1, q2):
             cols = [
@@ -329,5 +329,5 @@ class TestBipartiteNorm:
     def test_homogeneity(self, harmonic):
         g, H, _ = harmonic
         Psi = random_kernel(g, seed=3)
-        doubled = BipartiteWave(2.0 * Psi.kernel, g)
+        doubled = BipartiteWave.from_kernel(2.0 * Psi.kernel, g)
         assert bipartite_norm(doubled) == pytest.approx(4.0 * bipartite_norm(Psi), rel=1e-12)

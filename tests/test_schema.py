@@ -158,6 +158,8 @@ class TestResolve:
         ({"state": {"type": "eigen", "coefficients": "wave"}}, "evolve", "state.coefficients"),
         ({"state": {"type": "two-slit", "coefficients": [1, 2]}}, "entropy", "state.coefficients"),
         ({"state": {"type": "gaussian"}}, "collapse", "state.type"),
+        ({"scenario": {"sweep_points": 10**6 + 1}}, "two-slit", "scenario.sweep_points"),
+        ({"scenario": {"window": [100, 200]}}, "two-slit", "scenario.window"),
     ])
     def test_rules_and_budget(self, config, run, key):
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
@@ -169,6 +171,27 @@ class TestResolve:
         schema.resolve({"schema_version": 1, "dynamics": {"steps": 10**7}}, "product-equivalence")
         schema.resolve({"schema_version": 1, "grid": {"n_points": 10**7}, "state": {"type": "gaussian"}},
                        "evolve")
+        schema.resolve({"schema_version": 1, "scenario": {"sweep_points": 10**6}}, "two-slit")
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        x_min=st.floats(-30, 30), width=st.floats(0.5, 60), n_points=st.integers(8, 300), box=st.booleans(),
+        lo=st.floats(-40, 40), span=st.floats(1e-3, 3),
+    )
+    def test_window_counts_the_points_of_the_grid(self, x_min, width, n_points, box, lo, span):
+        """A window is refused exactly when the runner's grid has fewer than 3 points in it."""
+        from vnlw.scenarios import _window_indices, grid_from_config
+
+        grid = {"x_min": x_min, "x_max": x_min + width, "n_points": n_points, "box": box}
+        window = [lo, lo + span]
+        g = grid_from_config(schema.resolve({"schema_version": 1, "grid": grid}, "spectrum"))
+        i, j = _window_indices(g, window)
+        config = {"schema_version": 1, "grid": grid, "scenario": {"name": "two-slit", "window": window}}
+        if j - i < 3:
+            with pytest.raises(ConfigError, match=r"scenario\.window"):
+                schema.resolve(config)
+        else:
+            schema.resolve(config)
 
 
 @pytest.mark.parametrize("args, code", [
