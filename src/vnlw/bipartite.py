@@ -65,8 +65,9 @@ class CollapseStatistics:
     """Outcome probabilities p_m and associated energy changes.
 
     delta_E follows the unconditioned sum sum_n |c_{n,m}|^2 (E_n - E_m);
-    delta_E_conditional divides by p_m where p_m > 0 and is provided for
-    convenience only.
+    delta_E_conditional divides by p_m and is provided for convenience only.
+    It is 0 where p_m is below the round-off of the total probability,
+    p_m <= eps sum p, where the quotient would be one of two round-off values.
     """
 
     p: np.ndarray
@@ -222,8 +223,8 @@ def collapse_statistics(amps: TransitionAmplitudes) -> CollapseStatistics:
     E = amps.eigensystem.energies
     p = w.sum(axis=0)
     delta_E = (w * E[:, None]).sum(axis=0) - p * E
-    with np.errstate(divide="ignore", invalid="ignore"):
-        conditional = np.where(p > 0, delta_E / np.where(p > 0, p, 1.0), 0.0)
+    resolved = p > np.finfo(float).eps * p.sum()
+    conditional = np.where(resolved, delta_E / np.where(resolved, p, 1.0), 0.0)
     return CollapseStatistics(p, delta_E, conditional, amps.truncation_residual)
 
 

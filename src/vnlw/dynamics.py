@@ -273,5 +273,9 @@ def eigenbasis_bipartite_evolution(
 
 
 def bipartite_norm(Psi: BipartiteWave) -> float:
-    """Squared norm sum |Psi_ij|^2 dx^2 = |C|_F^2; the quantity conserved by the evolution."""
+    """Squared norm sum |Psi_ij|^2 dx^2 = |C|_F^2, O(r^2), for factors that are dx-orthonormal.
+
+    The evolution never changes C, so this cannot watch the propagation: the
+    norm of an evolved state as it is held is the sum of its position density.
+    """
     return float(np.sum(np.abs(Psi.core) ** 2))

@@ -34,7 +34,6 @@ from .dynamics import (
     PropagatorConfig,
     SpectralPropagator,
     WaveFunction,
-    bipartite_norm,
     gaussian_packet,
     propagate_schrodinger,
     propagate_vnl,
@@ -308,7 +307,7 @@ def _run_two_slit(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
     tables = {
         "density": {
             "columns": ["x", "density"],
-            "rows": [[float(x), float(d)] for x, d in zip(grid.points, density)],
+            "rows": np.column_stack([grid.points, density]),
         }
     }
     summary = {
@@ -371,7 +370,7 @@ def _run_product_equivalence(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioR
     summary = {
         "frobenius_gap": gap,
         "time": cfg.steps * cfg.dt,
-        "norm_vnl": bipartite_norm(Psi_t),
+        "norm_vnl": float(np.sum(position_density(Psi_t)) * grid.dx),
     }
     return ScenarioReport("product-equivalence", c.given, summary, {})
 
@@ -397,7 +396,6 @@ def _run_evolve(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
     cfg = PropagatorConfig(c.dynamics.dt, c.dynamics.steps, c.dynamics.method)
     state = build_state(c, grid, H)
     if isinstance(state, WaveFunction):
-        norm = WaveFunction.norm
         if cfg.method == "eigenbasis":
             spectral = SpectralPropagator(H, cfg.dt, cfg.method)
 
@@ -408,23 +406,23 @@ def _run_evolve(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
             def advance(state, done, n):
                 return propagate_schrodinger(state, H, PropagatorConfig(cfg.dt, n, cfg.method))
 
-        def x_mean(state):
+        def observe(state):  # norm, x_mean
             dens = np.abs(state.amplitudes) ** 2 * grid.dx
-            return float(np.sum(grid.points * dens))
+            return float(state.norm()), float(np.sum(grid.points * dens))
     else:
-        norm = bipartite_norm
         evolved = SpectralPropagator(H, cfg.dt, cfg.method).evolver(state)
 
         def advance(state, done, n):  # from the initial factors, so a sample costs one factor product
             return evolved(done + n)
 
-        def x_mean(state):
-            return float(np.sum(grid.points * position_density(state)) * grid.dx)
+        def observe(state):  # the norm of the evolved factors, not the core's, so that it watches the propagation
+            dens = position_density(state)
+            return float(np.sum(dens) * grid.dx), float(np.sum(grid.points * dens) * grid.dx)
 
     rows = []
     done = 0
     while True:
-        rows.append([float(state.time), float(norm(state)), x_mean(state)])
+        rows.append([float(state.time), *observe(state)])
         if done == cfg.steps:
             break
         n = min(c.dynamics.stride, cfg.steps - done)

@@ -265,6 +265,8 @@ def _check_resolved(run, c) -> None:
         arrays.append((24 * k * k, "spectra.k^2 rows of the gap table"))
     elif run == "evolve" and state["type"] in ONE_PARTITE and dyn["method"] == "crank-nicolson":
         arrays.append((8 * n * len(state["coefficients"] or ()), "grid.n_points x state.coefficients eigenvectors"))
+    elif run == "two-slit" and dyn["method"] == "crank-nicolson":
+        arrays.append((32 * n, "grid.n_points x 2 slit-mode factor"))
     elif run is not None:  # an N x N kernel, or the full eigenvectors of H
         arrays.append((16 * n * n, "grid.n_points^2 kernel"))
     largest, what = max(arrays)

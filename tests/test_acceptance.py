@@ -137,7 +137,12 @@ def test_criterion_03_norm_conservation():
     for _ in range(3):
         for Psi in _random_states(g, rng):
             out = propagate_vnl(Psi, H, PropagatorConfig(1e-3, 1000))
-            worst = max(worst, abs(bipartite_norm(out) - 1.0))
+            # the core's norm, the evolved state's own, and the factors' orthonormality
+            dense = np.sum(np.abs(out.kernel) ** 2) * g.dx**2
+            ortho = max(
+                np.max(np.abs(F.conj().T @ F * g.dx - np.eye(F.shape[1]))) for F in (out.left, out.right)
+            )
+            worst = max(worst, abs(bipartite_norm(out) - 1.0), abs(dense - 1.0), ortho)
     elapsed = time.perf_counter() - start
     _verdict(
         3,

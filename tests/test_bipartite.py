@@ -332,6 +332,16 @@ class TestCollapseStatistics:
         assert np.allclose(stats.p[1:], 0.0, atol=1e-8)
         assert np.allclose(stats.delta_E, 0.0, atol=1e-7)
 
+    def test_conditional_zero_below_roundoff(self, harmonic):
+        # levels 3.. of the eigen-product state [1, 1, i] have p_m of round-off size only
+        g, H, eigs = harmonic
+        a = np.array([1, 1, 1j, 0, 0, 0]) / np.sqrt(3)
+        psi = WaveFunction(eigs.states.astype(complex) @ a, g)
+        stats = collapse_statistics(transition_amplitudes(from_product(psi, psi), eigs))
+        assert np.all(stats.p[3:] < 1e-20)
+        assert np.all(stats.delta_E_conditional[3:] == 0.0)
+        assert np.array_equal(stats.delta_E_conditional[:3], stats.delta_E[:3] / stats.p[:3])
+
     def test_normalization_with_residual(self, harmonic):
         g, H, eigs = harmonic
         Psi = random_kernel(g, seed=23)

@@ -54,6 +54,11 @@ def count_eigensolves(monkeypatch):
     return calls
 
 
+def dense_norm(Psi):
+    """sum |Psi_ij|^2 dx^2 of the kernel as held, which a non-unitary propagation changes."""
+    return np.sum(np.abs(Psi.kernel) ** 2) * Psi.grid.dx**2
+
+
 def frob(grid, A, B):
     return float(np.sqrt(np.sum(np.abs(A - B) ** 2) * grid.dx**2))
 
@@ -141,6 +146,7 @@ class TestVnl:
         Psi = random_kernel(g, seed=11)
         out = propagate_vnl(Psi, H, PropagatorConfig(1e-3, 1000))
         assert abs(bipartite_norm(out) - 1.0) < 1e-10
+        assert abs(dense_norm(out) - 1.0) < 1e-10
 
     def test_time_reversal(self, harmonic):
         g, H, _ = harmonic
@@ -263,6 +269,7 @@ class TestVnlProperties:
         g, H, Psi = self.problem(n_points, seed)
         out = propagate_vnl(Psi, H, PropagatorConfig(dt, steps, method))
         assert abs(bipartite_norm(out) - 1.0) <= 1e-12
+        assert abs(dense_norm(out) - 1.0) <= 1e-12
 
     @PROPERTY
     @given(**cases)
@@ -310,9 +317,10 @@ class TestEigenbasisBipartite:
         rng = np.random.default_rng(4)
         C = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         C /= np.linalg.norm(C)
-        n0 = bipartite_norm(eigenbasis_bipartite_evolution(C, eigs, 0.0))
-        n1 = bipartite_norm(eigenbasis_bipartite_evolution(C, eigs, 2.7))
-        assert n1 == pytest.approx(n0, abs=1e-12)
+        start = eigenbasis_bipartite_evolution(C, eigs, 0.0)
+        out = eigenbasis_bipartite_evolution(C, eigs, 2.7)
+        assert bipartite_norm(out) == pytest.approx(bipartite_norm(start), abs=1e-12)
+        assert dense_norm(out) == pytest.approx(dense_norm(start), abs=1e-12)
 
     def test_dimension_mismatch(self, harmonic):
         g, H, eigs = harmonic

@@ -160,6 +160,8 @@ class TestResolve:
         ({"state": {"type": "gaussian"}}, "collapse", "state.type"),
         ({"scenario": {"sweep_points": 10**6 + 1}}, "two-slit", "scenario.sweep_points"),
         ({"scenario": {"window": [100, 200]}}, "two-slit", "scenario.window"),
+        ({"grid": {"n_points": 5000}, "dynamics": {"method": "eigenbasis"}}, "two-slit", "grid.n_points"),
+        ({"grid": {"n_points": 2**23 + 1}}, "two-slit", "grid.n_points"),
     ])
     def test_rules_and_budget(self, config, run, key):
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
@@ -172,6 +174,9 @@ class TestResolve:
         schema.resolve({"schema_version": 1, "grid": {"n_points": 10**7}, "state": {"type": "gaussian"}},
                        "evolve")
         schema.resolve({"schema_version": 1, "scenario": {"sweep_points": 10**6}}, "two-slit")
+        schema.resolve({"schema_version": 1, "grid": {"n_points": 4096}, "dynamics": {"method": "eigenbasis"}},
+                       "two-slit")
+        schema.resolve({"schema_version": 1, "grid": {"n_points": 10**6}}, "two-slit")  # no N x N array
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
