@@ -10,7 +10,9 @@ to the step count, exp(-2i steps atan(dt E / 2hbar)).  A bipartite state is
 held factored, Psi = A C B^H, and H(x) - H(y) is separable, so U Psi U^dagger
 = (U A) C (U B)^H: U is applied to the factors and never formed.  Vectors use
 U only for the eigenbasis method and otherwise step the Cayley form with one
-sparse LU, O(N) per step.
+sparse LU, O(N) per step.  A trajectory of x-side observables reads the
+state only through its reduced operator rho_x = Psi Psi^H dx^2, projected on
+the eigenbasis once (`trajectory`).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy.linalg.blas import zgemm
 from scipy.sparse import diags, identity
 from scipy.sparse.linalg import splu
 
@@ -143,8 +146,11 @@ class CrankNicolsonStepper:
             raise SimulationError(f"Crank-Nicolson factors are not finite at dt={dt}")
         self._lu = splu(A)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self._lu.solve(self._B @ v)
+    def apply(self, v: np.ndarray, steps: int = 1) -> np.ndarray:
+        """`steps` Cayley steps applied to v."""
+        for _ in range(steps):
+            v = self._lu.solve(self._B @ v)
+        return v
 
 
 def _check_grid(a_grid: Grid1D, b_grid: Grid1D) -> None:
@@ -158,12 +164,12 @@ def _check_normalized(norm_sq: float, what: str) -> None:
 
 
 def _real_times(S: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """S @ X for a real S; a complex X is multiplied as its interleaved real and imaginary parts.
+    """S @ X; for a real S and a complex X, X is multiplied as its interleaved real and imaginary parts.
 
     One real product, so S is never copied to complex and the cost is half
     that of a complex product.
     """
-    if not np.iscomplexobj(X):
+    if np.iscomplexobj(S) or not np.iscomplexobj(X):
         return S @ X
     X = np.ascontiguousarray(X, dtype=complex)
     return (S @ X.view(np.float64).reshape(X.shape[0], -1)).view(complex).reshape(X.shape)
@@ -199,28 +205,58 @@ class SpectralPropagator:
         return (self._S * self._factor(steps)) @ self._S.T
 
     def apply(self, v: np.ndarray, steps: int) -> np.ndarray:
-        """`steps` steps applied to the vector v, O(N^2)."""
-        return self._S @ (self._factor(steps) * (self._S.T @ v))
+        """`steps` steps applied to the vector v, or to each column of v, O(N^2) per column."""
+        projected = _real_times(self._S.T, v)
+        f = self._factor(steps)
+        return _real_times(self._S, f.reshape(f.shape + (1,) * (projected.ndim - 1)) * projected)
 
-    def evolver(self, Psi: BipartiteWave):
-        """The function steps -> Psi evolved by `steps` steps, (U A) C (U B)^H.
+    def trajectory(self, state: WaveFunction | BipartiteWave, counts) -> np.ndarray:
+        """Rows (norm, x_mean) of state after each step count in counts.
 
-        The factors are projected on the eigenbasis once, so each call costs
-        one N x N by N x r product, O(N^2 r), and a factor shared by both
-        sides (B is A) is evolved once.
+        Both are x-side observables, so they read the state only through
+        rho_x, which in the eigenbasis is R~ = G G^H with G = S^T (A C) sqrt(dx)
+        (N x r; G = S^T psi sqrt(dx) for a vector, the r = 1 case), projected
+        once.  `steps` steps take G to f * G.  The rows are read in whichever
+        order costs fewer operations (`_reduced_order_pays`):
+        - factor order: Y = S (f * G), norm = sum |Y|^2 and x_mean =
+          sum x |Y|^2, O(N^2 r) per row;
+        - reduced-operator order: M = X~ o conj(R~) once, with
+          X~ = S^T diag(x) S, then x_mean = Re f^H M f and
+          norm = sum |f|^2 diag(R~), O(N^2) per row.
         """
-        S, core, grid, t0 = self._S, Psi.core, Psi.grid, Psi.time
-        projected = _real_times(S.T, Psi.left)
-        shared = Psi.right is Psi.left
-        projected_right = projected if shared else _real_times(S.T, Psi.right)
+        grid, S = state.grid, self._S
+        x = grid.points
+        if isinstance(state, WaveFunction):
+            G = _real_times(S.T, state.amplitudes[:, None])
+        else:
+            G = _real_times(_real_times(S.T, state.left), state.core)
+        G *= np.sqrt(grid.dx)
+        rows = np.empty((len(counts), 2))
+        if _reduced_order_pays(*G.shape, len(counts)):
+            M = zgemm(1.0, G.T, G.T, trans_a=2)  # conj(R~) = conj(G) G^T, with no conjugated copy of G
+            del G
+            weights = M.diagonal().real.copy()
+            X = (S.T * x) @ S
+            M *= X
+            del X
+            for i, steps in enumerate(counts):
+                f = self._factor(steps)
+                rows[i] = np.abs(f) ** 2 @ weights, np.vdot(f, _real_times(M, f)).real
+        else:
+            for i, steps in enumerate(counts):
+                density = np.sum(np.abs(_real_times(S, self._factor(steps)[:, None] * G)) ** 2, axis=1)
+                rows[i] = np.sum(density), x @ density
+        return rows
 
-        def evolved(steps: int) -> BipartiteWave:
-            f = self._factor(steps)[:, None]
-            left = _real_times(S, f * projected)
-            right = left if shared else _real_times(S, f * projected_right)
-            return BipartiteWave(left, core, right, grid, t0 + steps * self._dt)
 
-        return evolved
+def _reduced_order_pays(n: int, r: int, rows: int) -> bool:
+    """Whether `rows` samples of a rank-r state on n points cost fewer operations in the reduced-operator order.
+
+    Counted in real multiply-adds: the factor order costs 2 n^2 r per row
+    (the real S times the complex n x r f * G); the reduced-operator order
+    costs n^3 for X~, 4 n^2 r for R~ = G G^H, then 4 n^2 per row.
+    """
+    return n + 4 * r + 4 * rows < 2 * rows * r
 
 
 def propagator(H: HamiltonianMatrix, cfg: PropagatorConfig) -> np.ndarray:
@@ -237,10 +273,7 @@ def propagate_schrodinger(psi: WaveFunction, H: HamiltonianMatrix, cfg: Propagat
     if cfg.method == "eigenbasis":
         amp = SpectralPropagator(H, cfg.dt, cfg.method).apply(psi.amplitudes, cfg.steps)
     else:
-        stepper = CrankNicolsonStepper(H, cfg.dt)
-        amp = psi.amplitudes.astype(complex)
-        for _ in range(cfg.steps):
-            amp = stepper.apply(amp)
+        amp = CrankNicolsonStepper(H, cfg.dt).apply(psi.amplitudes.astype(complex), cfg.steps)
     return WaveFunction(amp, psi.grid, psi.time + cfg.steps * cfg.dt)
 
 
@@ -250,7 +283,46 @@ def propagate_vnl(Psi: BipartiteWave, H: HamiltonianMatrix, cfg: PropagatorConfi
     _check_normalized(bipartite_norm(Psi), "bipartite wave")
     if cfg.steps == 0:
         return Psi
-    return SpectralPropagator(H, cfg.dt, cfg.method).evolver(Psi)(cfg.steps)
+    spectral = SpectralPropagator(H, cfg.dt, cfg.method)
+    left = spectral.apply(Psi.left, cfg.steps)
+    right = left if Psi.right is Psi.left else spectral.apply(Psi.right, cfg.steps)
+    return BipartiteWave(left, Psi.core, right, Psi.grid, Psi.time + cfg.steps * cfg.dt)
+
+
+def trajectory(
+    state: WaveFunction | BipartiteWave, H: HamiltonianMatrix, cfg: PropagatorConfig, stride: int
+) -> np.ndarray:
+    """Rows (t, norm, x_mean) of state after 0, stride, 2 stride, ... and cfg.steps steps.
+
+    norm is the total probability of the evolved state, sum |psi|^2 dx for a
+    vector and sum |Psi|^2 dx^2 for a kernel, so it watches the propagation;
+    x_mean is the mean position.  A vector with Crank-Nicolson is stepped with
+    one sparse LU; every other state is read in the eigenbasis of one
+    eigensolve (`SpectralPropagator.trajectory`).
+    """
+    _check_grid(state.grid, H.grid)
+    one_partite = isinstance(state, WaveFunction)
+    _check_normalized(state.norm() ** 2 if one_partite else bipartite_norm(state), "initial state")
+    counts = list(range(0, cfg.steps, stride)) + [cfg.steps]
+    if one_partite and cfg.method == "crank-nicolson":
+        values = _stepped_trajectory(state, CrankNicolsonStepper(H, cfg.dt), counts)
+    else:
+        values = SpectralPropagator(H, cfg.dt, cfg.method).trajectory(state, counts)
+    return np.column_stack([state.time + cfg.dt * np.array(counts, dtype=float), values])
+
+
+def _stepped_trajectory(psi: WaveFunction, stepper: CrankNicolsonStepper, counts) -> np.ndarray:
+    """Rows (norm, x_mean) of psi stepped to each step count in counts, O(N) per step."""
+    x, dx = psi.grid.points, psi.grid.dx
+    amp = psi.amplitudes.astype(complex)
+    rows = np.empty((len(counts), 2))
+    done = 0
+    for i, steps in enumerate(counts):
+        amp = stepper.apply(amp, steps - done)
+        done = steps
+        density = np.abs(amp) ** 2 * dx
+        rows[i] = np.sum(density), x @ density
+    return rows
 
 
 def eigenbasis_bipartite_evolution(

@@ -32,11 +32,11 @@ from .spectra import distinct_gaps, eigensystem, eigenvalues, gap_spectrum
 from .dynamics import (
     BipartiteWave,
     PropagatorConfig,
-    SpectralPropagator,
     WaveFunction,
     gaussian_packet,
     propagate_schrodinger,
     propagate_vnl,
+    trajectory,
 )
 from .bipartite import (
     distance,
@@ -394,42 +394,9 @@ def _run_spectrum(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
 
 def _run_evolve(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
     cfg = PropagatorConfig(c.dynamics.dt, c.dynamics.steps, c.dynamics.method)
-    state = build_state(c, grid, H)
-    if isinstance(state, WaveFunction):
-        if cfg.method == "eigenbasis":
-            spectral = SpectralPropagator(H, cfg.dt, cfg.method)
-
-            def advance(state, done, n):
-                amp = spectral.apply(state.amplitudes, n)
-                return WaveFunction(amp, grid, state.time + n * cfg.dt)
-        else:
-            def advance(state, done, n):
-                return propagate_schrodinger(state, H, PropagatorConfig(cfg.dt, n, cfg.method))
-
-        def observe(state):  # norm, x_mean
-            dens = np.abs(state.amplitudes) ** 2 * grid.dx
-            return float(state.norm()), float(np.sum(grid.points * dens))
-    else:
-        evolved = SpectralPropagator(H, cfg.dt, cfg.method).evolver(state)
-
-        def advance(state, done, n):  # from the initial factors, so a sample costs one factor product
-            return evolved(done + n)
-
-        def observe(state):  # the norm of the evolved factors, not the core's, so that it watches the propagation
-            dens = position_density(state)
-            return float(np.sum(dens) * grid.dx), float(np.sum(grid.points * dens) * grid.dx)
-
-    rows = []
-    done = 0
-    while True:
-        rows.append([float(state.time), *observe(state)])
-        if done == cfg.steps:
-            break
-        n = min(c.dynamics.stride, cfg.steps - done)
-        state = advance(state, done, n)
-        done += n
+    rows = trajectory(build_state(c, grid, H), H, cfg, c.dynamics.stride)
     tables = {"trajectory": {"columns": ["t", "norm", "x_mean"], "rows": rows}}
-    summary = {"steps": cfg.steps, "dt": cfg.dt, "final_norm": rows[-1][1]}
+    summary = {"steps": cfg.steps, "dt": cfg.dt, "final_norm": float(rows[-1, 1])}
     return ScenarioReport("evolve", c.given, summary, tables)
 
 

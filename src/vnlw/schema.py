@@ -275,9 +275,28 @@ def _check_resolved(run, c) -> None:
     if run == "two-slit":
         lo, hi = c["scenario"]["window"]
         x0, dx = _grid_origin(grid)
-        inside = sum(lo <= x0 + dx * i <= hi for i in range(n))
+        inside = _points_below(x0, dx, n, hi, inclusive=True) - _points_below(x0, dx, n, lo, inclusive=False)
         if inside < 3:
             raise ConfigError(f"scenario.window: holds {inside} grid points, at least 3 required")
+
+
+def _points_below(x0: float, dx: float, n: int, v: float, inclusive: bool) -> int:
+    """How many of the points x0 + dx * i, 0 <= i < n, lie below v (or at v, if inclusive), in O(1).
+
+    The division gives the count to within rounding; the loops settle it on
+    the points as they are computed, which rise with i.
+    """
+    def below(i):
+        x = x0 + dx * i
+        return x <= v if inclusive else x < v
+
+    q = (v - x0) / dx
+    i = 0 if q <= 0 else n if q >= n else math.ceil(q)
+    while i > 0 and not below(i - 1):
+        i -= 1
+    while i < n and below(i):
+        i += 1
+    return i
 
 
 def _grid_origin(grid: dict) -> tuple:

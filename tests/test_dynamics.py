@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import splu
 
 from vnlw import dynamics, scenarios, spectra
 from vnlw.bipartite import from_product, position_density, transition_amplitudes
@@ -9,6 +10,7 @@ from vnlw.dynamics import (
     BipartiteWave,
     CrankNicolsonStepper,
     PropagatorConfig,
+    SpectralPropagator,
     WaveFunction,
     bipartite_norm,
     eigenbasis_bipartite_evolution,
@@ -72,6 +74,21 @@ class TestPropagatorConfig:
         with pytest.raises(SimulationError):
             PropagatorConfig(dt=1e-3, steps=1, method="magic")
         PropagatorConfig(dt=-1e-3, steps=1)  # negative dt = time reversal, allowed
+
+
+class TestSpectralPropagator:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("shape, dtype", [
+        ((201,), float), ((201,), complex), ((201, 3), float), ((201, 3), complex),
+    ])
+    def test_apply_matches_matrix(self, harmonic, method, shape, dtype):
+        g, H, _ = harmonic
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal(shape).astype(dtype)
+        if dtype is complex:
+            v += 1j * rng.standard_normal(shape)
+        spectral = SpectralPropagator(H, 1e-2, method)
+        assert np.max(np.abs(spectral.apply(v, 37) - spectral.matrix(37) @ v)) <= 1e-12
 
 
 class TestSchrodinger:
@@ -241,6 +258,57 @@ class TestVnl:
         assert rows[-1][0] == pytest.approx(1.0, abs=1e-12)
         assert rows[-1][1] == pytest.approx(1.0, abs=1e-12)
         assert rows[-1][2] == pytest.approx(x_mean, abs=1e-12)
+
+    @pytest.mark.parametrize("state, method, solves", [
+        ({"type": "random", "seed": 3}, "eigenbasis", 1),
+        ({"type": "random", "seed": 3}, "crank-nicolson", 1),
+        ({"type": "gaussian-product", "center": 1.0}, "crank-nicolson", 1),
+        ({"type": "two-slit"}, "eigenbasis", 1),
+        ({"type": "gaussian", "center": 1.0}, "eigenbasis", 1),
+        ({"type": "gaussian", "center": 1.0}, "crank-nicolson", 0),
+    ])
+    def test_evolve_forms_no_propagator(self, monkeypatch, state, method, solves):
+        calls = count_eigensolves(monkeypatch)
+
+        def refuse(*args):
+            raise AssertionError("an N x N propagator was formed")
+
+        monkeypatch.setattr(SpectralPropagator, "matrix", refuse)
+        monkeypatch.setattr(dynamics, "propagator", refuse)
+        config = {
+            "schema_version": 1,
+            "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 101},
+            "potential": {"kind": "harmonic", "omega": 1.0},
+            "dynamics": {"dt": 1e-3, "steps": 100, "stride": 10, "method": method},
+            "state": state,
+        }
+        rows = scenarios.run_scenario(config, "evolve").tables["trajectory"]["rows"]
+        assert len(calls) == solves
+        assert len(rows) == 11
+
+    def test_evolve_one_partite_crank_nicolson_factorizes_once(self, monkeypatch):
+        lus = []
+
+        def counting(A):
+            lus.append(A.shape)
+            return splu(A)
+
+        monkeypatch.setattr(dynamics, "splu", counting)
+        config = {
+            "schema_version": 1,
+            "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 101},
+            "potential": {"kind": "harmonic", "omega": 1.0},
+            "dynamics": {"dt": 1e-3, "steps": 1000, "stride": 10, "method": "crank-nicolson"},
+            "state": {"type": "gaussian", "center": 1.0, "sigma": 0.8, "momentum": 0.5},
+        }
+        rows = scenarios.run_scenario(config, "evolve").tables["trajectory"]["rows"]
+        assert lus == [(101, 101)]
+        assert len(rows) == 101
+        g = scenarios.grid_from_config(resolve(config))
+        H = scenarios.hamiltonian_from_config(resolve(config), g)
+        end = propagate_schrodinger(gaussian_packet(g, 1.0, 0.8, 0.5), H, PropagatorConfig(1e-3, 1000))
+        assert rows[-1][1] == pytest.approx(np.sum(np.abs(end.amplitudes) ** 2) * g.dx, abs=1e-12)
+        assert rows[-1][2] == pytest.approx(np.sum(g.points * np.abs(end.amplitudes) ** 2) * g.dx, abs=1e-12)
 
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)

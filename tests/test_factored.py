@@ -24,14 +24,17 @@ from vnlw.bipartite import (
     schmidt_reconstruction,
     transition_amplitudes,
 )
+from vnlw import dynamics
 from vnlw.dynamics import (
     METHODS,
     BipartiteWave,
     PropagatorConfig,
     WaveFunction,
     bipartite_norm,
+    propagate_schrodinger,
     propagate_vnl,
     propagator,
+    trajectory,
 )
 from vnlw.lattice import PotentialSpec, build_grid, build_hamiltonian, sample_potential
 from vnlw.scenarios import run_scenario
@@ -174,6 +177,52 @@ class TestDenseOracle:
         )
         dense = float(np.sqrt(np.sum(np.abs(Psi.kernel - Y.kernel) ** 2) * g.dx**2))
         assert abs(distance(Psi, Y) - dense) <= TOL
+
+
+class TestTrajectory:
+    """`trajectory` rows (t, norm, x_mean) against the dense kernel of `propagate_vnl`
+    (`propagate_schrodinger` for a vector), in the order the library picks and in each
+    contraction order forced."""
+
+    @staticmethod
+    def oracle_row(state, H, cfg):
+        g = state.grid
+        if isinstance(state, WaveFunction):
+            out = propagate_schrodinger(state, H, cfg)
+            density = np.abs(out.amplitudes) ** 2 * g.dx
+        else:
+            out = propagate_vnl(state, H, cfg)
+            density = np.sum(np.abs(out.kernel) ** 2, axis=1) * g.dx**2
+        return [out.time, np.sum(density), np.sum(g.points * density)]
+
+    @PROPERTY
+    @given(n_points=st.integers(8, 24), rank=st.sampled_from(["vector", 1, 2, None]), shared=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), method=st.sampled_from(METHODS),
+           dt=st.floats(-1.0, 1.0).filter(lambda v: v != 0.0), steps=st.integers(0, 30),
+           stride=st.integers(1, 10), reduced=st.sampled_from([None, False, True]))
+    def test_rows_match_the_dense_oracle(self, n_points, rank, shared, seed, method, dt, steps, stride, reduced):
+        g, H, state = _problem(n_points, 1 if rank == "vector" else rank, shared, seed)
+        if rank == "vector":
+            state = WaveFunction(state.left[:, 0], g)  # a dx-normalized column
+        cfg = PropagatorConfig(dt, steps, method)
+        with pytest.MonkeyPatch.context() as mp:
+            if reduced is not None:
+                mp.setattr(dynamics, "_reduced_order_pays", lambda n, r, rows: reduced)
+            rows = trajectory(state, H, cfg, stride)
+        counts = [*range(0, steps, stride), steps]
+        expected = [self.oracle_row(state, H, PropagatorConfig(dt, k, method)) for k in counts]
+        assert rows.shape == (len(counts), 3)
+        assert np.max(np.abs(rows - np.array(expected))) <= TOL
+
+    @pytest.mark.parametrize("n, r, rows, reduced", [
+        (401, 401, 101, True),   # evolve-random: a full-rank kernel
+        (24, 24, 11, True),
+        (24, 24, 1, False),      # one row does not repay X~
+        (4096, 1, 101, False),   # a vector or a product
+        (801, 2, 1001, False),   # a two-slit state
+    ])
+    def test_order_choice(self, n, r, rows, reduced):
+        assert dynamics._reduced_order_pays(n, r, rows) is reduced
 
 
 def test_two_slit_does_no_large_decomposition(monkeypatch):
