@@ -17,14 +17,14 @@ _EXPORTS = {
     "spectra": "EigenSystem GapSpectrum difference_operator_spectrum distinct_gaps eigensystem "
     "eigenvalues gap_spectrum",
     "dynamics": "BipartiteWave CrankNicolsonStepper PropagatorConfig SpectralPropagator WaveFunction "
-    "bipartite_norm eigenbasis_bipartite_evolution gaussian_packet normalize propagate_schrodinger "
-    "propagate_vnl propagator",
+    "bipartite_norm eigenbasis_bipartite_evolution gaussian_packet normalize propagate_amplitudes "
+    "propagate_schrodinger propagate_vnl propagator",
     "bipartite": "CollapseStatistics SchmidtDecomposition TransitionAmplitudes apply_rho "
     "collapse_statistics entanglement_entropy entropy_from_reduced expectation from_product "
     "position_density projection_probability projector schmidt schmidt_reconstruction "
     "transition_amplitudes",
-    "scenarios": "ScenarioReport SlitModes TwoSlitCoefficients complementarity_sweep fringe_visibility "
-    "make_slit_modes run_scenario two_slit_state write_report",
+    "scenarios": "ScenarioReport complementarity_sweep fringe_visibility make_slit_modes run_scenario "
+    "two_slit_state write_report",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

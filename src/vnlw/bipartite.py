@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DecompositionError,
@@ -102,7 +101,8 @@ def distance(X: BipartiteWave, Y: BipartiteWave) -> float:
     _check_grids(X, Y)
     A = np.hstack([X.left, Y.left])
     B = A if X.right is X.left and Y.right is Y.left else np.hstack([X.right, Y.right])
-    core = scipy.linalg.block_diag(X.core, -Y.core)
+    (r, s), (p, q) = X.core.shape, Y.core.shape
+    core = np.block([[X.core, np.zeros((r, q))], [np.zeros((p, s)), -Y.core]])
     return float(np.sqrt(bipartite_norm(BipartiteWave.from_factors(A, core, B, X.grid))))
 
 

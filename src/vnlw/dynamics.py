@@ -8,9 +8,10 @@ eigensystem: f(E) = exp(-i E t / hbar) for the eigenbasis method, and for
 Crank-Nicolson the Cayley factor (1 - i dt E/2hbar)/(1 + i dt E/2hbar) raised
 to the step count, exp(-2i steps atan(dt E / 2hbar)).  A bipartite state is
 held factored, Psi = A C B^H, and H(x) - H(y) is separable, so U Psi U^dagger
-= (U A) C (U B)^H: U is applied to the factors and never formed.  Vectors use
-U only for the eigenbasis method and otherwise step the Cayley form with one
-sparse LU, O(N) per step.  A trajectory of x-side observables reads the
+= (U A) C (U B)^H: U is applied to the factors and never formed.  Vectors, and
+the columns of a factor such as the N x 2 slit modes (`propagate_amplitudes`),
+use U only for the eigenbasis method and otherwise step the Cayley form with
+one sparse LU, O(N r) per step.  A trajectory of x-side observables reads the
 state only through its reduced operator rho_x = Psi Psi^H dx^2, projected on
 the eigenbasis once (`trajectory`).
 """
@@ -270,11 +271,20 @@ def propagate_schrodinger(psi: WaveFunction, H: HamiltonianMatrix, cfg: Propagat
     _check_normalized(psi.norm() ** 2, "wave function")
     if cfg.steps == 0:
         return psi
+    return WaveFunction(propagate_amplitudes(psi.amplitudes, H, cfg), psi.grid, psi.time + cfg.steps * cfg.dt)
+
+
+def propagate_amplitudes(v: np.ndarray, H: HamiltonianMatrix, cfg: PropagatorConfig) -> np.ndarray:
+    """cfg.steps steps of cfg.method applied to the vector v, or to each column of the N x r array v.
+
+    One eigensolve (eigenbasis) or one sparse LU (Crank-Nicolson) serves
+    every column; Crank-Nicolson holds no N x N array.
+    """
+    if cfg.steps == 0:
+        return v
     if cfg.method == "eigenbasis":
-        amp = SpectralPropagator(H, cfg.dt, cfg.method).apply(psi.amplitudes, cfg.steps)
-    else:
-        amp = CrankNicolsonStepper(H, cfg.dt).apply(psi.amplitudes.astype(complex), cfg.steps)
-    return WaveFunction(amp, psi.grid, psi.time + cfg.steps * cfg.dt)
+        return SpectralPropagator(H, cfg.dt, cfg.method).apply(v, cfg.steps)
+    return CrankNicolsonStepper(H, cfg.dt).apply(v.astype(complex), cfg.steps)
 
 
 def propagate_vnl(Psi: BipartiteWave, H: HamiltonianMatrix, cfg: PropagatorConfig) -> BipartiteWave:

@@ -11,14 +11,14 @@ resolved by `schema.resolve`, its grid and H, and returns a ScenarioReport.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ScenarioError
-from .schema import ONE_PARTITE, amplitudes, resolve, two_slit_amplitudes
+from .schema import ONE_PARTITE, TWO_SLIT, amplitudes, resolve, two_slit_amplitudes
 from .lattice import (
     Grid1D,
     HamiltonianMatrix,
@@ -34,6 +34,7 @@ from .dynamics import (
     PropagatorConfig,
     WaveFunction,
     gaussian_packet,
+    propagate_amplitudes,
     propagate_schrodinger,
     propagate_vnl,
     trajectory,
@@ -51,43 +52,8 @@ from .bipartite import (
 )
 
 
-@dataclass(frozen=True)
-class TwoSlitCoefficients:
-    """Amplitudes of the four product kernels psi_k(x) psi_l^*(y), k,l in {1,2}."""
-
-    a11: complex
-    a12: complex
-    a21: complex
-    a22: complex
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a21, self.a22]], dtype=complex)
-
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.as_matrix()) ** 2))
-
-    @classmethod
-    def wave(cls) -> "TwoSlitCoefficients":
-        """Coherent state (psi_1 + psi_2)(psi_1 + psi_2)^* / 2: interference present."""
-        return cls(0.5, 0.5, 0.5, 0.5)
-
-    @classmethod
-    def particle(cls) -> "TwoSlitCoefficients":
-        """Incoherent rank-2 state (psi_1 psi_1^* + psi_2 psi_2^*) / sqrt(2)."""
-        r = 1.0 / np.sqrt(2.0)
-        return cls(r, 0.0, 0.0, r)
-
-
-@dataclass(frozen=True)
-class SlitModes:
-    """Normalized, mutually orthogonal wave functions of the two slits."""
-
-    psi1: WaveFunction
-    psi2: WaveFunction
-
-
-def make_slit_modes(grid: Grid1D, separation: float = 4.0, sigma: float = 0.35) -> SlitModes:
-    """Gaussian slit modes centered at -s/2 and +s/2, symmetrically orthogonalized.
+def make_slit_modes(grid: Grid1D, separation: float = 4.0, sigma: float = 0.35) -> np.ndarray:
+    """N x 2 slit factor [psi_1 psi_2]: Gaussians at -s/2 and +s/2, symmetrically orthogonalized.
 
     Raw Gaussians at the default geometry still overlap at the 1e-8 level, which
     would spoil the exact Schmidt arithmetic of the two-slit states; a
@@ -101,25 +67,24 @@ def make_slit_modes(grid: Grid1D, separation: float = 4.0, sigma: float = 0.35) 
     w, v = np.linalg.eigh(overlap)
     if w.min() <= 0:
         raise ScenarioError("slit modes are linearly dependent; increase separation")
-    A = A @ (v / np.sqrt(w)) @ v.conj().T
-    return SlitModes(
-        WaveFunction(A[:, 0], grid),
-        WaveFunction(A[:, 1], grid),
-    )
+    return A @ (v / np.sqrt(w)) @ v.conj().T
 
 
-def two_slit_state(modes: SlitModes, coeffs: TwoSlitCoefficients) -> BipartiteWave:
-    """Kernel sum_{k,l} a_kl psi_k(x) psi_l^*(y): factor [psi_1 psi_2], core a."""
-    if abs(coeffs.norm_squared() - 1.0) > 1e-10:
-        raise ScenarioError(
-            f"coefficients not normalized: sum |a|^2 = {coeffs.norm_squared()}"
-        )
-    grid = modes.psi1.grid
-    olap = abs(grid.inner(modes.psi1.amplitudes, modes.psi2.amplitudes))
-    if olap > 1e-6:
-        raise ScenarioError(f"slit modes not orthogonal: |<psi1, psi2>| = {olap}")
-    A = np.column_stack([modes.psi1.amplitudes, modes.psi2.amplitudes])
-    return BipartiteWave.from_factors(A, coeffs.as_matrix(), A, grid, modes.psi1.time)
+def two_slit_state(grid: Grid1D, modes: np.ndarray, coefficients, time: float = 0.0) -> BipartiteWave:
+    """Kernel sum_{k,l} a_kl psi_k(x) psi_l^*(y): factor modes = [psi_1 psi_2], core a.
+
+    coefficients are two-slit coefficients as the config gives them
+    (`schema.two_slit_amplitudes`).  The modes must be dx-orthonormal, as
+    `make_slit_modes` and every propagation leave them, so they are the
+    factor as they are and the core alone carries the Schmidt coefficients.
+    """
+    if not TWO_SLIT.accepts(coefficients):
+        raise ScenarioError(f"coefficients must be {TWO_SLIT.doc}, got {coefficients!r}")
+    residual = np.max(np.abs(modes.conj().T @ modes * grid.dx - np.eye(2)))
+    if residual > 1e-6:
+        raise ScenarioError(f"slit modes not dx-orthonormal: max |A^H A dx - I| = {residual}")
+    a = np.array(two_slit_amplitudes(coefficients), dtype=complex).reshape(2, 2)
+    return BipartiteWave(modes, a, modes, grid, time)
 
 
 def fringe_visibility(density: np.ndarray, window: tuple) -> float:
@@ -204,8 +169,7 @@ def build_state(c, grid: Grid1D, H: HamiltonianMatrix) -> WaveFunction | Biparti
         K /= np.sqrt(np.sum(np.abs(K) ** 2) * grid.dx**2)
         return BipartiteWave.from_kernel(K, grid)
     if st.type == "two-slit":
-        modes = make_slit_modes(grid, st.separation, st.sigma)
-        return two_slit_state(modes, TwoSlitCoefficients(*two_slit_amplitudes(st.coefficients)))
+        return two_slit_state(grid, make_slit_modes(grid, st.separation, st.sigma), st.coefficients)
     if st.type in ("gaussian", "gaussian-product"):
         psi = gaussian_packet(grid, st.center, st.sigma, st.momentum)
     else:  # eigen, eigen-product
@@ -290,20 +254,12 @@ def _run_collapse(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
 
 def _run_two_slit(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
     sc = c.scenario
-    modes = make_slit_modes(grid, sc.separation, sc.sigma)
-    coeffs = TwoSlitCoefficients(*two_slit_amplitudes(sc.coefficients))
     cfg = PropagatorConfig(c.dynamics.dt, int(round(sc.evolve_time / c.dynamics.dt)), c.dynamics.method)
     window = _window_indices(grid, sc.window)
+    modes = propagate_amplitudes(make_slit_modes(grid, sc.separation, sc.sigma), H, cfg)
+    evolved = two_slit_state(grid, modes, sc.coefficients, cfg.steps * cfg.dt)
 
-    psi1_t = propagate_schrodinger(modes.psi1, H, cfg)
-    psi2_t = propagate_schrodinger(modes.psi2, H, cfg)
-    evolved = SlitModes(psi1_t, psi2_t)
-
-    state0 = two_slit_state(modes, coeffs)
-    entropy = entanglement_entropy(state0)
-    density = position_density(two_slit_state(evolved, coeffs))
-    visibility = fringe_visibility(density, window)
-
+    density = position_density(evolved)
     tables = {
         "density": {
             "columns": ["x", "density"],
@@ -311,45 +267,40 @@ def _run_two_slit(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
         }
     }
     summary = {
-        "entropy": float(entropy),
-        "visibility": float(visibility),
+        "entropy": float(entanglement_entropy(evolved)),
+        "visibility": float(fringe_visibility(density, window)),
         "evolve_time": float(sc.evolve_time),
     }
 
     if sc.sweep_points:
-        thetas, entropies, visibilities = complementarity_sweep(
-            modes, evolved, window, n_points=sc.sweep_points
-        )
+        thetas, entropies, visibilities = complementarity_sweep(evolved, window, n_points=sc.sweep_points)
         tables["sweep"] = {
             "columns": ["theta", "entropy", "visibility"],
-            "rows": [
-                [float(t), float(s), float(v)]
-                for t, s, v in zip(thetas, entropies, visibilities)
-            ],
+            "rows": np.column_stack([thetas, entropies, visibilities]),
         }
         summary["sweep_points"] = int(sc.sweep_points)
     return ScenarioReport("two-slit", c.given, summary, tables)
 
 
-def complementarity_sweep(modes: SlitModes, evolved: SlitModes, window, n_points: int = 11):
+def complementarity_sweep(evolved: BipartiteWave, window, n_points: int = 11):
     """Entropy and visibility along the family cos(theta) Psi_W + sin(theta) Psi_P.
 
     The family passes through the coherent state at theta = 0 and the
     incoherent rank-2 state at theta = pi/2; each point's 2 x 2 coefficient
-    matrix is renormalized.  Visibility is read off the position density of
-    the freely evolved state, entropy from the initial state (the bipartite
-    evolution preserves it).
+    matrix is renormalized and becomes the core of the evolved two-slit
+    state, whose factor is shared by every point.  Visibility is read off
+    the position density of that freely evolved state; entropy from its
+    core, which the bipartite evolution leaves unchanged.
     """
     thetas = np.linspace(0.0, 0.5 * np.pi, n_points)
-    a_W = TwoSlitCoefficients.wave().as_matrix()
-    a_P = TwoSlitCoefficients.particle().as_matrix()
+    a_W = np.array(two_slit_amplitudes("wave"), dtype=complex).reshape(2, 2)
+    a_P = np.array(two_slit_amplitudes("particle"), dtype=complex).reshape(2, 2)
     entropies, visibilities = [], []
     for theta in thetas:
         a = np.cos(theta) * a_W + np.sin(theta) * a_P
-        coeffs = TwoSlitCoefficients(*(a / np.linalg.norm(a)).ravel())
-        entropies.append(entanglement_entropy(two_slit_state(modes, coeffs)))
-        density = position_density(two_slit_state(evolved, coeffs))
-        visibilities.append(fringe_visibility(density, window))
+        state = replace(evolved, core=a / np.linalg.norm(a))
+        entropies.append(entanglement_entropy(state))
+        visibilities.append(fringe_visibility(position_density(state), window))
     return thetas, np.array(entropies), np.array(visibilities)
 
 

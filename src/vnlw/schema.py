@@ -52,7 +52,12 @@ def amplitudes(v) -> list | None:
 
 
 def two_slit_amplitudes(v) -> list | None:
-    """a11, a12, a21, a22 of two-slit coefficients, or None if v is not one."""
+    """a11, a12, a21, a22 of two-slit coefficients, or None if v is not one.
+
+    "wave" is the coherent state (psi_1 + psi_2)(psi_1 + psi_2)^* / 2, which
+    interferes; "particle" the incoherent rank-2 state
+    (psi_1 psi_1^* + psi_2 psi_2^*) / sqrt(2).
+    """
     if v == "wave":
         return [0.5] * 4
     if v == "particle":
@@ -246,6 +251,8 @@ def _check_resolved(run, c) -> None:
                           f"required when state.type is {kind}")
     if kind == "two-slit" and not TWO_SLIT.accepts(coefficients):
         raise ConfigError(f"state.coefficients: must be {TWO_SLIT.doc} when state.type is two-slit")
+    if run in ("spectrum", "gap-spectroscopy", "collapse") and k > n:
+        raise ConfigError(f"spectra.k: at most grid.n_points={n} eigenstates, got {k}")
     if kind in ONE_PARTITE and run in ("collapse", "schmidt", "entropy"):
         raise ConfigError(f"state.type: {kind} is one-partite; {run} needs a bipartite state")
     steps = c["scenario"]["evolve_time"] / dyn["dt"] if run == "two-slit" else dyn["steps"]

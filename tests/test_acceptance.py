@@ -29,18 +29,12 @@ from vnlw.dynamics import (
     WaveFunction,
     bipartite_norm,
     gaussian_packet,
+    propagate_amplitudes,
     propagate_schrodinger,
     propagate_vnl,
 )
 from vnlw.lattice import PotentialSpec, box_grid, build_grid, build_hamiltonian, sample_potential
-from vnlw.scenarios import (
-    SlitModes,
-    TwoSlitCoefficients,
-    complementarity_sweep,
-    make_slit_modes,
-    two_slit_state,
-    _window_indices,
-)
+from vnlw.scenarios import complementarity_sweep, make_slit_modes, two_slit_state, _window_indices
 from vnlw.spectra import difference_operator_spectrum, eigensystem
 
 
@@ -165,14 +159,15 @@ def test_criterion_04_product_state_equivalence():
 
 
 def test_criterion_05_entropy_endpoints_and_routes():
-    modes = make_slit_modes(build_grid(-20, 20, 401))
+    g = build_grid(-20, 20, 401)
+    modes = make_slit_modes(g)
     s_wave = max(
         entanglement_entropy(Psi)
-        for Psi in _representations(two_slit_state(modes, TwoSlitCoefficients.wave()))
+        for Psi in _representations(two_slit_state(g, modes, "wave"))
     )
     ln2_err = max(
         abs(entanglement_entropy(Psi) - np.log(2))
-        for Psi in _representations(two_slit_state(modes, TwoSlitCoefficients.particle()))
+        for Psi in _representations(two_slit_state(g, modes, "particle"))
     )
     g = build_grid(-1, 1, 48)
     rng = np.random.default_rng(7)
@@ -204,10 +199,11 @@ def test_criterion_06_measurement_reduction():
         )
         for Psi in _representations(from_product(psi, psi)):
             worst = max(worst, abs(expectation(Psi, O) - rhs))
-    modes = make_slit_modes(build_grid(-20, 20, 401))
+    g = build_grid(-20, 20, 401)
+    modes = make_slit_modes(g)
     p_err = max(
-        abs(projection_probability(Psi, modes.psi1) - 0.5)
-        for Psi in _representations(two_slit_state(modes, TwoSlitCoefficients.particle()))
+        abs(projection_probability(Psi, WaveFunction(modes[:, 0], g)) - 0.5)
+        for Psi in _representations(two_slit_state(g, modes, "particle"))
     )
     ok = worst < 1e-9 and p_err < 1e-10
     _verdict(
@@ -218,12 +214,13 @@ def test_criterion_06_measurement_reduction():
 
 
 def test_criterion_07_position_densities():
-    modes = make_slit_modes(build_grid(-20, 20, 401))
-    a1, a2 = modes.psi1.amplitudes, modes.psi2.amplitudes
+    g = build_grid(-20, 20, 401)
+    modes = make_slit_modes(g)
+    a1, a2 = modes.T
     err_wave = err_particle = 0.0
-    for Psi in _representations(two_slit_state(modes, TwoSlitCoefficients.wave())):
+    for Psi in _representations(two_slit_state(g, modes, "wave")):
         err_wave = max(err_wave, float(np.max(np.abs(position_density(Psi) - 0.5 * np.abs(a1 + a2) ** 2))))
-    for Psi in _representations(two_slit_state(modes, TwoSlitCoefficients.particle())):
+    for Psi in _representations(two_slit_state(g, modes, "particle")):
         expected = 0.5 * (np.abs(a1) ** 2 + np.abs(a2) ** 2)
         err_particle = max(err_particle, float(np.max(np.abs(position_density(Psi) - expected))))
     _verdict(
@@ -273,12 +270,9 @@ def test_criterion_09_complementarity_sweep():
     H = build_hamiltonian(g, sample_potential(g, PotentialSpec.infinite_box()))
     modes = make_slit_modes(g)
     cfg = PropagatorConfig(1e-3, 2000)
-    evolved = SlitModes(
-        propagate_schrodinger(modes.psi1, H, cfg),
-        propagate_schrodinger(modes.psi2, H, cfg),
-    )
+    evolved = two_slit_state(g, propagate_amplitudes(modes, H, cfg), "wave")
     window = _window_indices(g, (-8.0, 8.0))
-    thetas, entropies, visibilities = complementarity_sweep(modes, evolved, window, 11)
+    thetas, entropies, visibilities = complementarity_sweep(evolved, window, 11)
     elapsed = time.perf_counter() - start
     v_ok = visibilities[0] > 0.9 and visibilities[-1] < 0.05
     mono = bool(

@@ -19,7 +19,7 @@ from vnlw.bipartite import (
 from vnlw.dynamics import BipartiteWave, WaveFunction, bipartite_norm, gaussian_packet
 from vnlw.errors import NonHermitianOperatorError, UnnormalizedStateError
 from vnlw.lattice import PotentialSpec, build_grid, build_hamiltonian, sample_potential
-from vnlw.scenarios import TwoSlitCoefficients, make_slit_modes, two_slit_state
+from vnlw.scenarios import make_slit_modes, two_slit_state
 from vnlw.spectra import eigensystem
 
 
@@ -80,7 +80,7 @@ class TestFromProduct:
 class TestSchmidt:
     def test_particle_state_coefficients(self, slits):
         g, modes = slits
-        Psi = two_slit_state(modes, TwoSlitCoefficients.particle())
+        Psi = two_slit_state(g, modes, "particle")
         dec = schmidt(Psi)
         assert dec.rank == 2
         assert np.allclose(dec.coefficients, [2**-0.5, 2**-0.5], atol=1e-10)
@@ -138,12 +138,12 @@ class TestSchmidtProperties:
 class TestEntropy:
     def test_wave_state_zero(self, slits):
         g, modes = slits
-        Psi = two_slit_state(modes, TwoSlitCoefficients.wave())
+        Psi = two_slit_state(g, modes, "wave")
         assert entanglement_entropy(Psi) == pytest.approx(0.0, abs=1e-12)
 
     def test_particle_state_ln2(self, slits):
         g, modes = slits
-        Psi = two_slit_state(modes, TwoSlitCoefficients.particle())
+        Psi = two_slit_state(g, modes, "particle")
         assert entanglement_entropy(Psi) == pytest.approx(np.log(2), abs=1e-10)
 
     def test_planted_spectrum(self):
@@ -197,9 +197,9 @@ class TestApplyRho:
 
     def test_particle_state_halves(self, slits):
         g, modes = slits
-        Psi = two_slit_state(modes, TwoSlitCoefficients.particle())
-        out = apply_rho(Psi, modes.psi1)
-        assert np.max(np.abs(out.amplitudes - modes.psi1.amplitudes / np.sqrt(2))) < 1e-10
+        Psi = two_slit_state(g, modes, "particle")
+        out = apply_rho(Psi, WaveFunction(modes[:, 0], g))
+        assert np.max(np.abs(out.amplitudes - modes[:, 0] / np.sqrt(2))) < 1e-10
 
 
 class TestExpectation:
@@ -222,13 +222,13 @@ class TestExpectation:
 
     def test_particle_state_projector(self, slits):
         g, modes = slits
-        Psi = two_slit_state(modes, TwoSlitCoefficients.particle())
-        assert expectation(Psi, projector(modes.psi1)) == pytest.approx(0.5, abs=1e-10)
+        Psi = two_slit_state(g, modes, "particle")
+        assert expectation(Psi, projector(WaveFunction(modes[:, 0], g))) == pytest.approx(0.5, abs=1e-10)
 
     def test_non_hermitian_detected(self, slits):
         g, modes = slits
-        Psi = two_slit_state(modes, TwoSlitCoefficients.wave())
-        O = np.outer(modes.psi1.amplitudes, modes.psi2.amplitudes.conj()) * g.dx
+        Psi = two_slit_state(g, modes, "wave")
+        O = np.outer(modes[:, 0], modes[:, 1].conj()) * g.dx
         with pytest.raises(NonHermitianOperatorError):
             expectation(Psi, 1j * O)
 
@@ -246,8 +246,8 @@ class TestProjectionProbability:
 
     def test_particle_state(self, slits):
         g, modes = slits
-        Psi = two_slit_state(modes, TwoSlitCoefficients.particle())
-        assert projection_probability(Psi, modes.psi1) == pytest.approx(0.5, abs=1e-10)
+        Psi = two_slit_state(g, modes, "particle")
+        assert projection_probability(Psi, WaveFunction(modes[:, 0], g)) == pytest.approx(0.5, abs=1e-10)
 
     def test_bounds_random(self):
         g = build_grid(-3, 3, 48)
@@ -263,14 +263,14 @@ class TestProjectionProbability:
 class TestPositionDensity:
     def test_wave_state(self, slits):
         g, modes = slits
-        Psi = two_slit_state(modes, TwoSlitCoefficients.wave())
-        expected = 0.5 * np.abs(modes.psi1.amplitudes + modes.psi2.amplitudes) ** 2
+        Psi = two_slit_state(g, modes, "wave")
+        expected = 0.5 * np.abs(modes[:, 0] + modes[:, 1]) ** 2
         assert np.max(np.abs(position_density(Psi) - expected)) < 1e-10
 
     def test_particle_state(self, slits):
         g, modes = slits
-        Psi = two_slit_state(modes, TwoSlitCoefficients.particle())
-        expected = 0.5 * (np.abs(modes.psi1.amplitudes) ** 2 + np.abs(modes.psi2.amplitudes) ** 2)
+        Psi = two_slit_state(g, modes, "particle")
+        expected = 0.5 * (np.abs(modes[:, 0]) ** 2 + np.abs(modes[:, 1]) ** 2)
         assert np.max(np.abs(position_density(Psi) - expected)) < 1e-10
 
     def test_born_density_recovered(self, harmonic):

@@ -1,10 +1,14 @@
 import datetime
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import vnlw
 from vnlw import cli, scenarios, schema
 from vnlw.cli import apply_overrides, main, parse_invocation, validate_config
 from vnlw.errors import ConfigError
@@ -209,6 +213,10 @@ class TestExitCodes:
         # windows that hold fewer than 3 grid points, refused before any numerics
         ("run", ["--set", "scenario.name=two-slit", "--set", "scenario.window=[100, 200]"], "scenario.window"),
         ("run", ["--set", "scenario.name=two-slit", "--set", "scenario.window=[0.0, 0.1]"], "scenario.window"),
+        # more eigenstates than grid points
+        ("spectrum", ["--set", "grid.n_points=32", "--set", "spectra.k=40"], "spectra.k"),
+        ("gaps", ["--set", "grid.n_points=32", "--set", "spectra.k=40"], "spectra.k"),
+        ("collapse", ["--set", "grid.n_points=32", "--set", "spectra.k=40"], "spectra.k"),
     ])
     def test_bad_run_exit_leaves_nothing(self, tmp_path, capsys, subcommand, args, key):
         out = tmp_path / "out"
@@ -241,10 +249,11 @@ class TestExitCodes:
         assert list(out.iterdir()) == []
 
     def test_numerical_failure_leaves_no_output(self, tmp_path, capsys):
-        cfg = {**BASE, "spectra": {"k": 500}}  # more states than grid points
         out = tmp_path / "out"
         code = main([
-            "spectrum", "--config", write_config(tmp_path, cfg), "--output", str(out)
+            "run", "--config", write_config(tmp_path, BASE), "--output", str(out),
+            "--set", "scenario.name=two-slit", "--set", "scenario.evolve_time=0.01",
+            "--set", "scenario.separation=1e-12",  # coincident slits: no two orthonormal modes
         ])
         assert code == 4
         visible = [p for p in out.iterdir() if not p.name.startswith(".")]
@@ -499,3 +508,22 @@ class TestSchemaDocs:
 
     def test_schema_version_documented(self):
         assert '"schema_version": 1' in self.DOC.read_text()
+
+
+def test_traced_run_binds_every_traced_function(tmp_path):
+    """perfbench/trace_child.py wraps its traced functions by name and fails when
+    one is renamed, deleted or no longer bound by the module that calls it; a
+    small two-slit run shows that here rather than only in the benchmark."""
+    cfg = {
+        "schema_version": 1,
+        "grid": {"n_points": 101},
+        "scenario": {"name": "two-slit", "evolve_time": 0.01, "sweep_points": 3},
+    }
+    spans = tmp_path / "spans.json"
+    script = Path(__file__).resolve().parents[1] / "perfbench" / "trace_child.py"
+    argv = ["run", "--config", write_config(tmp_path, cfg), "--output", str(tmp_path / "out")]
+    src = str(Path(vnlw.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, str(script), str(spans), str(time.perf_counter()), "--", *argv],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert "scenarios.complementarity_sweep" in {span[0] for span in json.loads(spans.read_text())}

@@ -10,6 +10,7 @@ kernels on small grids.
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import splu
 from hypothesis import given, settings, strategies as st
 
 from vnlw.bipartite import (
@@ -24,7 +25,7 @@ from vnlw.bipartite import (
     schmidt_reconstruction,
     transition_amplitudes,
 )
-from vnlw import dynamics
+from vnlw import dynamics, scenarios, spectra
 from vnlw.dynamics import (
     METHODS,
     BipartiteWave,
@@ -37,7 +38,6 @@ from vnlw.dynamics import (
     trajectory,
 )
 from vnlw.lattice import PotentialSpec, build_grid, build_hamiltonian, sample_potential
-from vnlw.scenarios import run_scenario
 from vnlw.spectra import eigensystem
 
 TOL = 1e-12
@@ -225,9 +225,12 @@ class TestTrajectory:
         assert dynamics._reduced_order_pays(n, r, rows) is reduced
 
 
-def test_two_slit_does_no_large_decomposition(monkeypatch):
+@pytest.mark.parametrize("method", METHODS)
+def test_two_slit_does_no_large_decomposition(monkeypatch, method):
     """Every SVD of the two-slit run is of a core with at most 2 columns, and no
-    decomposition takes or returns an N x N array."""
+    decomposition takes or returns an N x N array.  The slit factor is used as
+    it is, with no QR, and evolved once: one sparse LU (Crank-Nicolson) or one
+    eigensolve (eigenbasis) for both modes."""
     calls = []
     for name in ("svd", "qr"):
         real = getattr(np.linalg, name)
@@ -239,16 +242,34 @@ def test_two_slit_does_no_large_decomposition(monkeypatch):
             return out
 
         monkeypatch.setattr(np.linalg, name, recording)
+    lus, solves = [], []
+
+    def counting_splu(A):
+        lus.append(A.shape)
+        return splu(A)
+
+    def counting_eigensystem(H, k):
+        solves.append(k)
+        return eigensystem(H, k)
+
+    monkeypatch.setattr(dynamics, "splu", counting_splu)
+    for module in (spectra, dynamics, scenarios):
+        monkeypatch.setattr(module, "eigensystem", counting_eigensystem)
     config = {
         "schema_version": 1,
         "grid": {"x_min": -20.0, "x_max": 20.0, "n_points": 801},
         "potential": {"kind": "infinite-box"},
-        "dynamics": {"dt": 1e-3, "method": "crank-nicolson"},
+        "dynamics": {"dt": 1e-3, "method": method},
         "scenario": {"name": "two-slit", "coefficients": "wave", "evolve_time": 2.0, "sweep_points": 11},
     }
-    report = run_scenario(config)
+    report = scenarios.run_scenario(config)
     assert len(report.tables["sweep"]["rows"]) == 11
     svd_columns = [shape[-1] for name, shape, _ in calls if name == "svd"]
     assert len(svd_columns) == 12 and max(svd_columns) <= 2
+    assert [name for name, _, _ in calls if name == "qr"] == []
     shapes = [shape for _, shape, outs in calls for shape in [shape, *outs]]
     assert all(shape[-2:] != (801, 801) for shape in shapes if len(shape) >= 2)
+    if method == "crank-nicolson":
+        assert (lus, solves) == ([(801, 801)], [])
+    else:
+        assert (lus, solves) == ([], [801])

@@ -4,13 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vnlw.bipartite import entanglement_entropy, position_density
+from vnlw.dynamics import BipartiteWave
 from vnlw.errors import ScenarioError
 from vnlw.lattice import build_grid
 from vnlw.scenarios import (
     ScenarioReport,
-    TwoSlitCoefficients,
     fringe_visibility,
     make_slit_modes,
     run_scenario,
@@ -19,44 +20,68 @@ from vnlw.scenarios import (
 )
 
 
+GRID = build_grid(-20, 20, 401)
+
+
 @pytest.fixture(scope="module")
 def modes():
-    return make_slit_modes(build_grid(-20, 20, 401))
+    return make_slit_modes(GRID)
 
 
 class TestSlitModes:
     def test_orthonormal(self, modes):
-        g = modes.psi1.grid
-        assert modes.psi1.norm() == pytest.approx(1.0, abs=1e-10)
-        assert modes.psi2.norm() == pytest.approx(1.0, abs=1e-10)
-        assert abs(g.inner(modes.psi1.amplitudes, modes.psi2.amplitudes)) < 1e-12
+        assert GRID.norm(modes[:, 0]) == pytest.approx(1.0, abs=1e-10)
+        assert GRID.norm(modes[:, 1]) == pytest.approx(1.0, abs=1e-10)
+        assert abs(GRID.inner(modes[:, 0], modes[:, 1])) < 1e-12
 
     def test_centered_on_slits(self, modes):
-        g = modes.psi1.grid
-        x = g.points
-        assert x[np.argmax(np.abs(modes.psi1.amplitudes))] == pytest.approx(-2.0, abs=0.2)
-        assert x[np.argmax(np.abs(modes.psi2.amplitudes))] == pytest.approx(2.0, abs=0.2)
+        x = GRID.points
+        assert x[np.argmax(np.abs(modes[:, 0]))] == pytest.approx(-2.0, abs=0.2)
+        assert x[np.argmax(np.abs(modes[:, 1]))] == pytest.approx(2.0, abs=0.2)
 
 
 class TestTwoSlitState:
     def test_wave_kernel_form(self, modes):
-        Psi = two_slit_state(modes, TwoSlitCoefficients.wave())
-        plus = modes.psi1.amplitudes + modes.psi2.amplitudes
+        Psi = two_slit_state(GRID, modes, "wave")
+        plus = modes[:, 0] + modes[:, 1]
         assert np.max(np.abs(Psi.kernel - 0.5 * np.outer(plus, plus.conj()))) < 1e-12
         assert entanglement_entropy(Psi) == pytest.approx(0.0, abs=1e-12)
 
     def test_particle_entropy(self, modes):
-        Psi = two_slit_state(modes, TwoSlitCoefficients.particle())
+        Psi = two_slit_state(GRID, modes, "particle")
         assert entanglement_entropy(Psi) == pytest.approx(np.log(2), abs=1e-10)
 
     def test_single_slit_limit(self, modes):
-        Psi = two_slit_state(modes, TwoSlitCoefficients(1.0, 0.0, 0.0, 0.0))
+        Psi = two_slit_state(GRID, modes, [1.0, 0.0, 0.0, 0.0])
         d = position_density(Psi)
-        assert np.max(np.abs(d - np.abs(modes.psi1.amplitudes) ** 2)) < 1e-10
+        assert np.max(np.abs(d - np.abs(modes[:, 0]) ** 2)) < 1e-10
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(n_points=st.integers(32, 128),
+           parts=st.lists(st.floats(-1, 1), min_size=8, max_size=8).filter(lambda v: np.linalg.norm(v) > 1e-3))
+    def test_random_coefficients(self, n_points, parts):
+        """Entropy from the coefficients' singular values, density from the dense kernel."""
+        g = build_grid(-10, 10, n_points)
+        a = np.array(parts).reshape(4, 2) / np.linalg.norm(parts)  # [re, im] pairs of unit norm
+        Psi = two_slit_state(g, make_slit_modes(g), a.tolist())
+        mu2 = np.linalg.svd((a[:, 0] + 1j * a[:, 1]).reshape(2, 2), compute_uv=False) ** 2
+        mu2 = mu2[mu2 > 0.0]
+        assert abs(entanglement_entropy(Psi) - float(-np.sum(mu2 * np.log(mu2)))) <= 1e-12
+        dense = BipartiteWave.from_kernel(Psi.kernel, g)
+        assert np.max(np.abs(position_density(Psi) - position_density(dense))) <= 1e-12
 
     def test_rejects_unnormalized_coefficients(self, modes):
         with pytest.raises(ScenarioError):
-            two_slit_state(modes, TwoSlitCoefficients(1.0, 1.0, 0.0, 0.0))
+            two_slit_state(GRID, modes, [1.0, 1.0, 0.0, 0.0])
+        with pytest.raises(ScenarioError):
+            two_slit_state(GRID, modes, "abc")
+
+    def test_rejects_modes_not_orthonormal(self, modes):
+        with pytest.raises(ScenarioError, match="dx-orthonormal"):
+            two_slit_state(GRID, modes * (1 + 1e-5), "wave")
+        skewed = modes + 1e-5 * modes[:, ::-1]
+        with pytest.raises(ScenarioError, match="dx-orthonormal"):
+            two_slit_state(GRID, skewed, "wave")
 
 
 class TestFringeVisibility:

@@ -162,6 +162,9 @@ class TestResolve:
         ({"scenario": {"window": [100, 200]}}, "two-slit", "scenario.window"),
         ({"grid": {"n_points": 5000}, "dynamics": {"method": "eigenbasis"}}, "two-slit", "grid.n_points"),
         ({"grid": {"n_points": 2**23 + 1}}, "two-slit", "grid.n_points"),
+        ({"grid": {"n_points": 32}, "spectra": {"k": 33}}, "spectrum", "spectra.k"),
+        ({"grid": {"n_points": 32}, "spectra": {"k": 40}}, "gap-spectroscopy", "spectra.k"),
+        ({"grid": {"n_points": 32}, "spectra": {"k": 40}}, "collapse", "spectra.k"),
     ])
     def test_rules_and_budget(self, config, run, key):
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
@@ -169,7 +172,8 @@ class TestResolve:
 
     def test_budget_admits_the_largest_allowed_sizes(self):
         schema.resolve({"schema_version": 1, "grid": {"n_points": 4096}}, "entropy")
-        schema.resolve({"schema_version": 1, "spectra": {"k": 3344}}, "gap-spectroscopy")
+        schema.resolve({"schema_version": 1, "spectra": {"k": 3344}, "grid": {"n_points": 3344}}, "gap-spectroscopy")
+        schema.resolve({"schema_version": 1, "spectra": {"k": 32}, "grid": {"n_points": 32}}, "spectrum")
         schema.resolve({"schema_version": 1, "dynamics": {"steps": 10**7}}, "product-equivalence")
         schema.resolve({"schema_version": 1, "grid": {"n_points": 10**7}, "state": {"type": "gaussian"}},
                        "evolve")
@@ -230,14 +234,13 @@ EXPORTS = {
                 "eigensystem", "eigenvalues", "gap_spectrum"],
     "dynamics": ["BipartiteWave", "CrankNicolsonStepper", "PropagatorConfig", "SpectralPropagator",
                  "WaveFunction", "bipartite_norm", "eigenbasis_bipartite_evolution", "gaussian_packet",
-                 "normalize", "propagate_schrodinger", "propagate_vnl", "propagator"],
+                 "normalize", "propagate_amplitudes", "propagate_schrodinger", "propagate_vnl", "propagator"],
     "bipartite": ["CollapseStatistics", "SchmidtDecomposition", "TransitionAmplitudes", "apply_rho",
                   "collapse_statistics", "entanglement_entropy", "entropy_from_reduced", "expectation",
                   "from_product", "position_density", "projection_probability", "projector", "schmidt",
                   "schmidt_reconstruction", "transition_amplitudes"],
-    "scenarios": ["ScenarioReport", "SlitModes", "TwoSlitCoefficients", "complementarity_sweep",
-                  "fringe_visibility", "make_slit_modes", "run_scenario", "two_slit_state",
-                  "write_report"],
+    "scenarios": ["ScenarioReport", "complementarity_sweep", "fringe_visibility", "make_slit_modes",
+                  "run_scenario", "two_slit_state", "write_report"],
 }
 
 
