@@ -21,13 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DecompositionError,
-    GridMismatchError,
-    NonHermitianOperatorError,
-    UnnormalizedStateError,
-)
-from .dynamics import NORM_TOL, BipartiteWave, WaveFunction, _check_normalized, bipartite_norm
+from .errors import DecompositionError, NonHermitianOperatorError
+from .dynamics import BipartiteWave, WaveFunction, _check_grids, _check_normalized, bipartite_norm
 from .spectra import EigenSystem
 
 
@@ -75,18 +70,12 @@ class CollapseStatistics:
     truncation_residual: float
 
 
-def _check_grids(a, b) -> None:
-    if a.grid != b.grid:
-        raise GridMismatchError("operands were built on different grids")
-
-
 def from_product(psi: WaveFunction, phi: WaveFunction) -> BipartiteWave:
     """Product kernel Psi_ij = psi_i phi_j^*, the rank-1 state with core |psi| |phi|."""
     _check_grids(psi, phi)
     a, b = psi.norm(), phi.norm()
-    for norm, name in ((a, "psi"), (b, "phi")):
-        if abs(norm - 1.0) > NORM_TOL:
-            raise UnnormalizedStateError(f"factor {name} is not normalized")
+    _check_normalized(a**2, "factor psi")
+    _check_normalized(b**2, "factor phi")
     left = (psi.amplitudes / a)[:, None]
     right = left if phi is psi else (phi.amplitudes / b)[:, None]
     return BipartiteWave(left, np.array([[a * b]], dtype=complex), right, psi.grid, psi.time)
@@ -194,8 +183,7 @@ def expectation(Psi: BipartiteWave, O: np.ndarray, imag_tol: float = 1e-10) -> f
 
 def projection_probability(Psi: BipartiteWave, phi: WaveFunction) -> float:
     """Probability |rho_Psi phi|^2 of reduction to phi on measurement."""
-    if abs(phi.norm() - 1.0) > NORM_TOL:
-        raise UnnormalizedStateError("phi is not normalized")
+    _check_normalized(phi.norm() ** 2, "phi")
     reduced = apply_rho(Psi, phi)
     return reduced.norm() ** 2
 
@@ -208,8 +196,7 @@ def position_density(Psi: BipartiteWave) -> np.ndarray:
 
 def transition_amplitudes(Psi: BipartiteWave, eigs: EigenSystem) -> TransitionAmplitudes:
     """Double projection c_{n,m} = <psi_n, rho_Psi psi_m> = (S^H A) C (B^H S) dx^2, O(N k r)."""
-    if Psi.grid != eigs.grid:
-        raise GridMismatchError("state and eigensystem were built on different grids")
+    _check_grids(Psi, eigs)
     S = eigs.states
     C = Psi.grid.dx**2 * ((S.conj().T @ Psi.left) @ Psi.core @ (Psi.right.conj().T @ S))
     residual = float(bipartite_norm(Psi) - np.sum(np.abs(C) ** 2))
@@ -226,15 +213,3 @@ def collapse_statistics(amps: TransitionAmplitudes) -> CollapseStatistics:
     resolved = p > np.finfo(float).eps * p.sum()
     conditional = np.where(resolved, delta_E / np.where(resolved, p, 1.0), 0.0)
     return CollapseStatistics(p, delta_E, conditional, amps.truncation_residual)
-
-
-# ---------------------------------------------------------------------------
-# export helpers
-
-
-def schmidt_record(dec: SchmidtDecomposition) -> dict:
-    return {
-        "coefficients": [float(m) for m in dec.coefficients],
-        "rank": dec.rank,
-        "residual": dec.residual,
-    }

@@ -11,9 +11,9 @@ held factored, Psi = A C B^H, and H(x) - H(y) is separable, so U Psi U^dagger
 = (U A) C (U B)^H: U is applied to the factors and never formed.  Vectors, and
 the columns of a factor such as the N x 2 slit modes (`propagate_amplitudes`),
 use U only for the eigenbasis method and otherwise step the Cayley form with
-one sparse LU, O(N r) per step.  A trajectory of x-side observables reads the
-state only through its reduced operator rho_x = Psi Psi^H dx^2, projected on
-the eigenbasis once (`trajectory`).
+one tridiagonal LU (LAPACK gttrf), O(N r) per step.  A trajectory of x-side
+observables reads the state only through its reduced operator
+rho_x = Psi Psi^H dx^2, projected on the eigenbasis once (`trajectory`).
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg.blas import zgemm
-from scipy.sparse import diags, identity
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import GridMismatchError, SimulationError, UnnormalizedStateError
 from .lattice import Grid1D, HamiltonianMatrix
@@ -90,9 +89,6 @@ class BipartiteWave:
         """The dense N x N array A C B^H."""
         return self.left @ self.core @ self.right.conj().T
 
-    def norm_squared(self) -> float:
-        return bipartite_norm(self)
-
 
 @dataclass(frozen=True)
 class PropagatorConfig:
@@ -126,37 +122,38 @@ def gaussian_packet(grid: Grid1D, center: float, sigma: float, momentum: float =
 
 
 class CrankNicolsonStepper:
-    """One Cayley step (I + i dt H / 2 hbar)^-1 (I - i dt H / 2 hbar).
+    """One Cayley step (I + i a H)^-1 (I - i a H), a = dt / 2 hbar, on H's tridiagonals.
 
-    The LU factorization is computed once and reused for every step; apply()
-    accepts a vector or a matrix of column vectors.  A dt so large that the
-    factors overflow raises SimulationError.
+    The tridiagonal scheme of Goldberg, Schey & Schwartz, Am. J. Phys. 35, 177
+    (1967): I + i a H is factored once with LAPACK's tridiagonal LU (gttrf),
+    and each step is one gttrs solve on (I - i a H) v, a HamiltonianMatrix of
+    its own diagonals so that its product is H's mat-vec.  apply() accepts a
+    vector or a matrix of column vectors.  A dt so large that the factors
+    overflow raises SimulationError.
     """
 
     def __init__(self, H: HamiltonianMatrix, dt: float):
-        n = H.grid.n_points
-        Hs = diags(
-            [H.off_diagonal, H.diagonal, H.off_diagonal], [-1, 0, 1], dtype=complex
-        )
-        alpha = 0.5j * dt / H.hbar
-        eye = identity(n, dtype=complex, format="csc")
+        a = 0.5j * dt / H.hbar
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            A = (eye + alpha * Hs).tocsc()
-            self._B = (eye - alpha * Hs).tocsr()
-        if not (np.isfinite(A.data).all() and np.isfinite(self._B.data).all()):
+            d, e = a * H.diagonal, a * H.off_diagonal
+        if not (np.isfinite(d).all() and np.isfinite(e).all()):
             raise SimulationError(f"Crank-Nicolson factors are not finite at dt={dt}")
-        self._lu = splu(A)
+        self._numerator = replace(H, diagonal=1 - d, off_diagonal=-e)
+        *self._lu, info = zgttrf(e, 1 + d, e)
+        if info:
+            raise SimulationError(f"Crank-Nicolson factorization failed: gttrf info={info}")
 
     def apply(self, v: np.ndarray, steps: int = 1) -> np.ndarray:
         """`steps` Cayley steps applied to v."""
         for _ in range(steps):
-            v = self._lu.solve(self._B @ v)
+            v = zgttrs(*self._lu, self._numerator.apply(v), overwrite_b=True)[0]
         return v
 
 
-def _check_grid(a_grid: Grid1D, b_grid: Grid1D) -> None:
-    if a_grid != b_grid:
-        raise GridMismatchError("state and Hamiltonian were built on different grids")
+def _check_grids(a, b) -> None:
+    """Refuse two operands (states, a Hamiltonian, an eigensystem) built on different grids."""
+    if a.grid != b.grid:
+        raise GridMismatchError(f"{type(a).__name__} and {type(b).__name__} were built on different grids")
 
 
 def _check_normalized(norm_sq: float, what: str) -> None:
@@ -267,7 +264,7 @@ def propagator(H: HamiltonianMatrix, cfg: PropagatorConfig) -> np.ndarray:
 
 def propagate_schrodinger(psi: WaveFunction, H: HamiltonianMatrix, cfg: PropagatorConfig) -> WaveFunction:
     """Evolve psi to time t + steps*dt under the single-particle equation."""
-    _check_grid(psi.grid, H.grid)
+    _check_grids(psi, H)
     _check_normalized(psi.norm() ** 2, "wave function")
     if cfg.steps == 0:
         return psi
@@ -277,7 +274,7 @@ def propagate_schrodinger(psi: WaveFunction, H: HamiltonianMatrix, cfg: Propagat
 def propagate_amplitudes(v: np.ndarray, H: HamiltonianMatrix, cfg: PropagatorConfig) -> np.ndarray:
     """cfg.steps steps of cfg.method applied to the vector v, or to each column of the N x r array v.
 
-    One eigensolve (eigenbasis) or one sparse LU (Crank-Nicolson) serves
+    One eigensolve (eigenbasis) or one tridiagonal LU (Crank-Nicolson) serves
     every column; Crank-Nicolson holds no N x N array.
     """
     if cfg.steps == 0:
@@ -289,7 +286,7 @@ def propagate_amplitudes(v: np.ndarray, H: HamiltonianMatrix, cfg: PropagatorCon
 
 def propagate_vnl(Psi: BipartiteWave, H: HamiltonianMatrix, cfg: PropagatorConfig) -> BipartiteWave:
     """Evolve a bipartite kernel under i hbar dPsi/dt = (H(x) - H(y)) Psi, O(N^2 r) after the eigensolve."""
-    _check_grid(Psi.grid, H.grid)
+    _check_grids(Psi, H)
     _check_normalized(bipartite_norm(Psi), "bipartite wave")
     if cfg.steps == 0:
         return Psi
@@ -307,10 +304,10 @@ def trajectory(
     norm is the total probability of the evolved state, sum |psi|^2 dx for a
     vector and sum |Psi|^2 dx^2 for a kernel, so it watches the propagation;
     x_mean is the mean position.  A vector with Crank-Nicolson is stepped with
-    one sparse LU; every other state is read in the eigenbasis of one
+    one tridiagonal LU; every other state is read in the eigenbasis of one
     eigensolve (`SpectralPropagator.trajectory`).
     """
-    _check_grid(state.grid, H.grid)
+    _check_grids(state, H)
     one_partite = isinstance(state, WaveFunction)
     _check_normalized(state.norm() ** 2 if one_partite else bipartite_norm(state), "initial state")
     counts = list(range(0, cfg.steps, stride)) + [cfg.steps]

@@ -14,7 +14,7 @@ class PotentialError(SimulationError):
 
 
 class HamiltonianError(SimulationError):
-    """Length mismatch or nonpositive physical constant."""
+    """Length mismatch, nonpositive physical constant or non-finite matrix."""
 
 
 class GridMismatchError(SimulationError):

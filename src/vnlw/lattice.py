@@ -97,21 +97,24 @@ class PotentialSpec:
         return cls("tabulated", {"values": np.asarray(values, dtype=float)})
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sample_potential(grid: Grid1D, spec: PotentialSpec) -> np.ndarray:
     """Evaluate U(x_i) on the grid.
 
     The infinite box is U = 0 with confinement supplied by the Dirichlet
     boundaries; the double well is U = a (x^2 - b^2)^2 with minima at +-b.
+    Parameters are squared as numpy floats, so that an overflow gives a
+    non-finite U, which build_hamiltonian refuses.
     """
     x = grid.points
     if spec.kind == "infinite-box":
         return np.zeros(grid.n_points)
     if spec.kind == "harmonic":
-        omega = spec.params["omega"]
+        omega = np.float64(spec.params["omega"])
         mass = spec.params.get("mass", 1.0)
         return 0.5 * mass * omega**2 * x**2
     if spec.kind == "double-well":
-        a, b = spec.params["a"], spec.params["b"]
+        a, b = spec.params["a"], np.float64(spec.params["b"])
         return a * (x**2 - b**2) ** 2
     if spec.kind == "barrier":
         h, w, c = spec.params["height"], spec.params["width"], spec.params["center"]
@@ -175,7 +178,12 @@ def build_hamiltonian(grid: Grid1D, potential: np.ndarray, hbar: float = 1.0, ma
         )
     if hbar <= 0 or mass <= 0:
         raise HamiltonianError(f"hbar and mass must be positive, got hbar={hbar}, mass={mass}")
-    t = hbar**2 / (mass * grid.dx**2)
-    diagonal = t + potential
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        t = np.float64(hbar) ** 2 / (mass * grid.dx**2)
+        diagonal = t + potential
     off_diagonal = np.full(grid.n_points - 1, -0.5 * t)
+    if not (np.isfinite(diagonal).all() and np.isfinite(off_diagonal).all()):
+        raise HamiltonianError(
+            f"Hamiltonian is not finite: hbar^2/(mass dx^2) = {t}, max |U| = {np.abs(potential).max()}"
+        )
     return HamiltonianMatrix(diagonal, off_diagonal, float(hbar), float(mass), grid)

@@ -46,7 +46,6 @@ from .bipartite import (
     from_product,
     position_density,
     schmidt,
-    schmidt_record,
     transition_amplitudes,
     collapse_statistics,
 )
@@ -204,10 +203,7 @@ def _run_gap_spectroscopy(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioRepo
     dg = distinct_gaps(gaps, c.spectra.dedup_tol)
     n, m = np.divmod(np.arange(k * k), k)
     tables = {
-        "energies": {
-            "columns": ["n", "energy"],
-            "rows": list(enumerate(energies.tolist())),
-        },
+        "energies": _energies_table(energies.tolist()),
         # a record array, so that the index columns stay integers in JSON
         "gaps": {
             "columns": ["n", "m", "lambda"],
@@ -331,16 +327,17 @@ def _run_spectrum(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
     eigs = eigensystem(H, k)
     energies = eigs.energies.tolist()
     tables = {
-        "energies": {
-            "columns": ["n", "energy"],
-            "rows": [[n, e] for n, e in enumerate(energies)],
-        },
+        "energies": _energies_table(energies),
         "states": {
             "columns": ["x"] + [f"psi_{n}" for n in range(k)],
             "rows": np.column_stack([grid.points, eigs.states]),
         },
     }
     return ScenarioReport("spectrum", c.given, {"k": k, "energies": energies}, tables)
+
+
+def _energies_table(energies: list) -> dict:
+    return {"columns": ["n", "energy"], "rows": list(enumerate(energies))}
 
 
 def _run_evolve(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
@@ -354,7 +351,8 @@ def _run_evolve(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
 def _run_schmidt(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
     dec = schmidt(build_state(c, grid, H), c.state.tol)
     summary = {"rank": dec.rank, "residual": dec.residual}
-    return ScenarioReport("schmidt", c.given, summary, records={"schmidt": schmidt_record(dec)})
+    record = {"coefficients": dec.coefficients.tolist(), "rank": dec.rank, "residual": dec.residual}
+    return ScenarioReport("schmidt", c.given, summary, records={"schmidt": record})
 
 
 def _run_entropy(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from vnlw.bipartite import (
     apply_rho,
     collapse_statistics,
+    distance,
     entanglement_entropy,
     entropy_from_reduced,
     expectation,
@@ -17,7 +18,7 @@ from vnlw.bipartite import (
     transition_amplitudes,
 )
 from vnlw.dynamics import BipartiteWave, WaveFunction, bipartite_norm, gaussian_packet
-from vnlw.errors import NonHermitianOperatorError, UnnormalizedStateError
+from vnlw.errors import GridMismatchError, NonHermitianOperatorError, UnnormalizedStateError
 from vnlw.lattice import PotentialSpec, build_grid, build_hamiltonian, sample_potential
 from vnlw.scenarios import make_slit_modes, two_slit_state
 from vnlw.spectra import eigensystem
@@ -75,6 +76,22 @@ class TestFromProduct:
         bad = WaveFunction(0.5 * psi.amplitudes, g)
         with pytest.raises(UnnormalizedStateError):
             from_product(psi, bad)
+
+
+@pytest.mark.parametrize("operation", ["from_product", "distance", "apply_rho", "transition_amplitudes"])
+def test_grid_mismatch(harmonic, operation):
+    g, H, eigs = harmonic
+    psi = eigenstate(eigs, 0)
+    other = gaussian_packet(build_grid(-5, 5, 201), 0.0, 1.0)
+    Psi, Other = from_product(psi, psi), from_product(other, other)
+    calls = {
+        "from_product": lambda: from_product(psi, other),
+        "distance": lambda: distance(Psi, Other),
+        "apply_rho": lambda: apply_rho(Psi, other),
+        "transition_amplitudes": lambda: transition_amplitudes(Other, eigs),
+    }
+    with pytest.raises(GridMismatchError, match="different grids"):
+        calls[operation]()
 
 
 class TestSchmidt:

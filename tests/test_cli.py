@@ -238,6 +238,18 @@ class TestExitCodes:
         assert "not finite" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("overrides", [
+        ["potential.omega=1e300"], ["constants.hbar=1e300"], ["constants.mass=1e-320"],
+        ["potential.kind=double-well", "potential.b=1e200"],
+    ], ids=["omega", "hbar", "mass", "double-well"])
+    def test_non_finite_hamiltonian_exits_4(self, tmp_path, capsys, overrides):
+        out = tmp_path / "out"
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        code = main(["spectrum", "--config", write_config(tmp_path, BASE), "--output", str(out), *sets])
+        assert code == 4
+        assert "not finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_unmapped_exception_removes_staging(self, tmp_path, monkeypatch):
         def boom(*args):
             raise RuntimeError("boom")

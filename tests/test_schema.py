@@ -226,6 +226,27 @@ def test_front_end_loads_no_numerics(tmp_path, args, code):
     assert out.stdout.split("\n")[0] == f"{code} []", out.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["run", "--set", "scenario.name=two-slit"],
+    ["evolve", "--set", "state.type=gaussian"],
+])
+def test_crank_nicolson_loads_no_sparse(tmp_path, args):
+    """Crank-Nicolson steps H's tridiagonals with LAPACK, so scipy.sparse is never imported."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "grid": {"n_points": 101},
+                               "dynamics": {"method": "crank-nicolson"}}))
+    script = (
+        "import sys\n"
+        "from vnlw.cli import main\n"
+        f"code = main({args!r} + ['--config', {str(cfg)!r}, '--output', {str(tmp_path / 'out')!r}])\n"
+        "print(code, 'scipy.sparse' in sys.modules)\n"
+    )
+    src = str(Path(vnlw.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout.split("\n")[-2] == "0 False", out.stderr
+
+
 # The public names of the package before its names were resolved on first access.
 EXPORTS = {
     "lattice": ["Grid1D", "HamiltonianMatrix", "PotentialSpec", "build_grid", "box_grid",
