@@ -135,19 +135,31 @@ def reduced_density_matrix(Psi: BipartiteWave, side: str = "x") -> np.ndarray:
 
     With M = Psi dx, M M^H = (A C)(A C)^H dx on x and M^H M = (B C^H)(B C^H)^H dx on y.
     """
-    if side == "x":
-        F = Psi.left @ Psi.core
-    elif side == "y":
-        F = Psi.right @ Psi.core.conj().T
-    else:
-        raise ValueError(f"side must be 'x' or 'y', got {side!r}")
+    F = _reduced_factor(Psi, side)
     return F @ F.conj().T * Psi.grid.dx
 
 
+def _reduced_factor(Psi: BipartiteWave, side: str) -> np.ndarray:
+    """F with reduced density matrix F F^H dx on side: A C on x, B C^H on y."""
+    if side == "x":
+        return Psi.left @ Psi.core
+    if side == "y":
+        return Psi.right @ Psi.core.conj().T
+    raise ValueError(f"side must be 'x' or 'y', got {side!r}")
+
+
 def entropy_from_reduced(Psi: BipartiteWave, side: str = "x") -> float:
-    """Entropy of the eigenvalues of the reduced density matrix (cross-check route)."""
+    """Entropy of the eigenvalues of the reduced density matrix (cross-check route).
+
+    rho = F F^H dx (reduced_density_matrix) has the nonzero eigenvalues of
+    the r x r Gram matrix F^H F dx, which is diagonalized instead, in
+    O(N r^2).  It does not assume that the factor is orthonormal, so it
+    still checks the factors against the core's singular values that
+    entanglement_entropy reads.
+    """
     _check_normalized(bipartite_norm(Psi), "bipartite state")
-    w = np.linalg.eigvalsh(reduced_density_matrix(Psi, side))
+    F = _reduced_factor(Psi, side)
+    w = np.linalg.eigvalsh(F.conj().T @ F * Psi.grid.dx)
     w = w[w > 1e-300]
     return float(-np.sum(w * np.log(w)))
 
@@ -198,7 +210,7 @@ def transition_amplitudes(Psi: BipartiteWave, eigs: EigenSystem) -> TransitionAm
     """Double projection c_{n,m} = <psi_n, rho_Psi psi_m> = (S^H A) C (B^H S) dx^2, O(N k r)."""
     _check_grids(Psi, eigs)
     S = eigs.states
-    C = Psi.grid.dx**2 * ((S.conj().T @ Psi.left) @ Psi.core @ (Psi.right.conj().T @ S))
+    C = np.float64(Psi.grid.dx) ** 2 * ((S.conj().T @ Psi.left) @ Psi.core @ (Psi.right.conj().T @ S))
     residual = float(bipartite_norm(Psi) - np.sum(np.abs(C) ** 2))
     return TransitionAmplitudes(C, eigs, residual)
 

@@ -9,6 +9,7 @@ dx-weighted Riemann sums.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,8 @@ def build_grid(x_min: float, x_max: float, n_points: int) -> Grid1D:
     if n_points < 8:
         raise GridError(f"too few points: n_points={n_points} < 8")
     dx = (x_max - x_min) / (n_points - 1)
+    if not math.isfinite(dx):
+        raise GridError(f"grid spacing is not finite: x_min={x_min}, x_max={x_max}")
     return Grid1D(float(x_min), float(x_max), int(n_points), dx)
 
 
@@ -179,11 +182,13 @@ def build_hamiltonian(grid: Grid1D, potential: np.ndarray, hbar: float = 1.0, ma
     if hbar <= 0 or mass <= 0:
         raise HamiltonianError(f"hbar and mass must be positive, got hbar={hbar}, mass={mass}")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        t = np.float64(hbar) ** 2 / (mass * grid.dx**2)
+        mass_dx2 = mass * np.float64(grid.dx) ** 2
+        t = np.float64(hbar) ** 2 / mass_dx2
         diagonal = t + potential
     off_diagonal = np.full(grid.n_points - 1, -0.5 * t)
-    if not (np.isfinite(diagonal).all() and np.isfinite(off_diagonal).all()):
+    if not (np.isfinite(mass_dx2) and np.isfinite(diagonal).all() and np.isfinite(off_diagonal).all()):
         raise HamiltonianError(
-            f"Hamiltonian is not finite: hbar^2/(mass dx^2) = {t}, max |U| = {np.abs(potential).max()}"
+            f"Hamiltonian is not finite: mass dx^2 = {mass_dx2}, hbar^2/(mass dx^2) = {t}, "
+            f"max |U| = {np.abs(potential).max()}"
         )
     return HamiltonianMatrix(diagonal, off_diagonal, float(hbar), float(mass), grid)

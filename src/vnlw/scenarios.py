@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -122,7 +122,7 @@ class ScenarioReport:
     scenario: str
     config: dict
     summary: dict
-    # name -> {"columns": [...], "rows": list of rows or a 2-D float array}
+    # name -> {"columns": [...], "rows": a list of rows, a 2-D array or a record array}
     tables: dict = field(default_factory=dict)
     records: dict = field(default_factory=dict)  # name -> JSON object, written as name.json
 
@@ -165,7 +165,7 @@ def build_state(c, grid: Grid1D, H: HamiltonianMatrix) -> WaveFunction | Biparti
         rng = np.random.default_rng(st.seed)
         shape = (grid.n_points, grid.n_points)
         K = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        K /= np.sqrt(np.sum(np.abs(K) ** 2) * grid.dx**2)
+        K /= np.sqrt(np.sum(np.abs(K) ** 2) * np.float64(grid.dx) ** 2)
         return BipartiteWave.from_kernel(K, grid)
     if st.type == "two-slit":
         return two_slit_state(grid, make_slit_modes(grid, st.separation, st.sigma), st.coefficients)
@@ -201,14 +201,14 @@ def _run_gap_spectroscopy(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioRepo
     energies = eigenvalues(H, k)
     gaps = gap_spectrum(energies)
     dg = distinct_gaps(gaps, c.spectra.dedup_tol)
-    n, m = np.divmod(np.arange(k * k), k)
+    # a record array, so that the index columns stay integers; int32 keeps it at 16 bytes a row
+    rows = np.empty((k, k), dtype=[("n", np.int32), ("m", np.int32), ("lambda", float)])
+    rows["n"] = np.arange(k)[:, None]
+    rows["m"] = np.arange(k)
+    rows["lambda"] = gaps.lambdas
     tables = {
         "energies": _energies_table(energies.tolist()),
-        # a record array, so that the index columns stay integers in JSON
-        "gaps": {
-            "columns": ["n", "m", "lambda"],
-            "rows": np.rec.fromarrays([n, m, gaps.lambdas.ravel()]),
-        },
+        "gaps": {"columns": ["n", "m", "lambda"], "rows": rows.reshape(-1)},
         "distinct_gaps": {
             "columns": ["lambda"],
             "rows": dg[:, None],
@@ -398,33 +398,143 @@ def write_report(report: ScenarioReport, outdir, fmt: str = "csv") -> None:
     _write_json(summary, outdir / "summary.json")
     for name, record in report.records.items():
         _write_json(record, outdir / f"{name}.json")
-    for name, table in report.tables.items():
-        if fmt == "json":
-            _write_json(table, outdir / f"{name}.json")
-            continue
-        if fmt == "gnuplot":
-            suffix, sep, eol, head = ".dat", " ", "\n", "# "
-        else:  # rows of the excel csv dialect end in \r\n
-            suffix, sep, eol, head = ".csv", ",", "\r\n", ""
-        with open(outdir / f"{name}{suffix}", "w", newline="") as fh:
-            fh.write(head + sep.join(table["columns"]) + eol)
-            _write_rows(fh, table["rows"], sep.join(["%.17g"] * len(table["columns"])) + eol)
+    tables = {name: _columns(table["rows"]) for name, table in report.tables.items()}
+    cells = {kind: _distinct_cells([c for cols in tables.values() for c in cols if _kind(c) == kind], fmt)
+             for kind in "if"}
+    for name, columns in tables.items():
+        head, layout, tail = _layout(fmt, report.tables[name]["columns"], bool(columns and len(columns[0])))
+        with open(outdir / f"{name}{_SUFFIX[fmt]}", "wb") as fh:
+            fh.write(head.encode())
+            _write_cells(fh, columns, cells, layout)
+            fh.write(tail.encode())
 
 
-def _write_rows(fh, rows, line: str) -> None:
-    """Write rows (a list of rows or an array) as line % row, one % per block of rows.
+_SUFFIX = {"csv": ".csv", "gnuplot": ".dat", "json": ".json"}
+_BLOCK = 1 << 14  # cells formatted, or laid out in rows, per step
+# Magnitudes are taken as float64 and int64, so |n| of an int32 or uint32 is
+# exact (an int column must stay above -2**63); the longest string of one is
+# 23 for a float ('%.17g' or repr, as in '2.2250738585072014e-308') and 19
+# for an int.
+_MAGNITUDE = {"f": np.float64, "i": np.int64}
+_WIDTH = {"f": 23, "i": 19}
 
-    '%.17g' gives format(v, '.17g') for a float and str(n) for an int below 2**53.
+
+def _layout(fmt: str, names: list, has_rows: bool):
+    """Header, row layout (before the first cell, between cells, after the last) and tail.
+
+    csv rows end in \r\n as csv.writer wrote them.  json tables reproduce
+    json.dump(indent=2, sort_keys=True) byte for byte: every row starts
+    with the comma that separates it from the row before, dropped from the
+    first row.
     """
-    block = 4096
-    for i in range(0, len(rows), block):
-        chunk = rows[i:i + block]
-        if isinstance(chunk, np.ndarray):
-            chunk = chunk.tolist()
-        fh.write((line * len(chunk)) % tuple(chain.from_iterable(chunk)))
+    if fmt == "json":
+        empty = json.dumps({"columns": names, "rows": []}, indent=2, sort_keys=True)
+        head = empty[:-len("]\n}")]
+        return head, (b",\n    [\n      ", b",\n      ", b"\n    ]"), "\n  ]\n}\n" if has_rows else "]\n}\n"
+    if fmt == "gnuplot":
+        return "# " + " ".join(names) + "\n", (b"", b" ", b"\n"), ""
+    return ",".join(names) + "\r\n", (b"", b",", b"\r\n"), ""
+
+
+def _columns(rows) -> list:
+    """The 1-D columns of a table's rows: a record array, a 2-D array or a list of rows.
+
+    Each column holds numbers of one kind: a list column that mixes ints and
+    floats is written as floats.
+    """
+    if isinstance(rows, np.ndarray):
+        return [rows[name] for name in rows.dtype.names] if rows.dtype.names else list(rows.T)
+    return [np.asarray(column) for column in zip(*rows)]
+
+
+def _kind(column: np.ndarray) -> str:
+    return "i" if column.dtype.kind in "iu" else "f"
+
+
+def _distinct_cells(columns: list, fmt: str):
+    """The sorted distinct magnitudes of columns of one kind, and each one's string.
+
+    The strings are one (d, w) byte array, NUL-padded: '%.17g' for a float
+    in csv and gnuplot, str for an int (which '%.17g' also gives below
+    2**53), and json's own for both in json (NaN, Infinity).  Each distinct
+    value is formatted once.
+    """
+    if not columns:
+        return None
+    kind = _kind(columns[0])
+    mags = np.empty(sum(len(c) for c in columns), dtype=_MAGNITUDE[kind])
+    start = 0
+    for c in columns:
+        np.abs(c, out=mags[start:start + len(c)], dtype=mags.dtype)
+        start += len(c)
+    mags.sort()
+    keep = np.empty(len(mags), dtype=bool)
+    keep[:1] = True
+    np.not_equal(mags[1:], mags[:-1], out=keep[1:])
+    values = mags[keep]
+    del mags, keep
+    width = _WIDTH[kind]
+    text = np.empty(len(values), dtype=f"S{width}")
+    used = 1
+    for i in range(0, len(values), _BLOCK):
+        part = values[i:i + _BLOCK].tolist()
+        if fmt == "json":
+            strings = json.dumps(part)[1:-1].split(", ")
+        else:
+            strings = list(map(str if kind == "i" else "%.17g".__mod__, part))
+        text[i:i + len(part)] = strings
+        used = max(used, max(map(len, strings)))
+    return values, text.view(np.uint8).reshape(len(values), width)[:, :used]
+
+
+def _write_cells(fh, columns: list, cells: dict, layout) -> None:
+    """Write the rows of columns in blocks, each laid out as one byte array.
+
+    Adjacent columns of one kind form a run, whose cells are filled at once:
+    each takes a slot of the literal before it, a sign byte and its
+    magnitude's string from cells, found by binary search, all NUL-padded to
+    the run's slot width.  The NUL padding is dropped before the block is
+    written.
+    """
+    if not columns:
+        return
+    lead, sep, end = layout
+    literals = [lead] + [sep] * (len(columns) - 1)
+    runs, width = [], 0  # (columns, cells, the literals before them, offset in a row)
+    for kind, run in groupby(columns, _kind):
+        run = list(run)
+        before = literals[:len(run)]
+        del literals[:len(run)]
+        pad = max(map(len, before))
+        before = np.array([list(b.ljust(pad, b"\0")) for b in before], dtype=np.uint8).reshape(len(run), pad)
+        runs.append((run, cells[kind], before, width))
+        width += len(run) * (pad + 1 + cells[kind][1].shape[1])
+    block = max(1, _BLOCK // len(columns))
+    for start in range(0, len(columns[0]), block):
+        stop = min(start + block, len(columns[0]))
+        out = np.empty((stop - start, width + len(end)), dtype=np.uint8)
+        for run, (values, text), before, offset in runs:
+            pad = before.shape[1]
+            slot = pad + 1 + text.shape[1]
+            cell = np.lib.stride_tricks.as_strided(
+                out[:, offset:], (stop - start, len(run), slot), (out.strides[0], slot, 1))
+            cell[:, :, :pad] = before
+            part = np.stack([column[start:stop] for column in run], axis=1)
+            negative = part < 0 if values.dtype.kind == "i" else np.signbit(part) & ~np.isnan(part)
+            cell[:, :, pad] = np.where(negative, ord("-"), 0)
+            mags = np.abs(part, dtype=values.dtype).reshape(-1)
+            order = np.argsort(mags)  # sorted keys keep the binary search in cache
+            found = np.empty(len(mags), dtype=np.intp)
+            found[order] = np.searchsorted(values, mags[order])
+            cell[:, :, pad + 1:] = text[found.reshape(part.shape)]
+        out[:, width:] = np.frombuffer(end, dtype=np.uint8)
+        if start == 0 and lead.startswith(b","):
+            out[0, 0] = 0  # no row before the first to separate it from
+        flat = out.reshape(-1)
+        fh.write(flat[flat != 0])
 
 
 def _write_json(obj, path: Path) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=np.ndarray.tolist)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -13,6 +13,7 @@ from vnlw.bipartite import (
     position_density,
     projection_probability,
     projector,
+    reduced_density_matrix,
     schmidt,
     schmidt_reconstruction,
     transition_amplitudes,
@@ -179,6 +180,33 @@ class TestEntropy:
             Psi = random_kernel(g, seed)
             assert abs(entanglement_entropy(Psi) - entropy_from_reduced(Psi)) < 1e-9
             assert abs(entanglement_entropy(Psi) - entropy_from_reduced(Psi, "y")) < 1e-9
+
+    def test_gram_route(self, slits):
+        """The r x r Gram route equals the core's SVD entropy and the dense N x N route."""
+        g, modes = slits
+        small = build_grid(-3, 3, 48)
+        psi = gaussian_packet(small, 0.3, 0.7, 1.0)
+        states = {
+            "product": from_product(psi, psi),
+            "particle": two_slit_state(g, modes, "particle"),
+            "random": random_kernel(small, 7),
+        }
+        for name, Psi in states.items():
+            for side in "xy":
+                w = np.linalg.eigvalsh(reduced_density_matrix(Psi, side))
+                w = w[w > 1e-300]
+                dense = float(-np.sum(w * np.log(w)))
+                gram = entropy_from_reduced(Psi, side)
+                assert abs(gram - entanglement_entropy(Psi)) <= 1e-12, (name, side)
+                assert abs(gram - dense) <= 1e-12, (name, side)
+
+    def test_gram_route_sees_factors(self, slits):
+        """A factor off orthonormality by 1e-6 moves the Gram route, not the core's entropy."""
+        g, modes = slits
+        Psi = two_slit_state(g, modes, "particle")
+        skewed = BipartiteWave(Psi.left * (1 + 1e-6), Psi.core, Psi.right, g)
+        assert entanglement_entropy(skewed) == entanglement_entropy(Psi)
+        assert abs(entropy_from_reduced(skewed) - entanglement_entropy(Psi)) > 1e-7
 
     def test_rank2_family_bounded_by_ln2(self, harmonic):
         g, H, eigs = harmonic

@@ -241,7 +241,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("overrides", [
         ["potential.omega=1e300"], ["constants.hbar=1e300"], ["constants.mass=1e-320"],
         ["potential.kind=double-well", "potential.b=1e200"],
-    ], ids=["omega", "hbar", "mass", "double-well"])
+        ["grid.x_min=-1e200"],  # dx^2 overflows
+        ["grid.x_min=-1e200", "potential.kind=infinite-box"],
+        ["grid.x_min=-1e200", "potential.kind=infinite-box", "grid.box=true"],
+        ["grid.x_min=-1e308", "grid.x_max=1e308", "potential.kind=infinite-box"],  # the span overflows
+        ["grid.x_min=-1e308", "grid.x_max=1e308", "potential.kind=infinite-box", "grid.box=true"],
+    ], ids=["omega", "hbar", "mass", "double-well", "dx2", "dx2-box-potential", "dx2-box-grid",
+            "span", "span-box-grid"])
     def test_non_finite_hamiltonian_exits_4(self, tmp_path, capsys, overrides):
         out = tmp_path / "out"
         sets = [arg for override in overrides for arg in ("--set", override)]

@@ -33,6 +33,12 @@ class TestBuildGrid:
         with pytest.raises(GridError):
             build_grid(2, 1, 11)
 
+    def test_span_not_finite(self):
+        with pytest.raises(GridError, match="not finite"):
+            build_grid(-1e308, 1e308, 11)
+        with pytest.raises(GridError, match="not finite"):
+            box_grid(float("inf"), 11)
+
     def test_box_grid_walls(self):
         g = box_grid(1.0, 99)
         # Dirichlet ghost nodes sit exactly on the walls

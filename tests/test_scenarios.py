@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from vnlw.bipartite import entanglement_entropy, position_density
 from vnlw.dynamics import BipartiteWave
 from vnlw.errors import ScenarioError
 from vnlw.lattice import build_grid
+from vnlw.cli import main
 from vnlw.scenarios import (
+    _BLOCK,
     ScenarioReport,
     fringe_visibility,
     make_slit_modes,
@@ -191,7 +194,8 @@ class TestRunScenario:
 class TestWriteReportFormats:
     """Every table format against a reference written with csv.writer and format(v, '.17g')."""
 
-    SPECIAL = [0.0, -0.0, 1.0, -3.0, 2.0**52, 1e-300, -2.5e300, 0.1, 1 / 3, 123456789.0, 5e-324]
+    SPECIAL = [0.0, -0.0, 1.0, -3.0, 2.0**52, 1e-300, -2.5e300, 0.1, 1 / 3, 123456789.0, 5e-324,
+               float("nan"), float("inf"), float("-inf")]
 
     @staticmethod
     def cell(v):
@@ -214,9 +218,22 @@ class TestWriteReportFormats:
             writer.writerow([cls.cell(v) for v in row])
         return buf.getvalue()
 
+    @staticmethod
+    def long_indexed(rng):
+        """An int32 index table over more than two blocks, special values strewn in its floats."""
+        k = _BLOCK + 5  # rows of 3 cells
+        rows = np.empty(k, dtype=[("n", np.int32), ("m", np.int32), ("lambda", float)])
+        rows["n"] = rng.integers(-(2**31), 2**31 - 1, k)
+        rows["n"][:2] = -(2**31), 2**31 - 1
+        rows["m"] = np.arange(k)[::-1]
+        rows["lambda"] = rng.standard_normal(k) * 10.0 ** rng.integers(-300, 300, k)
+        rows["lambda"][rng.integers(0, k, 60)] = np.resize(TestWriteReportFormats.SPECIAL, 60)
+        return rows
+
     def test_byte_identical_to_reference(self, tmp_path):
         values = np.array(self.SPECIAL)
-        many = np.random.default_rng(5).standard_normal((9000, 2)) * 1e3
+        rng = np.random.default_rng(5)
+        many = rng.standard_normal((_BLOCK // 2 + 7, 2)) * 1e3  # two blocks of two-cell rows
         k = len(values)
         tables = {
             "listed": {"columns": ["n", "value"], "rows": [[i, v] for i, v in enumerate(self.SPECIAL)]},
@@ -227,6 +244,10 @@ class TestWriteReportFormats:
             },
             "many": {"columns": ["x", "y"], "rows": many},  # more than one block of rows
             "empty": {"columns": ["a"], "rows": []},
+            "empty_dense": {"columns": ["a", "b"], "rows": np.empty((0, 2))},
+            "indexed32": {"columns": ["n", "m", "lambda"], "rows": self.long_indexed(rng)},
+            # a block holds fewer rows of a wide table
+            "wide": {"columns": [f"psi_{j}" for j in range(40)], "rows": rng.standard_normal((1000, 40))},
         }
         report = ScenarioReport("t", {"schema_version": 1}, {"x": 1.0}, tables)
         for fmt, suffix in (("csv", "csv"), ("gnuplot", "dat"), ("json", "json")):
@@ -234,3 +255,48 @@ class TestWriteReportFormats:
             for name, table in tables.items():
                 written = (tmp_path / fmt / f"{name}.{suffix}").read_bytes()
                 assert written == self.reference(table, fmt).encode(), (fmt, name)
+
+    def test_cli_gaps_match_reference(self, tmp_path):
+        """`vnlw gaps` at k = 40 writes each table as the reference writes the report's rows."""
+        cfg = {
+            "schema_version": 1,
+            "grid": {"x_min": -8.0, "x_max": 8.0, "n_points": 301},
+            "potential": {"kind": "harmonic", "omega": 1.0},
+            "spectra": {"k": 40, "dedup_tol": 1e-9},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        report = run_scenario({**cfg, "scenario": {"name": "gap-spectroscopy"}})
+        for fmt, suffix in (("csv", "csv"), ("gnuplot", "dat"), ("json", "json")):
+            out = tmp_path / fmt
+            assert main(["gaps", "--config", str(path), "--output", str(out), "--format", fmt,
+                         "--no-timestamp"]) == 0
+            for name, table in report.tables.items():
+                written = (out / "gaps" / f"{name}.{suffix}").read_bytes()
+                assert written == self.reference(table, fmt).encode(), (fmt, name)
+
+    # Peak of write_report's own allocations over the bytes of the report's
+    # table arrays, for a gap report of 409600 rows in json (its distinct
+    # strings are as long as in csv).  Measured: 1.00, most of it the sorted
+    # magnitudes.  A full-length index of every cell into the distinct
+    # strings would add 0.67.
+    WRITE_PEAK_SLACK = 1.25
+
+    def test_write_memory_bounded(self, tmp_path):
+        cfg = {
+            "schema_version": 1,
+            "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 801},
+            "potential": {"kind": "harmonic", "omega": 1.0},
+            "spectra": {"k": 640, "dedup_tol": 1e-9},
+            "scenario": {"name": "gap-spectroscopy"},
+        }
+        report = run_scenario(cfg)
+        held = sum(t["rows"].nbytes for t in report.tables.values() if isinstance(t["rows"], np.ndarray))
+        assert len(report.tables["gaps"]["rows"]) >= 4 * 10**5
+        tracemalloc.start()
+        try:
+            write_report(report, tmp_path, fmt="json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.WRITE_PEAK_SLACK * held, peak / held
