@@ -13,16 +13,13 @@ import importlib
 
 _EXPORTS = {
     "lattice": "Grid1D HamiltonianMatrix PotentialSpec build_grid box_grid build_hamiltonian "
-    "load_potential_csv sample_potential",
-    "spectra": "EigenSystem GapSpectrum difference_operator_spectrum distinct_gaps eigensystem "
-    "eigenvalues gap_spectrum",
+    "sample_potential",
+    "spectra": "EigenSystem distinct_gaps eigensystem eigenvalues gap_spectrum",
     "dynamics": "BipartiteWave CrankNicolsonStepper PropagatorConfig SpectralPropagator WaveFunction "
-    "bipartite_norm eigenbasis_bipartite_evolution gaussian_packet normalize propagate_amplitudes "
-    "propagate_schrodinger propagate_vnl propagator",
+    "bipartite_norm gaussian_packet normalize propagate_amplitudes propagate_schrodinger propagate_vnl",
     "bipartite": "CollapseStatistics SchmidtDecomposition TransitionAmplitudes apply_rho "
     "collapse_statistics entanglement_entropy entropy_from_reduced expectation from_product "
-    "position_density projection_probability projector schmidt schmidt_reconstruction "
-    "transition_amplitudes",
+    "position_density projection_probability projector schmidt transition_amplitudes",
     "scenarios": "ScenarioReport complementarity_sweep fringe_visibility make_slit_modes run_scenario "
     "two_slit_state write_report",
 }

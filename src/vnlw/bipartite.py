@@ -117,51 +117,31 @@ def schmidt(Psi: BipartiteWave, tol: float = 1e-12) -> SchmidtDecomposition:
     )
 
 
-def schmidt_reconstruction(dec: SchmidtDecomposition) -> np.ndarray:
-    """Kernel sum_n mu_n psi_n phi_n^H rebuilt from a decomposition."""
-    return (dec.left_states * dec.coefficients) @ dec.right_states.conj().T
-
-
 def entanglement_entropy(Psi: BipartiteWave) -> float:
     """Von Neumann entropy S = -sum mu_n^2 ln mu_n^2, with 0 ln 0 = 0."""
     _check_normalized(bipartite_norm(Psi), "bipartite state")
     mu2 = np.linalg.svd(Psi.core, compute_uv=False) ** 2
     mu2 = mu2[mu2 > 0.0]
-    return float(-np.sum(mu2 * np.log(mu2)))
-
-
-def reduced_density_matrix(Psi: BipartiteWave, side: str = "x") -> np.ndarray:
-    """Euclidean N x N matrix of the reduced density operator on the chosen side.
-
-    With M = Psi dx, M M^H = (A C)(A C)^H dx on x and M^H M = (B C^H)(B C^H)^H dx on y.
-    """
-    F = _reduced_factor(Psi, side)
-    return F @ F.conj().T * Psi.grid.dx
-
-
-def _reduced_factor(Psi: BipartiteWave, side: str) -> np.ndarray:
-    """F with reduced density matrix F F^H dx on side: A C on x, B C^H on y."""
-    if side == "x":
-        return Psi.left @ Psi.core
-    if side == "y":
-        return Psi.right @ Psi.core.conj().T
-    raise ValueError(f"side must be 'x' or 'y', got {side!r}")
+    return float(-np.sum(mu2 * np.log(mu2)) + 0.0)  # + 0.0: a pure state's -0.0 reads 0.0
 
 
 def entropy_from_reduced(Psi: BipartiteWave, side: str = "x") -> float:
     """Entropy of the eigenvalues of the reduced density matrix (cross-check route).
 
-    rho = F F^H dx (reduced_density_matrix) has the nonzero eigenvalues of
-    the r x r Gram matrix F^H F dx, which is diagonalized instead, in
-    O(N r^2).  It does not assume that the factor is orthonormal, so it
-    still checks the factors against the core's singular values that
-    entanglement_entropy reads.
+    The reduced density matrix is rho = F F^H dx, with F = A C on x and
+    F = B C^H on y; its nonzero eigenvalues are those of the r x r Gram
+    matrix F^H F dx, which is diagonalized instead, in O(N r^2).  It does
+    not assume that the factor is orthonormal, so it still checks the
+    factors against the core's singular values that entanglement_entropy
+    reads.
     """
+    if side not in ("x", "y"):
+        raise ValueError(f"side must be 'x' or 'y', got {side!r}")
     _check_normalized(bipartite_norm(Psi), "bipartite state")
-    F = _reduced_factor(Psi, side)
+    F = Psi.left @ Psi.core if side == "x" else Psi.right @ Psi.core.conj().T
     w = np.linalg.eigvalsh(F.conj().T @ F * Psi.grid.dx)
     w = w[w > 1e-300]
-    return float(-np.sum(w * np.log(w)))
+    return float(-np.sum(w * np.log(w)) + 0.0)  # + 0.0: a pure state's -0.0 reads 0.0
 
 
 def apply_rho(Psi: BipartiteWave, phi: WaveFunction) -> WaveFunction:

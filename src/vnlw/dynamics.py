@@ -19,7 +19,6 @@ rho_x = Psi Psi^H dx^2, projected on the eigenbasis once (`trajectory`).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg.blas import zgemm
@@ -28,10 +27,7 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 from .errors import GridMismatchError, SimulationError, UnnormalizedStateError
 from .lattice import Grid1D, HamiltonianMatrix
 from .schema import METHODS
-from .spectra import EigenSystem, eigensystem
-
-if TYPE_CHECKING:
-    from .bipartite import TransitionAmplitudes
+from .spectra import eigensystem
 
 NORM_TOL = 1e-6
 
@@ -83,11 +79,6 @@ class BipartiteWave:
         """A dense N x N kernel K as the rank-N state A = B = I / sqrt(dx), C = K dx."""
         eye = np.eye(grid.n_points) / np.sqrt(grid.dx)
         return cls(eye, np.asarray(K) * grid.dx, eye, grid, time)
-
-    @property
-    def kernel(self) -> np.ndarray:
-        """The dense N x N array A C B^H."""
-        return self.left @ self.core @ self.right.conj().T
 
 
 @dataclass(frozen=True)
@@ -198,10 +189,6 @@ class SpectralPropagator:
             raise SimulationError(f"{self._method} factor is not finite at dt={self._dt}, steps={steps}")
         return f
 
-    def matrix(self, steps: int) -> np.ndarray:
-        """The N x N unitary of `steps` steps."""
-        return (self._S * self._factor(steps)) @ self._S.T
-
     def apply(self, v: np.ndarray, steps: int) -> np.ndarray:
         """`steps` steps applied to the vector v, or to each column of v, O(N^2) per column."""
         projected = _real_times(self._S.T, v)
@@ -255,11 +242,6 @@ def _reduced_order_pays(n: int, r: int, rows: int) -> bool:
     costs n^3 for X~, 4 n^2 r for R~ = G G^H, then 4 n^2 per row.
     """
     return n + 4 * r + 4 * rows < 2 * rows * r
-
-
-def propagator(H: HamiltonianMatrix, cfg: PropagatorConfig) -> np.ndarray:
-    """The N x N unitary S diag(f(E)) S^T of cfg.steps steps of cfg.method."""
-    return SpectralPropagator(H, cfg.dt, cfg.method).matrix(cfg.steps)
 
 
 def propagate_schrodinger(psi: WaveFunction, H: HamiltonianMatrix, cfg: PropagatorConfig) -> WaveFunction:
@@ -330,25 +312,6 @@ def _stepped_trajectory(psi: WaveFunction, stepper: CrankNicolsonStepper, counts
         density = np.abs(amp) ** 2 * dx
         rows[i] = np.sum(density), x @ density
     return rows
-
-
-def eigenbasis_bipartite_evolution(
-    amplitudes: "TransitionAmplitudes", eigs: EigenSystem, t: float, hbar: float = 1.0
-) -> BipartiteWave:
-    """Closed-form state at time t from transition amplitudes over the eigenbasis.
-
-    The state sum_{n,m} c_{n,m} exp(-i (E_n - E_m) t / hbar) psi_n(x) psi_m^*(y),
-    with both factors the eigenstates and the phases on the core; at t = 0
-    this is the plain eigenbasis reconstruction of the kernel.
-    """
-    C = np.asarray(getattr(amplitudes, "c", amplitudes), dtype=complex)
-    if C.shape != (eigs.k, eigs.k):
-        raise SimulationError(
-            f"amplitude matrix shape {C.shape} does not match k={eigs.k}"
-        )
-    phases = np.exp(-1j * eigs.energies * t / hbar)
-    S = eigs.states
-    return BipartiteWave(S, phases[:, None] * C * phases.conj()[None, :], S, eigs.grid, float(t))
 
 
 def bipartite_norm(Psi: BipartiteWave) -> float:

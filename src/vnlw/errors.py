@@ -25,10 +25,6 @@ class EigensolverError(SimulationError):
     """Eigensolver failed to converge or k out of range."""
 
 
-class DimensionTooLargeError(SimulationError):
-    """Dense construction refused to avoid an accidental huge allocation."""
-
-
 class UnnormalizedStateError(SimulationError):
     """Operation requires a normalized state."""
 

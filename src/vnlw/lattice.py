@@ -31,10 +31,6 @@ class Grid1D:
     def points(self) -> np.ndarray:
         return self.x_min + self.dx * np.arange(self.n_points)
 
-    def inner(self, f, g) -> complex:
-        """dx-weighted inner product <f, g> = sum conj(f_i) g_i dx."""
-        return complex(np.vdot(f, g) * self.dx)
-
     def norm(self, f) -> float:
         return float(np.sqrt(np.sum(np.abs(f) ** 2) * self.dx))
 
@@ -132,15 +128,6 @@ def sample_potential(grid: Grid1D, spec: PotentialSpec) -> np.ndarray:
     raise PotentialError(f"unknown potential kind: {spec.kind!r}; expected one of {POTENTIAL_KINDS}")
 
 
-def load_potential_csv(grid: Grid1D, path) -> PotentialSpec:
-    """Read a two-column CSV (x, U) and linearly interpolate onto the grid."""
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
-    if data.shape[1] != 2:
-        raise PotentialError(f"expected two columns (x, U) in {path}, got {data.shape[1]}")
-    order = np.argsort(data[:, 0])
-    return PotentialSpec.tabulated(np.interp(grid.points, data[order, 0], data[order, 1]))
-
-
 @dataclass(frozen=True)
 class HamiltonianMatrix:
     """Real symmetric tridiagonal discretization of -hbar^2/(2m) d^2/dx^2 + U(x)."""
@@ -167,9 +154,6 @@ class HamiltonianMatrix:
             + np.diag(self.off_diagonal, 1)
             + np.diag(self.off_diagonal, -1)
         )
-
-    def trace(self) -> float:
-        return float(np.sum(self.diagonal))
 
 
 def build_hamiltonian(grid: Grid1D, potential: np.ndarray, hbar: float = 1.0, mass: float = 1.0) -> HamiltonianMatrix:

@@ -205,7 +205,7 @@ def _run_gap_spectroscopy(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioRepo
     rows = np.empty((k, k), dtype=[("n", np.int32), ("m", np.int32), ("lambda", float)])
     rows["n"] = np.arange(k)[:, None]
     rows["m"] = np.arange(k)
-    rows["lambda"] = gaps.lambdas
+    rows["lambda"] = gaps
     tables = {
         "energies": _energies_table(energies.tolist()),
         "gaps": {"columns": ["n", "m", "lambda"], "rows": rows.reshape(-1)},

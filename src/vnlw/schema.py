@@ -265,16 +265,20 @@ def _check_resolved(run, c) -> None:
     sweep = c["scenario"]["sweep_points"]
     if run == "two-slit" and sweep > MAX_ROWS:
         raise ConfigError(f"scenario.sweep_points: {sweep} sweep rows, over MAX_ROWS={MAX_ROWS}")
+    builds_state = run in ("evolve", "schmidt", "entropy", "collapse")
     arrays = [(16 * n, "grid.n_points complex vector")]
-    if run == "spectrum":
-        arrays.append((8 * n * k, "grid.n_points x spectra.k eigenvectors"))
-    elif run == "gap-spectroscopy":
-        arrays.append((24 * k * k, "spectra.k^2 rows of the gap table"))
-    elif run == "evolve" and state["type"] in ONE_PARTITE and dyn["method"] == "crank-nicolson":
-        arrays.append((8 * n * len(state["coefficients"] or ()), "grid.n_points x state.coefficients eigenvectors"))
-    elif run == "two-slit" and dyn["method"] == "crank-nicolson":
+    if builds_state and kind in ("eigen-product", "eigen"):
+        arrays.append((8 * n * len(coefficients), "grid.n_points x state.coefficients eigenvectors"))
+    if (builds_state and kind == "two-slit") or (run == "two-slit" and dyn["method"] == "crank-nicolson"):
         arrays.append((32 * n, "grid.n_points x 2 slit-mode factor"))
-    elif run is not None:  # an N x N kernel, or the full eigenvectors of H
+    if run in ("spectrum", "collapse"):
+        arrays.append((8 * n * k, "grid.n_points x spectra.k eigenvectors"))
+    if run == "gap-spectroscopy":
+        arrays.append((24 * k * k, "spectra.k^2 rows of the gap table"))
+    # A random kernel, or the full eigenvectors of H that the kernel propagator and the eigenbasis method use.
+    propagates_kernel = run == "product-equivalence" or (run == "evolve" and kind not in ONE_PARTITE)
+    eigenbasis = run in ("evolve", "two-slit") and dyn["method"] == "eigenbasis"
+    if (builds_state and kind == "random") or propagates_kernel or eigenbasis:
         arrays.append((16 * n * n, "grid.n_points^2 kernel"))
     largest, what = max(arrays)
     if largest > MAX_ARRAY_BYTES:

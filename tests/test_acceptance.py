@@ -35,7 +35,8 @@ from vnlw.dynamics import (
 )
 from vnlw.lattice import PotentialSpec, box_grid, build_grid, build_hamiltonian, sample_potential
 from vnlw.scenarios import complementarity_sweep, make_slit_modes, two_slit_state, _window_indices
-from vnlw.spectra import difference_operator_spectrum, eigensystem
+from vnlw.spectra import eigensystem
+from oracles import difference_operator_spectrum, kernel
 
 
 def _verdict(number, label, ok):
@@ -72,7 +73,7 @@ def _random_states(grid, rng):
 
 def _representations(Psi):
     """Psi as built, and the dense rank-N state of its kernel."""
-    return Psi, BipartiteWave.from_kernel(Psi.kernel, Psi.grid, Psi.time)
+    return Psi, BipartiteWave.from_kernel(kernel(Psi), Psi.grid, Psi.time)
 
 
 def test_criterion_01_gap_spectrum_oracle():
@@ -105,15 +106,15 @@ def test_criterion_02_stationary_bipartite_phase():
         WaveFunction(eigs.states[:, 2].astype(complex), g),
         WaveFunction(eigs.states[:, 0].astype(complex), g),
     )
-    target = np.exp(-1j * gap * 1.0) * Psi0.kernel
+    target = np.exp(-1j * gap * 1.0) * kernel(Psi0)
     deficit_cn = deficit_eb = 0.0
     for Psi in _representations(Psi0):
         out_cn = propagate_vnl(Psi, H, PropagatorConfig(1e-3, 1000, "crank-nicolson"))
-        ov_cn = np.sum(out_cn.kernel * target.conj()) * g.dx**2
+        ov_cn = np.sum(kernel(out_cn) * target.conj()) * g.dx**2
         deficit_cn = max(deficit_cn, abs(1.0 - ov_cn))
 
         out_eb = propagate_vnl(Psi, H, PropagatorConfig(1e-3, 1000, "eigenbasis"))
-        ov_eb = np.sum(out_eb.kernel * target.conj()) * g.dx**2
+        ov_eb = np.sum(kernel(out_eb) * target.conj()) * g.dx**2
         deficit_eb = max(deficit_eb, abs(1.0 - ov_eb))
     elapsed = time.perf_counter() - start
     _verdict(
@@ -132,7 +133,7 @@ def test_criterion_03_norm_conservation():
         for Psi in _random_states(g, rng):
             out = propagate_vnl(Psi, H, PropagatorConfig(1e-3, 1000))
             # the core's norm, the evolved state's own, and the factors' orthonormality
-            dense = np.sum(np.abs(out.kernel) ** 2) * g.dx**2
+            dense = np.sum(np.abs(kernel(out)) ** 2) * g.dx**2
             ortho = max(
                 np.max(np.abs(F.conj().T @ F * g.dx - np.eye(F.shape[1]))) for F in (out.left, out.right)
             )
@@ -154,7 +155,7 @@ def test_criterion_04_product_state_equivalence():
     gap = 0.0
     for Psi in _representations(from_product(psi, psi)):
         Psi_t = propagate_vnl(Psi, H, cfg)
-        gap = max(gap, float(np.sqrt(np.sum(np.abs(Psi_t.kernel - outer.kernel) ** 2) * g.dx**2)))
+        gap = max(gap, float(np.sqrt(np.sum(np.abs(kernel(Psi_t) - kernel(outer)) ** 2) * g.dx**2)))
     _verdict(4, f"product-state Frobenius gap at t=1 is {gap:.2e}", gap < 1e-8)
 
 

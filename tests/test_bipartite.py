@@ -13,9 +13,7 @@ from vnlw.bipartite import (
     position_density,
     projection_probability,
     projector,
-    reduced_density_matrix,
     schmidt,
-    schmidt_reconstruction,
     transition_amplitudes,
 )
 from vnlw.dynamics import BipartiteWave, WaveFunction, bipartite_norm, gaussian_packet
@@ -23,6 +21,7 @@ from vnlw.errors import GridMismatchError, NonHermitianOperatorError, Unnormaliz
 from vnlw.lattice import PotentialSpec, build_grid, build_hamiltonian, sample_potential
 from vnlw.scenarios import make_slit_modes, two_slit_state
 from vnlw.spectra import eigensystem
+from oracles import kernel
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +110,8 @@ class TestSchmidt:
         K = (left * mu) @ right.conj().T
         dec = schmidt(BipartiteWave.from_kernel(K, g))
         assert np.allclose(dec.coefficients, mu, atol=1e-10)
-        assert np.max(np.abs(schmidt_reconstruction(dec) - K)) < 1e-10
+        rebuilt = (dec.left_states * dec.coefficients) @ dec.right_states.conj().T
+        assert np.max(np.abs(rebuilt - K)) < 1e-10
 
     def test_residual_budget(self):
         g = build_grid(-5, 5, 101)
@@ -120,7 +120,8 @@ class TestSchmidt:
         assert np.sum(dec.coefficients**2) + dec.residual == pytest.approx(
             bipartite_norm(Psi), abs=1e-10
         )
-        err2 = np.sum(np.abs(schmidt_reconstruction(dec) - Psi.kernel) ** 2) * g.dx**2
+        rebuilt = (dec.left_states * dec.coefficients) @ dec.right_states.conj().T
+        err2 = np.sum(np.abs(rebuilt - kernel(Psi)) ** 2) * g.dx**2
         assert err2 == pytest.approx(dec.residual, abs=1e-10)
 
     def test_factor_orthonormality(self):
@@ -147,7 +148,7 @@ class TestSchmidtProperties:
         r = min(rank, n_points)
         mu = np.exp(-decay * np.linspace(0.0, 1.0, r))
         K = (random_orthonormal(g, r, seed) * mu) @ random_orthonormal(g, r, seed + 1).conj().T
-        K = K + noise * random_kernel(g, seed + 2).kernel
+        K = K + noise * kernel(random_kernel(g, seed + 2))
         Psi = BipartiteWave.from_kernel(K / np.sqrt(bipartite_norm(BipartiteWave.from_kernel(K, g))), g)
         dec = schmidt(Psi, tol)
         assert abs(np.sum(dec.coefficients**2) + dec.residual - bipartite_norm(Psi)) <= 1e-12
@@ -182,7 +183,7 @@ class TestEntropy:
             assert abs(entanglement_entropy(Psi) - entropy_from_reduced(Psi, "y")) < 1e-9
 
     def test_gram_route(self, slits):
-        """The r x r Gram route equals the core's SVD entropy and the dense N x N route."""
+        """The r x r Gram route equals the core's SVD entropy and that of the dense N x N rho."""
         g, modes = slits
         small = build_grid(-3, 3, 48)
         psi = gaussian_packet(small, 0.3, 0.7, 1.0)
@@ -192,8 +193,9 @@ class TestEntropy:
             "random": random_kernel(small, 7),
         }
         for name, Psi in states.items():
-            for side in "xy":
-                w = np.linalg.eigvalsh(reduced_density_matrix(Psi, side))
+            M = kernel(Psi) * Psi.grid.dx
+            for side, rho in (("x", M @ M.conj().T), ("y", M.conj().T @ M)):
+                w = np.linalg.eigvalsh(rho)
                 w = w[w > 1e-300]
                 dense = float(-np.sum(w * np.log(w)))
                 gram = entropy_from_reduced(Psi, side)
@@ -223,7 +225,7 @@ class TestEntropy:
         g = build_grid(-3, 3, 48)
         Psi = random_kernel(g, 0)
         with pytest.raises(UnnormalizedStateError):
-            entanglement_entropy(BipartiteWave.from_kernel(3.0 * Psi.kernel, g))
+            entanglement_entropy(BipartiteWave.from_kernel(3.0 * kernel(Psi), g))
 
 
 class TestApplyRho:
@@ -256,7 +258,7 @@ class TestExpectation:
             psi = WaveFunction(amp / g.norm(amp), g)
             A = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
             O = A + A.conj().T
-            direct = float(np.real(g.inner(psi.amplitudes, O @ psi.amplitudes)))
+            direct = float(np.real(np.vdot(psi.amplitudes, O @ psi.amplitudes) * g.dx))
             assert abs(expectation(from_product(psi, psi), O) - direct) < 1e-9
 
     def test_eigenstate_energy(self, harmonic):

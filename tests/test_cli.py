@@ -1,5 +1,6 @@
 import datetime
 import json
+import math
 import os
 import subprocess
 import sys
@@ -463,9 +464,32 @@ class TestOtherCommands:
         assert coeffs[1] == pytest.approx(2 ** -0.5, abs=1e-10)
         assert main(["entropy", "--config", path, "--output", str(out), "--no-timestamp"]) == 0
         summary = json.loads((out / "entropy" / "summary.json").read_text())
-        import math
         assert summary["summary"]["entropy"] == pytest.approx(math.log(2), abs=1e-10)
         assert summary["summary"]["entropy_reduced_route"] == pytest.approx(math.log(2), abs=1e-9)
+
+    def test_pure_state_entropy_reads_positive_zero(self, tmp_path):
+        """The rank-1 "wave" state has entropy +0.0 on both routes and in the sweep, never -0.0."""
+        out = tmp_path / "out"
+        cfg = {"schema_version": 1, "state": {"type": "two-slit", "coefficients": "wave"}}
+        assert main(["entropy", "--config", write_config(tmp_path, cfg), "--output", str(out), "--no-timestamp"]) == 0
+        summary = json.loads((out / "entropy" / "summary.json").read_text())["summary"]
+        assert [math.copysign(1.0, summary[key]) for key in ("entropy", "entropy_reduced_route")] == [1.0, 1.0]
+        cfg = {"schema_version": 1, "grid": {"n_points": 201},
+               "scenario": {"name": "two-slit", "evolve_time": 0.1, "sweep_points": 3}}
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--output", str(out), "--no-timestamp"]) == 0
+        assert (out / "two-slit" / "sweep.csv").read_text().splitlines()[1].startswith("0,0,")
+
+    @pytest.mark.parametrize("subcommand", ["entropy", "schmidt", "collapse"])
+    def test_product_state_admitted_at_large_n(self, tmp_path, subcommand):
+        """A product state holds N-vectors and N x k eigenvectors, not an N x N kernel, so N = 8192
+        is admitted; a random state, an N x N kernel, is still refused above N = 4096."""
+        cfg = {"schema_version": 1, "grid": {"n_points": 8192}, "potential": {"kind": "harmonic"}}
+        path = write_config(tmp_path, cfg)
+        assert main([subcommand, "--config", path, "--output", str(tmp_path / "out"), "--no-timestamp"]) == 0
+        refused = [subcommand, "--config", path, "--output", str(tmp_path / "refused"),
+                   "--set", "grid.n_points=4097", "--set", "state.type=random"]
+        assert main(refused) == 3
+        assert not (tmp_path / "refused").exists()
 
     def test_run_two_slit_summary_line(self, tmp_path, capsys):
         cfg = {

@@ -7,7 +7,6 @@ from vnlw.lattice import (
     box_grid,
     build_grid,
     build_hamiltonian,
-    load_potential_csv,
     sample_potential,
 )
 
@@ -84,17 +83,6 @@ class TestSamplePotential:
         with pytest.raises(PotentialError):
             PotentialSpec.barrier(height=1.0, width=0.0)
 
-    def test_csv_ingestion(self, tmp_path):
-        path = tmp_path / "pot.csv"
-        xs = np.linspace(-2, 2, 9)
-        np.savetxt(path, np.column_stack([xs, xs**2]), delimiter=",")
-        g = build_grid(-2, 2, 41)
-        spec = load_potential_csv(g, path)
-        v = sample_potential(g, spec)
-        # linear interpolation of x^2 on a coarse table: exact at the knots
-        assert v[0] == pytest.approx(4.0)
-        assert v[20] == pytest.approx(0.0)
-
 
 class TestBuildHamiltonian:
     def test_unit_stencil(self):
@@ -133,8 +121,8 @@ class TestBuildHamiltonian:
         for _ in range(10):
             u = rng.standard_normal(65) + 1j * rng.standard_normal(65)
             v = rng.standard_normal(65) + 1j * rng.standard_normal(65)
-            lhs = g.inner(u, H.apply(v))
-            rhs = g.inner(H.apply(u), v)
+            lhs = np.vdot(u, H.apply(v)) * g.dx
+            rhs = np.vdot(H.apply(u), v) * g.dx
             assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
 
     def test_dense_matches_apply(self):
