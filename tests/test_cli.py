@@ -7,12 +7,14 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vnlw
 from vnlw import cli, scenarios, schema
 from vnlw.cli import apply_overrides, main, parse_invocation, validate_config
 from vnlw.errors import ConfigError
+from oracles import sturm_count
 
 BASE = {
     "schema_version": 1,
@@ -379,6 +381,28 @@ class TestOtherCommands:
         states = (out / "spectrum" / "states.csv").read_text().splitlines()
         assert states[0] == "x,psi_0,psi_1,psi_2"
         assert len(states) == 202
+
+    def test_full_spectrum_of_a_wide_range_barrier(self, tmp_path):
+        """k = N takes its energies from dqds too: E0 = E1 = 0.0513652 behind a barrier of
+        height 1e20, where stevd's absolute error eps * |H| gave E0 = 0.047417."""
+        cfg = {
+            **BASE,
+            "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 101},
+            "potential": {"kind": "barrier", "height": 1e20, "width": 1.0},
+        }
+        out = tmp_path / "out"
+        code = main([
+            "spectrum", "--config", write_config(tmp_path, cfg),
+            "--output", str(out), "--no-timestamp", "--set", "spectra.k=101",
+        ])
+        assert code == 0
+        E = np.array(json.loads((out / "spectrum" / "summary.json").read_text())["summary"]["energies"])
+        assert E[:2] == pytest.approx([0.0513652, 0.0513652], rel=1e-6)
+        c = schema.resolve(cfg, "spectrum")
+        H = scenarios.hamiltonian_from_config(c, scenarios.grid_from_config(c))
+        eps = 1e-9 * np.maximum(1.0, np.abs(E))
+        j = np.arange(101)
+        assert np.all(sturm_count(H, E - eps) <= j) and np.all(j < sturm_count(H, E + eps))
 
     def test_spectrum_json_format(self, tmp_path):
         out = tmp_path / "out"

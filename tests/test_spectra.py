@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dstebz
 
+from vnlw import spectra
 from vnlw.errors import EigensolverError
 from vnlw.lattice import (
     PotentialSpec,
@@ -62,6 +66,20 @@ class TestEigensystem:
             nz = np.flatnonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))
             assert col[nz[0]] > 0
 
+    @pytest.mark.parametrize("k", [5, 100, 201])
+    def test_sign_convention_matches_column_loop(self, k):
+        """The masked argmax flips the same columns as the per-column loop it replaced."""
+        H = harmonic_hamiltonian(201)
+        eigs = eigensystem(H, k)
+        _, vecs = spectra._tridiagonal_eigh(H, k, eigvals_only=False)
+        vecs = vecs / np.sqrt(H.grid.dx)
+        for j in range(k):
+            col = vecs[:, j]
+            nz = np.flatnonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))
+            if nz.size and col[nz[0]] < 0:
+                vecs[:, j] = -col
+        assert eigs.states.tobytes() == vecs.tobytes()
+
     def test_k_out_of_range(self):
         H = harmonic_hamiltonian(64, half_width=5.0)
         with pytest.raises(EigensolverError):
@@ -99,6 +117,19 @@ class TestWideRangePotentials:
             assert np.all(j < sturm_count(H, E + eps)), E
 
 
+    @pytest.mark.parametrize("spec", [PotentialSpec.barrier(1e20, 1.0), PotentialSpec.double_well(1e13, 1.0)],
+                             ids=["barrier-1e20", "double-well-1e13"])
+    def test_states_are_eigenvectors(self, spec):
+        """Inverse iteration on the whole matrix: with stebz's split blocks, level 68 behind
+        the 1e20 barrier had a residual of 4% of its energy."""
+        g = build_grid(-10, 10, 101)
+        H = build_hamiltonian(g, sample_potential(g, spec))
+        eigs = eigensystem(H, 100)
+        residual = H.apply(eigs.states) - eigs.states * eigs.energies
+        assert np.all(np.sqrt(np.sum(residual**2, axis=0) * g.dx) <= 1e-12 * np.maximum(1.0, np.abs(eigs.energies)))
+        assert np.max(np.abs(eigs.states.T @ eigs.states * g.dx - np.eye(100))) < 1e-12
+
+
 class TestEigenvalues:
     @PROPERTY
     @given(
@@ -112,11 +143,124 @@ class TestEigenvalues:
         assert np.array_equal(eigenvalues(H, k), eigensystem(H, k).energies)
 
     def test_full_spectrum_round_off(self):
-        # k = N uses stevd, whose values-only path may differ in the last bits
+        # k = N shares its values with eigensystem too; only the vectors come from stevd
         H = harmonic_hamiltonian(201)
-        E = eigenvalues(H, 201)
-        ref = eigensystem(H, 201).energies
-        assert np.max(np.abs(E - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(eigenvalues(H, 201), eigensystem(H, 201).energies)
+
+
+def gershgorin_shift(H):
+    """min_i (d_i - |e_i-1| - |e_i| - 4 eps (|d_i| + |e_i-1| + |e_i|)): below every level of H."""
+    rows = np.abs(np.append(0.0, H.off_diagonal)) + np.abs(np.append(H.off_diagonal, 0.0))
+    return np.min(H.diagonal - rows - 4 * np.finfo(float).eps * (np.abs(H.diagonal) + rows))
+
+
+@st.composite
+def stiff_potentials(draw):
+    """(n, k, values): tabulated potentials over many orders of magnitude, of either sign,
+    or with every Gershgorin row tight (d_i - |e_i-1| - |e_i| the same in every row); k on
+    either side of the crossover, where 16 k >= n takes dqds and below it bisection."""
+    n = draw(st.integers(8, 160))
+    k = draw(st.one_of(st.integers(1, max(1, (n - 1) // 16)), st.integers(-(-n // 16), n)))
+    kind = draw(st.sampled_from(["wide", "negative", "tight"]))
+    if kind == "tight":
+        level = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-3.0, 12.0))
+        values = np.full(n, level)
+        values[[0, -1]] -= 0.5 / build_grid(-10, 10, n).dx ** 2  # the end rows lack one neighbour
+        return n, k, values
+    powers = np.array(draw(st.lists(st.floats(-3.0, 20.0), min_size=n, max_size=n)))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0] if kind == "negative" else [1.0]), min_size=n, max_size=n))
+    return n, k, np.array(signs) * 10.0**powers
+
+
+class TestShiftedDqds:
+    """The dqds route (all levels of H - sigma I) against tight bisection of H itself."""
+
+    @PROPERTY
+    @given(potential=stiff_potentials())
+    def test_agrees_with_bisection(self, potential):
+        n, k, values = potential
+        g = build_grid(-10, 10, n)
+        H = build_hamiltonian(g, sample_potential(g, PotentialSpec.tabulated(values)))
+        with mock.patch.object(spectra, "dstebz", wraps=dstebz) as bisection:
+            E = eigenvalues(H, k)
+        assert E.tobytes() == eigensystem(H, k).energies.tobytes()
+        j = np.arange(k)
+        eps = 1e-9 * np.maximum(1.0, np.abs(E))
+        assert np.all(sturm_count(H, E - eps) <= j) and np.all(j < sturm_count(H, E + eps)), E
+        m, ref, _, _, info = dstebz(H.diagonal, H.off_diagonal, 2, 0.0, 0.0, 1, k, 2 * np.finfo(float).tiny, "E")
+        assert info == 0 and m == k
+        sigma = gershgorin_shift(H)
+        # E - sigma is what dqds resolves; adding sigma back rounds by a few ulps of sigma
+        tol = 1e-12 * np.maximum(1.0, np.abs(E - sigma)) + 4 * np.finfo(float).eps * abs(sigma)
+        assert np.all(np.abs(E - ref[:k]) <= tol), np.max(np.abs(E - ref[:k]) / tol)
+        # dqds is kept where E - sigma is within about 2**10 of max(1, |E|), so where its
+        # error is bisection's to within 10 bits; a shift further down than sigma loses it
+        spread = np.max((ref[:k] - sigma) / np.maximum(1.0, np.abs(ref[:k])))
+        if 16 * k < n or spread > 2048:
+            assert bisection.called
+        elif spread < 512:
+            assert not bisection.called
+
+
+class TestRoute:
+    """Which LAPACK solver takes the values: dqds for a sizeable share of the levels,
+    bisection for a few levels of a large grid."""
+
+    @staticmethod
+    def counting(monkeypatch, **stubs):
+        calls = []
+        for name in ("dpteqr", "dstebz", "dstein", "dstevd"):
+            real = stubs.get(name, getattr(spectra, name))
+
+            def wrapper(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(spectra, name, wrapper)
+        return calls
+
+    def test_gaps_at_half_the_levels_take_dqds(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        report = run_scenario({
+            "schema_version": 1,
+            "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 400},
+            "potential": {"kind": "harmonic", "omega": 1.0},
+            "spectra": {"k": 200},
+            "scenario": {"name": "gap-spectroscopy"},
+        })
+        assert calls == ["dpteqr"]
+        assert len(report.summary["energies"]) == 200
+
+    def test_few_levels_of_a_large_grid_take_bisection(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dqds of all 65536 levels for 8 of them")
+
+        calls = self.counting(monkeypatch, dpteqr=refuse)
+        report = run_scenario({
+            "schema_version": 1,
+            "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 65536},
+            "potential": {"kind": "harmonic", "omega": 1.0},
+            "spectra": {"k": 8},
+        }, "spectrum")
+        assert calls == ["dstebz", "dstein"]
+        assert np.allclose(report.summary["energies"], np.arange(8) + 0.5, atol=1e-6)
+
+    def test_full_spectrum_solves_once_for_vectors(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        eigensystem(harmonic_hamiltonian(201), 201)
+        assert calls == ["dpteqr", "dstevd"]
+
+    @pytest.mark.parametrize("routine, k", [("dpteqr", 100), ("dstebz", 2), ("dstein", 2), ("dstein", 100), ("dstevd", 201)])
+    def test_lapack_failure_raises(self, monkeypatch, routine, k):
+        real = getattr(spectra, routine)
+
+        def failing(*args, **kwargs):
+            *out, _ = real(*args, **kwargs)
+            return (*out, 1)
+
+        monkeypatch.setattr(spectra, routine, failing)
+        with pytest.raises(EigensolverError, match=routine):
+            eigensystem(harmonic_hamiltonian(201), k)
 
 
 class TestGapSpectrum:
