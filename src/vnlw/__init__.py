@@ -6,7 +6,10 @@ kernel-operator measurement functional, two-slit duality scenarios, and
 collapse statistics.
 
 Each public name is imported from its module on first access, so importing
-the package, or `vnlw.cli` to check a config, loads no numpy or scipy.
+the package, or `vnlw.cli` to check a config, loads no numpy or scipy.  A
+numeric run loads numpy and, through `vnlw._lapack`, scipy's LAPACK and BLAS
+extension modules from their files, and nothing else of scipy: not the
+scipy package, scipy.linalg or scipy.sparse.
 """
 
 import importlib

@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.blas import zgemm
-from scipy.linalg.lapack import zgttrf, zgttrs
 
+from ._lapack import zgemm, zgttrf, zgttrs
 from .errors import GridMismatchError, SimulationError, UnnormalizedStateError
 from .lattice import Grid1D, HamiltonianMatrix
 from .schema import METHODS

@@ -248,6 +248,29 @@ def test_crank_nicolson_loads_no_sparse(tmp_path, args):
     assert out.stdout.split("\n")[-2] == "0 False", out.stderr
 
 
+@pytest.mark.parametrize("args, config", [
+    (["run"], {"dynamics": {"method": "crank-nicolson"}, "scenario": {"name": "two-slit", "sweep_points": 3}}),
+    (["run"], {"dynamics": {"steps": 20}, "scenario": {"name": "product-equivalence"}}),
+    (["evolve"], {"dynamics": {"method": "eigenbasis", "steps": 20}, "state": {"type": "random", "seed": 1}}),
+    (["gaps"], {"spectra": {"k": 50}}),
+], ids=["two-slit", "product-equivalence", "evolve-random", "gaps"])
+def test_numeric_runs_load_no_scipy_package(tmp_path, args, config):
+    """The LAPACK and BLAS routines come from scipy's extension modules, loaded by file,
+    so no run imports the scipy package or scipy.linalg."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "grid": {"n_points": 101}, **config}))
+    script = (
+        "import sys\n"
+        "from vnlw.cli import main\n"
+        f"code = main({args!r} + ['--config', {str(cfg)!r}, '--output', {str(tmp_path / 'out')!r}])\n"
+        "print(code, sorted(m for m in ('scipy', 'scipy.linalg') if m in sys.modules))\n"
+    )
+    src = str(Path(vnlw.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout.split("\n")[-2] == "0 []", out.stdout + out.stderr
+
+
 # The public names of the package before its names were resolved on first access.
 EXPORTS = {
     "lattice": ["Grid1D", "HamiltonianMatrix", "PotentialSpec", "build_grid", "box_grid",

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dstebz
 
-from vnlw import spectra
+from vnlw import _lapack, spectra
 from vnlw.errors import EigensolverError
 from vnlw.lattice import (
     PotentialSpec,
@@ -117,17 +117,21 @@ class TestWideRangePotentials:
             assert np.all(j < sturm_count(H, E + eps)), E
 
 
-    @pytest.mark.parametrize("spec", [PotentialSpec.barrier(1e20, 1.0), PotentialSpec.double_well(1e13, 1.0)],
-                             ids=["barrier-1e20", "double-well-1e13"])
-    def test_states_are_eigenvectors(self, spec):
+    @pytest.mark.parametrize("spec, k", [
+        (PotentialSpec.barrier(1e20, 1.0), 100),
+        (PotentialSpec.barrier(1e20, 1.0), 101),
+        (PotentialSpec.double_well(1e13, 1.0), 100),
+    ], ids=["barrier-1e20", "barrier-1e20-all", "double-well-1e13"])
+    def test_states_are_eigenvectors(self, spec, k):
         """Inverse iteration on the whole matrix: with stebz's split blocks, level 68 behind
-        the 1e20 barrier had a residual of 4% of its energy."""
+        the 1e20 barrier had a residual of 4% of its energy.  With k = N, stevd's state of
+        level 3 there had a residual of 5 times its energy."""
         g = build_grid(-10, 10, 101)
         H = build_hamiltonian(g, sample_potential(g, spec))
-        eigs = eigensystem(H, 100)
+        eigs = eigensystem(H, k)
         residual = H.apply(eigs.states) - eigs.states * eigs.energies
         assert np.all(np.sqrt(np.sum(residual**2, axis=0) * g.dx) <= 1e-12 * np.maximum(1.0, np.abs(eigs.energies)))
-        assert np.max(np.abs(eigs.states.T @ eigs.states * g.dx - np.eye(100))) < 1e-12
+        assert np.max(np.abs(eigs.states.T @ eigs.states * g.dx - np.eye(k))) < 1e-12
 
 
 class TestEigenvalues:
@@ -249,6 +253,40 @@ class TestRoute:
         calls = self.counting(monkeypatch)
         eigensystem(harmonic_hamiltonian(201), 201)
         assert calls == ["dpteqr", "dstevd"]
+
+    @pytest.mark.parametrize("H", [
+        harmonic_hamiltonian(401),
+        harmonic_hamiltonian(2001),
+        build_hamiltonian(box_grid(1.0, 801), np.zeros(801)),
+        build_hamiltonian(build_grid(-10, 10, 1001), sample_potential(build_grid(-10, 10, 1001),
+                                                                      PotentialSpec.double_well(1.0, 1.0))),
+        build_hamiltonian(build_grid(-10, 10, 401), sample_potential(build_grid(-10, 10, 401),
+                                                                     PotentialSpec.barrier(1e6, 1.0))),
+    ], ids=["harmonic-401", "harmonic-2001", "box-801", "double-well-1001", "barrier-1e6-401"])
+    def test_full_spectrum_keeps_stevd_states(self, monkeypatch, H):
+        """No k = N state of a benign potential is re-solved: they are stevd's, bit for bit."""
+        calls = self.counting(monkeypatch)
+        states = eigensystem(H, H.grid.n_points).states
+        assert calls == ["dpteqr", "dstevd"]
+        _, vecs, _ = _lapack.dstevd(H.diagonal, H.off_diagonal)
+        assert np.array_equal(np.abs(states), np.abs(vecs / np.sqrt(H.grid.dx)))
+
+    @pytest.mark.parametrize("height, n, stale", [(1e14, 401, 380), (1e20, 101, 96)],
+                             ids=["barrier-1e14", "barrier-1e20"])
+    def test_full_spectrum_resolves_stale_states(self, monkeypatch, height, n, stale):
+        """Behind a high barrier stevd's eps * |H| leaves most low states wrong; stein
+        re-solves just those, on the dqds energies."""
+        solved = []
+
+        def recording(d, e, w, *args):
+            solved.append(len(w))
+            return _lapack.dstein(d, e, w, *args)
+
+        calls = self.counting(monkeypatch, dstein=recording)
+        g = build_grid(-10, 10, n)
+        eigensystem(build_hamiltonian(g, sample_potential(g, PotentialSpec.barrier(height, 1.0))), n)
+        assert calls == ["dpteqr", "dstevd", "dstein"]
+        assert solved == [stale]
 
     @pytest.mark.parametrize("routine, k", [("dpteqr", 100), ("dstebz", 2), ("dstein", 2), ("dstein", 100), ("dstevd", 201)])
     def test_lapack_failure_raises(self, monkeypatch, routine, k):
