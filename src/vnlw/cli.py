@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="output root (default $VNLW_OUTPUT_DIR or .)")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config key, e.g. spectra.k=6")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=None, help="state.seed, when the config gives none")
         p.add_argument("--format", choices=FORMATS, default="csv")
         p.add_argument("--no-timestamp", action="store_true",
                        help="suppress the timestamp suffix on the output directory")
@@ -149,8 +149,8 @@ def execute(inv: CliInvocation) -> int:
     try:
         config = apply_overrides(load_config(inv.config_path), inv.overrides)
         validate_config(config)  # every group is an object from here on
-        if inv.seed is not None:
-            config.setdefault("scenario", {})["seed"] = inv.seed
+        if inv.seed is not None:  # checked also when the config's own state.seed wins
+            validate_config({"schema_version": 1, "state": {"seed": inv.seed}})
             config.setdefault("state", {}).setdefault("seed", inv.seed)
         run = resolve(config, COMMANDS.get(inv.subcommand)).run
         if inv.subcommand == "validate-config":

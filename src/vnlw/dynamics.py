@@ -101,13 +101,21 @@ class PropagatorConfig:
 
 
 def normalize(psi: WaveFunction) -> WaveFunction:
-    return replace(psi, amplitudes=psi.amplitudes / psi.norm())
+    norm = psi.norm()
+    if not 0.0 < norm < np.inf:
+        raise UnnormalizedStateError(f"cannot normalize a state of norm {norm}")
+    return replace(psi, amplitudes=psi.amplitudes / norm)
 
 
 def gaussian_packet(grid: Grid1D, center: float, sigma: float, momentum: float = 0.0) -> WaveFunction:
-    """Normalized Gaussian wave packet exp(-(x-x0)^2/(4 sigma^2) + i k x)."""
+    """Normalized Gaussian wave packet exp(-(x-x0)^2/(4 sigma^2) + i k x).
+
+    The parameters enter as numpy floats, so that an overflow or a vanishing
+    width gives a zero or non-finite packet, which normalize refuses.
+    """
     x = grid.points
-    amp = np.exp(-((x - center) ** 2) / (4.0 * sigma**2) + 1j * momentum * x)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked by normalize
+        amp = np.exp(-((x - center) ** 2) / (4.0 * np.float64(sigma) ** 2) + 1j * momentum * x)
     return normalize(WaveFunction(amp.astype(complex), grid))
 
 
@@ -147,7 +155,7 @@ def _check_grids(a, b) -> None:
 
 
 def _check_normalized(norm_sq: float, what: str) -> None:
-    if abs(norm_sq - 1.0) > NORM_TOL:
+    if not abs(norm_sq - 1.0) <= NORM_TOL:  # refuses NaN too
         raise UnnormalizedStateError(f"{what} is not normalized: |psi|^2 = {norm_sq}")
 
 

@@ -64,7 +64,7 @@ def make_slit_modes(grid: Grid1D, separation: float = 4.0, sigma: float = 0.35) 
     A = np.column_stack([g1.amplitudes, g2.amplitudes])
     overlap = A.conj().T @ A * grid.dx
     w, v = np.linalg.eigh(overlap)
-    if w.min() <= 0:
+    if not w.min() > 0:  # refuses NaN too
         raise ScenarioError("slit modes are linearly dependent; increase separation")
     return A @ (v / np.sqrt(w)) @ v.conj().T
 
@@ -80,7 +80,7 @@ def two_slit_state(grid: Grid1D, modes: np.ndarray, coefficients, time: float = 
     if not TWO_SLIT.accepts(coefficients):
         raise ScenarioError(f"coefficients must be {TWO_SLIT.doc}, got {coefficients!r}")
     residual = np.max(np.abs(modes.conj().T @ modes * grid.dx - np.eye(2)))
-    if residual > 1e-6:
+    if not residual <= 1e-6:  # refuses NaN too
         raise ScenarioError(f"slit modes not dx-orthonormal: max |A^H A dx - I| = {residual}")
     a = np.array(two_slit_amplitudes(coefficients), dtype=complex).reshape(2, 2)
     return BipartiteWave(modes, a, modes, grid, time)
@@ -122,8 +122,7 @@ class ScenarioReport:
     scenario: str
     config: dict
     summary: dict
-    # name -> {"columns": [...], "rows": a list of rows, a 2-D array or a record array}
-    tables: dict = field(default_factory=dict)
+    tables: dict = field(default_factory=dict)  # name -> {column name: 1-D array}, in file order
     records: dict = field(default_factory=dict)  # name -> JSON object, written as name.json
 
 
@@ -201,18 +200,16 @@ def _run_gap_spectroscopy(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioRepo
     energies = eigenvalues(H, k)
     gaps = gap_spectrum(energies)
     dg = distinct_gaps(gaps, c.spectra.dedup_tol)
-    # a record array, so that the index columns stay integers; int32 keeps it at 16 bytes a row
+    # field views of one record array: int32 indices beside each gap, one allocation of 16 bytes a row
     rows = np.empty((k, k), dtype=[("n", np.int32), ("m", np.int32), ("lambda", float)])
     rows["n"] = np.arange(k)[:, None]
     rows["m"] = np.arange(k)
     rows["lambda"] = gaps
+    rows = rows.reshape(-1)
     tables = {
-        "energies": _energies_table(energies.tolist()),
-        "gaps": {"columns": ["n", "m", "lambda"], "rows": rows.reshape(-1)},
-        "distinct_gaps": {
-            "columns": ["lambda"],
-            "rows": dg[:, None],
-        },
+        "energies": {"n": np.arange(k), "energy": energies},
+        "gaps": {name: rows[name] for name in rows.dtype.names},
+        "distinct_gaps": {"lambda": dg},
     }
     summary = {
         "k": k,
@@ -228,16 +225,8 @@ def _run_collapse(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
     Psi = build_state(c, grid, H)
     amps = transition_amplitudes(Psi, eigs)
     stats = collapse_statistics(amps)
-    tables = {
-        "collapse": {
-            "columns": ["m", "energy", "p", "delta_E", "delta_E_conditional"],
-            "rows": [
-                [m, float(eigs.energies[m]), float(stats.p[m]), float(stats.delta_E[m]),
-                 float(stats.delta_E_conditional[m])]
-                for m in range(k)
-            ],
-        }
-    }
+    tables = {"collapse": {"m": np.arange(k), "energy": eigs.energies, "p": stats.p, "delta_E": stats.delta_E,
+                           "delta_E_conditional": stats.delta_E_conditional}}
     summary = {
         "k": k,
         "p": [float(v) for v in stats.p],
@@ -256,12 +245,7 @@ def _run_two_slit(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
     evolved = two_slit_state(grid, modes, sc.coefficients, cfg.steps * cfg.dt)
 
     density = position_density(evolved)
-    tables = {
-        "density": {
-            "columns": ["x", "density"],
-            "rows": np.column_stack([grid.points, density]),
-        }
-    }
+    tables = {"density": {"x": grid.points, "density": density}}
     summary = {
         "entropy": float(entanglement_entropy(evolved)),
         "visibility": float(fringe_visibility(density, window)),
@@ -270,10 +254,7 @@ def _run_two_slit(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
 
     if sc.sweep_points:
         thetas, entropies, visibilities = complementarity_sweep(evolved, window, n_points=sc.sweep_points)
-        tables["sweep"] = {
-            "columns": ["theta", "entropy", "visibility"],
-            "rows": np.column_stack([thetas, entropies, visibilities]),
-        }
+        tables["sweep"] = {"theta": thetas, "entropy": entropies, "visibility": visibilities}
         summary["sweep_points"] = int(sc.sweep_points)
     return ScenarioReport("two-slit", c.given, summary, tables)
 
@@ -325,25 +306,17 @@ def _run_product_equivalence(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioR
 def _run_spectrum(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
     k = c.spectra.k
     eigs = eigensystem(H, k)
-    energies = eigs.energies.tolist()
     tables = {
-        "energies": _energies_table(energies),
-        "states": {
-            "columns": ["x"] + [f"psi_{n}" for n in range(k)],
-            "rows": np.column_stack([grid.points, eigs.states]),
-        },
+        "energies": {"n": np.arange(k), "energy": eigs.energies},
+        "states": {"x": grid.points, **{f"psi_{n}": eigs.states[:, n] for n in range(k)}},
     }
-    return ScenarioReport("spectrum", c.given, {"k": k, "energies": energies}, tables)
-
-
-def _energies_table(energies: list) -> dict:
-    return {"columns": ["n", "energy"], "rows": list(enumerate(energies))}
+    return ScenarioReport("spectrum", c.given, {"k": k, "energies": eigs.energies.tolist()}, tables)
 
 
 def _run_evolve(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
     cfg = PropagatorConfig(c.dynamics.dt, c.dynamics.steps, c.dynamics.method)
     rows = trajectory(build_state(c, grid, H), H, cfg, c.dynamics.stride)
-    tables = {"trajectory": {"columns": ["t", "norm", "x_mean"], "rows": rows}}
+    tables = {"trajectory": dict(zip(("t", "norm", "x_mean"), rows.T))}
     summary = {"steps": cfg.steps, "dt": cfg.dt, "final_norm": float(rows[-1, 1])}
     return ScenarioReport("evolve", c.given, summary, tables)
 
@@ -384,9 +357,11 @@ RUNNERS = {
 def write_report(report: ScenarioReport, outdir, fmt: str = "csv") -> None:
     """Write summary.json, one data file per table and name.json per record into outdir.
 
-    Tables take the format fmt (csv, json or gnuplot); records are JSON in
-    every format.  Timing is deliberately left out of summary.json so that
-    repeat runs with the same config produce byte-identical summaries.
+    Tables take the format fmt (csv, json or gnuplot): a table's keys are
+    its header and its 1-D arrays, all of one length, its columns.  Records
+    are JSON in every format.  Timing is deliberately left out of
+    summary.json so that repeat runs with the same config produce
+    byte-identical summaries.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -398,11 +373,11 @@ def write_report(report: ScenarioReport, outdir, fmt: str = "csv") -> None:
     _write_json(summary, outdir / "summary.json")
     for name, record in report.records.items():
         _write_json(record, outdir / f"{name}.json")
-    tables = {name: _columns(table["rows"]) for name, table in report.tables.items()}
-    cells = {kind: _distinct_cells([c for cols in tables.values() for c in cols if _kind(c) == kind], fmt)
-             for kind in "if"}
-    for name, columns in tables.items():
-        head, layout, tail = _layout(fmt, report.tables[name]["columns"], bool(columns and len(columns[0])))
+    every = [column for table in report.tables.values() for column in table.values()]
+    cells = {kind: _distinct_cells([c for c in every if _kind(c) == kind], fmt) for kind in "if"}
+    for name, table in report.tables.items():
+        columns = list(table.values())
+        head, layout, tail = _layout(fmt, list(table), bool(columns and len(columns[0])))
         with open(outdir / f"{name}{_SUFFIX[fmt]}", "wb") as fh:
             fh.write(head.encode())
             _write_cells(fh, columns, cells, layout)
@@ -434,17 +409,6 @@ def _layout(fmt: str, names: list, has_rows: bool):
     if fmt == "gnuplot":
         return "# " + " ".join(names) + "\n", (b"", b" ", b"\n"), ""
     return ",".join(names) + "\r\n", (b"", b",", b"\r\n"), ""
-
-
-def _columns(rows) -> list:
-    """The 1-D columns of a table's rows: a record array, a 2-D array or a list of rows.
-
-    Each column holds numbers of one kind: a list column that mixes ints and
-    floats is written as floats.
-    """
-    if isinstance(rows, np.ndarray):
-        return [rows[name] for name in rows.dtype.names] if rows.dtype.names else list(rows.T)
-    return [np.asarray(column) for column in zip(*rows)]
 
 
 def _kind(column: np.ndarray) -> str:

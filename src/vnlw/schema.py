@@ -167,7 +167,6 @@ TABLE = (
     Key("spectra", "k", number(integer=True, minimum=1), _by({"collapse": 8}, 4)),
     Key("spectra", "dedup_tol", _NONNEGATIVE, 1e-9),
     Key("scenario", "name", one_of(SCENARIOS)),
-    Key("scenario", "seed", _COUNT),
     Key("scenario", "coefficients", TWO_SLIT, "wave"),
     Key("scenario", "separation", _POSITIVE, 4.0),
     Key("scenario", "sigma", _POSITIVE, _by({"two-slit": 0.35, "product-equivalence": 1.0})),

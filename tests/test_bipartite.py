@@ -210,9 +210,10 @@ class TestEntropy:
         assert entanglement_entropy(skewed) == entanglement_entropy(Psi)
         assert abs(entropy_from_reduced(skewed) - entanglement_entropy(Psi)) > 1e-7
 
-    def test_rank2_family_bounded_by_ln2(self, harmonic):
-        g, H, eigs = harmonic
-        A = eigs.states[:, :2].astype(complex)
+    def test_rank2_family_bounded_by_ln2(self):
+        g = build_grid(-10, 10, 64)  # small, for the 1000 dense SVDs of the from_kernel route
+        H = build_hamiltonian(g, sample_potential(g, PotentialSpec.harmonic(1.0)))
+        A = eigensystem(H, 2).states.astype(complex)
         rng = np.random.default_rng(42)
         for _ in range(1000):
             a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))

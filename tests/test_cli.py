@@ -180,6 +180,7 @@ class TestExitCodes:
         "state.seed=null",
         "scenario.coefficients=abc",
         "scenario.coefficients=[0, 0, 0, 0]",
+        "scenario.seed=1",  # no such key: --seed sets state.seed
     ])
     def test_bad_value_exit_leaves_nothing(self, tmp_path, capsys, override):
         out = tmp_path / "out"
@@ -220,6 +221,8 @@ class TestExitCodes:
         ("spectrum", ["--set", "grid.n_points=32", "--set", "spectra.k=40"], "spectra.k"),
         ("gaps", ["--set", "grid.n_points=32", "--set", "spectra.k=40"], "spectra.k"),
         ("collapse", ["--set", "grid.n_points=32", "--set", "spectra.k=40"], "spectra.k"),
+        # --seed is checked also where the config's own state.seed wins
+        ("evolve", ["--seed", "-1", "--set", "state.type=random", "--set", "state.seed=3"], "seed"),
     ])
     def test_bad_run_exit_leaves_nothing(self, tmp_path, capsys, subcommand, args, key):
         out = tmp_path / "out"
@@ -259,6 +262,51 @@ class TestExitCodes:
         assert "not finite" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    # Packets that cannot be normalised: a parameter overflows, or the width
+    # vanishes, to a zero or NaN packet.
+    @pytest.mark.parametrize("subcommand, overrides, message", [
+        ("evolve", ["state.momentum=1e308"], "cannot normalize"),
+        ("evolve", ["state.center=1e308"], "cannot normalize"),
+        ("evolve", ["state.sigma=1e-300"], "cannot normalize"),
+        ("collapse", ["state.center=1e308"], "cannot normalize"),
+        ("run", ["scenario.name=product-equivalence", "scenario.center=1e308"], "cannot normalize"),
+        ("run", ["scenario.name=product-equivalence", "scenario.momentum=1e308"], "cannot normalize"),
+        ("run", ["scenario.name=two-slit", "scenario.separation=1e308"], "cannot normalize"),
+        ("run", ["scenario.name=two-slit", "scenario.sigma=1e-300"], "cannot normalize"),
+        ("schmidt", ["state.type=two-slit", "state.separation=1e308"], "cannot normalize"),
+        ("entropy", ["state.center=1e308"], "cannot normalize"),
+        # sigma^2 overflows: both slit modes are the same flat packet
+        ("run", ["scenario.name=two-slit", "scenario.sigma=2e154"], "linearly dependent"),
+        ("schmidt", ["state.type=two-slit", "state.sigma=2e154"], "linearly dependent"),
+    ], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
+    def test_unnormalizable_packet_exits_4(self, tmp_path, capsys, subcommand, overrides, message):
+        out = tmp_path / "out"
+        sets = [arg for override in ["grid.n_points=64", *overrides] for arg in ("--set", override)]
+        code = main([subcommand, "--config", write_config(tmp_path, BASE), "--output", str(out), *sets])
+        assert code == 4
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("subcommand, overrides", [
+        ("evolve", ["state.sigma=2e154"]),
+        ("collapse", ["state.sigma=2e154"]),
+        ("entropy", ["state.sigma=2e154"]),
+        ("schmidt", ["state.sigma=2e154"]),
+        ("run", ["scenario.name=product-equivalence", "scenario.sigma=2e154"]),
+    ], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
+    def test_flat_packet_is_finite(self, tmp_path, subcommand, overrides):
+        """sigma^2 overflows to inf, which leaves the plane wave exp(i k x): normalisable and finite."""
+        out = tmp_path / "out"
+        sets = [arg for override in ["grid.n_points=64", *overrides] for arg in ("--set", override)]
+        code = main([subcommand, "--config", write_config(tmp_path, BASE), "--output", str(out), *sets])
+        assert code == 0
+        (run,) = out.iterdir()
+        summary = json.loads((run / "summary.json").read_text())["summary"]
+        values = [v for v in summary.values() for v in (v if isinstance(v, list) else [v])]
+        assert values and np.all(np.isfinite(values))
+        for table in run.glob("*.csv"):
+            assert np.all(np.isfinite(np.loadtxt(table, delimiter=",", skiprows=1, ndmin=2))), table.name
+
     def test_unmapped_exception_removes_staging(self, tmp_path, monkeypatch):
         def boom(*args):
             raise RuntimeError("boom")
@@ -279,6 +327,26 @@ class TestExitCodes:
         assert code == 4
         visible = [p for p in out.iterdir() if not p.name.startswith(".")]
         assert visible == []
+
+
+class TestSeed:
+    def run_entropy(self, tmp_path, *args):
+        cfg = {**BASE, "grid": {**BASE["grid"], "n_points": 32}, "state": {"type": "random"}}
+        out = tmp_path / "out"
+        assert main(["entropy", "--config", write_config(tmp_path, cfg), "--output", str(out),
+                     "--no-timestamp", *args]) == 0
+        return json.loads((out / "entropy" / "summary.json").read_text())
+
+    def test_seed_flag_seeds_random_state(self, tmp_path):
+        seeded = self.run_entropy(tmp_path, "--seed", "5")
+        assert seeded["config"]["state"]["seed"] == 5
+        assert "scenario" not in seeded["config"]
+        assert seeded["summary"] == self.run_entropy(tmp_path, "--set", "state.seed=5")["summary"]
+        assert seeded["summary"] != self.run_entropy(tmp_path, "--seed", "6")["summary"]
+
+    def test_config_seed_beats_seed_flag(self, tmp_path):
+        seeded = self.run_entropy(tmp_path, "--set", "state.seed=5", "--seed", "6")
+        assert seeded["summary"] == self.run_entropy(tmp_path, "--seed", "5")["summary"]
 
 
 class TestOutputNames:

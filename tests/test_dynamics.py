@@ -247,14 +247,14 @@ class TestVnl:
             "dynamics": {"dt": 1e-3, "steps": 1000, "stride": 10, "method": "eigenbasis"},
             "state": {"type": "random", "seed": 3},
         }
-        rows = scenarios.run_scenario(config, "evolve").tables["trajectory"]["rows"]
+        table = scenarios.run_scenario(config, "evolve").tables["trajectory"]
         assert len(calls) <= 1
-        assert len(rows) == 101
+        assert len(table["t"]) == 101
         g = scenarios.grid_from_config(resolve(config))
         H = scenarios.hamiltonian_from_config(resolve(config), g)
         end = propagate_vnl(random_kernel(g, seed=3), H, PropagatorConfig(1e-3, 1000, "eigenbasis"))
         x_mean = float(np.sum(g.points * position_density(end)) * g.dx)
-        assert rows[-1][2] == pytest.approx(x_mean, abs=1e-12)
+        assert table["x_mean"][-1] == pytest.approx(x_mean, abs=1e-12)
 
     def test_evolve_one_partite_eigenbasis_solves_once(self, monkeypatch):
         calls = count_eigensolves(monkeypatch)
@@ -265,17 +265,17 @@ class TestVnl:
             "dynamics": {"dt": 1e-3, "steps": 1000, "stride": 10, "method": "eigenbasis"},
             "state": {"type": "gaussian", "center": 1.0, "sigma": 0.8, "momentum": 0.5},
         }
-        rows = scenarios.run_scenario(config, "evolve").tables["trajectory"]["rows"]
+        table = scenarios.run_scenario(config, "evolve").tables["trajectory"]
         assert len(calls) <= 1
-        assert len(rows) == 101
+        assert len(table["t"]) == 101
         g = scenarios.grid_from_config(resolve(config))
         H = scenarios.hamiltonian_from_config(resolve(config), g)
         psi = gaussian_packet(g, 1.0, 0.8, 0.5)
         end = propagate_schrodinger(psi, H, PropagatorConfig(1e-3, 1000, "eigenbasis"))
         x_mean = float(np.sum(g.points * np.abs(end.amplitudes) ** 2 * g.dx))
-        assert rows[-1][0] == pytest.approx(1.0, abs=1e-12)
-        assert rows[-1][1] == pytest.approx(1.0, abs=1e-12)
-        assert rows[-1][2] == pytest.approx(x_mean, abs=1e-12)
+        assert table["t"][-1] == pytest.approx(1.0, abs=1e-12)
+        assert table["norm"][-1] == pytest.approx(1.0, abs=1e-12)
+        assert table["x_mean"][-1] == pytest.approx(x_mean, abs=1e-12)
 
     @pytest.mark.parametrize("state, method, solves", [
         ({"type": "random", "seed": 3}, "eigenbasis", 1),
@@ -295,9 +295,9 @@ class TestVnl:
             "dynamics": {"dt": 1e-3, "steps": 100, "stride": 10, "method": method},
             "state": state,
         }
-        rows = scenarios.run_scenario(config, "evolve").tables["trajectory"]["rows"]
+        table = scenarios.run_scenario(config, "evolve").tables["trajectory"]
         assert len(calls) == solves
-        assert len(rows) == 11
+        assert len(table["t"]) == 11
 
     def test_evolve_one_partite_crank_nicolson_factorizes_once(self, monkeypatch):
         lus = []
@@ -314,14 +314,14 @@ class TestVnl:
             "dynamics": {"dt": 1e-3, "steps": 1000, "stride": 10, "method": "crank-nicolson"},
             "state": {"type": "gaussian", "center": 1.0, "sigma": 0.8, "momentum": 0.5},
         }
-        rows = scenarios.run_scenario(config, "evolve").tables["trajectory"]["rows"]
+        table = scenarios.run_scenario(config, "evolve").tables["trajectory"]
         assert lus == [101]
-        assert len(rows) == 101
+        assert len(table["t"]) == 101
         g = scenarios.grid_from_config(resolve(config))
         H = scenarios.hamiltonian_from_config(resolve(config), g)
         end = propagate_schrodinger(gaussian_packet(g, 1.0, 0.8, 0.5), H, PropagatorConfig(1e-3, 1000))
-        assert rows[-1][1] == pytest.approx(np.sum(np.abs(end.amplitudes) ** 2) * g.dx, abs=1e-12)
-        assert rows[-1][2] == pytest.approx(np.sum(g.points * np.abs(end.amplitudes) ** 2) * g.dx, abs=1e-12)
+        assert table["norm"][-1] == pytest.approx(np.sum(np.abs(end.amplitudes) ** 2) * g.dx, abs=1e-12)
+        assert table["x_mean"][-1] == pytest.approx(np.sum(g.points * np.abs(end.amplitudes) ** 2) * g.dx, abs=1e-12)
 
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)

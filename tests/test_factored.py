@@ -264,7 +264,7 @@ def test_two_slit_does_no_large_decomposition(monkeypatch, method):
         "scenario": {"name": "two-slit", "coefficients": "wave", "evolve_time": 2.0, "sweep_points": 11},
     }
     report = scenarios.run_scenario(config)
-    assert len(report.tables["sweep"]["rows"]) == 11
+    assert len(report.tables["sweep"]["theta"]) == 11
     svd_columns = [shape[-1] for name, shape, _ in calls if name == "svd"]
     assert len(svd_columns) == 12 and max(svd_columns) <= 2
     assert [name for name, _, _ in calls if name == "qr"] == []

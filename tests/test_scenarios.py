@@ -14,6 +14,7 @@ from vnlw.lattice import build_grid
 from vnlw.cli import main
 from vnlw.scenarios import (
     _BLOCK,
+    RUNNERS,
     ScenarioReport,
     fringe_visibility,
     make_slit_modes,
@@ -119,7 +120,7 @@ class TestRunScenario:
             "scenario": {"name": "gap-spectroscopy"},
         }
         report = run_scenario(cfg)
-        dg = np.array([row[0] for row in report.tables["distinct_gaps"]["rows"]])
+        dg = report.tables["distinct_gaps"]["lambda"]
         assert np.allclose(dg, [-3, -2, -1, 0, 1, 2, 3], atol=1e-3)
         assert report.summary["distinct_gap_count"] == 7
 
@@ -170,9 +171,9 @@ class TestRunScenario:
         r2 = run_scenario(cfg)
         assert r1.summary == r2.summary
         assert r1.tables.keys() == r2.tables.keys()
-        for name, table in r1.tables.items():  # rows may be an array, compared element by element
-            assert table["columns"] == r2.tables[name]["columns"]
-            assert np.array_equal(table["rows"], r2.tables[name]["rows"])
+        for name, table in r1.tables.items():
+            assert list(table) == list(r2.tables[name])
+            assert all(np.array_equal(column, r2.tables[name][key]) for key, column in table.items())
 
     def test_write_report(self, tmp_path):
         cfg = {
@@ -192,6 +193,40 @@ class TestRunScenario:
         assert (tmp_path / "gnu" / "gaps.dat").read_text().startswith("# n m lambda")
 
 
+# Every run at small N; a table-free run (schmidt, entropy) is checked to write no table.
+SMALL = {
+    "schema_version": 1,
+    "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 64},
+    "potential": {"kind": "harmonic", "omega": 1.0},
+    "spectra": {"k": 3},
+    "dynamics": {"dt": 1e-2, "steps": 10, "stride": 5},
+    "scenario": {"evolve_time": 0.02, "sweep_points": 3},
+}
+
+
+class TestTableShape:
+    @pytest.mark.parametrize("run", list(RUNNERS))
+    def test_tables_are_named_columns(self, tmp_path, run):
+        """Each table is {name: 1-D array} with columns of one length; every format's header is its keys."""
+        report = run_scenario(SMALL, run)
+        for name, table in report.tables.items():
+            assert table and all(isinstance(column, np.ndarray) and column.ndim == 1 for column in table.values())
+            assert len({len(column) for column in table.values()}) == 1, name
+        for fmt, suffix in (("csv", "csv"), ("gnuplot", "dat"), ("json", "json")):
+            write_report(report, tmp_path / fmt, fmt=fmt)
+            written = {p.stem for p in (tmp_path / fmt).glob(f"*.{suffix}")} - {"summary", *report.records}
+            assert written == set(report.tables)
+            for name, table in report.tables.items():
+                text = (tmp_path / fmt / f"{name}.{suffix}").read_text()
+                if fmt == "json":
+                    doc = json.loads(text)
+                    assert doc["columns"] == list(table)
+                    assert len(doc["rows"]) == len(next(iter(table.values())))
+                else:
+                    header = text.splitlines()[0]
+                    assert header == (",".join(table) if fmt == "csv" else "# " + " ".join(table))
+
+
 class TestWriteReportFormats:
     """Every table format against a reference written with csv.writer and format(v, '.17g')."""
 
@@ -204,24 +239,28 @@ class TestWriteReportFormats:
 
     @classmethod
     def reference(cls, table, fmt):
-        rows = table["rows"].tolist() if isinstance(table["rows"], np.ndarray) else table["rows"]
+        names = list(table)
+        rows = list(zip(*(column.tolist() for column in table.values())))
         if fmt == "json":
-            obj = {"columns": table["columns"], "rows": [list(r) for r in rows]}
+            obj = {"columns": names, "rows": [list(r) for r in rows]}
             return json.dumps(obj, indent=2, sort_keys=True) + "\n"
         if fmt == "gnuplot":
-            lines = ["# " + " ".join(table["columns"])]
+            lines = ["# " + " ".join(names)]
             lines += [" ".join(cls.cell(v) for v in row) for row in rows]
             return "".join(line + "\n" for line in lines)
         buf = io.StringIO(newline="")
         writer = csv.writer(buf)
-        writer.writerow(table["columns"])
+        writer.writerow(names)
         for row in rows:
             writer.writerow([cls.cell(v) for v in row])
         return buf.getvalue()
 
     @staticmethod
     def long_indexed(rng):
-        """An int32 index table over more than two blocks, special values strewn in its floats."""
+        """An int32 index table over more than two blocks, special values strewn in its floats.
+
+        Its columns are field views of one record array, as in the gap table.
+        """
         k = _BLOCK + 5  # rows of 3 cells
         rows = np.empty(k, dtype=[("n", np.int32), ("m", np.int32), ("lambda", float)])
         rows["n"] = rng.integers(-(2**31), 2**31 - 1, k)
@@ -229,7 +268,7 @@ class TestWriteReportFormats:
         rows["m"] = np.arange(k)[::-1]
         rows["lambda"] = rng.standard_normal(k) * 10.0 ** rng.integers(-300, 300, k)
         rows["lambda"][rng.integers(0, k, 60)] = np.resize(TestWriteReportFormats.SPECIAL, 60)
-        return rows
+        return {name: rows[name] for name in rows.dtype.names}
 
     def test_byte_identical_to_reference(self, tmp_path):
         values = np.array(self.SPECIAL)
@@ -237,18 +276,15 @@ class TestWriteReportFormats:
         many = rng.standard_normal((_BLOCK // 2 + 7, 2)) * 1e3  # two blocks of two-cell rows
         k = len(values)
         tables = {
-            "listed": {"columns": ["n", "value"], "rows": [[i, v] for i, v in enumerate(self.SPECIAL)]},
-            "dense": {"columns": ["a", "b", "c"], "rows": np.column_stack([values, -values, values * 3])},
-            "indexed": {
-                "columns": ["n", "m", "lambda"],
-                "rows": np.rec.fromarrays([np.arange(k), np.arange(k)[::-1], values]),
-            },
-            "many": {"columns": ["x", "y"], "rows": many},  # more than one block of rows
-            "empty": {"columns": ["a"], "rows": []},
-            "empty_dense": {"columns": ["a", "b"], "rows": np.empty((0, 2))},
-            "indexed32": {"columns": ["n", "m", "lambda"], "rows": self.long_indexed(rng)},
+            "listed": {"n": np.arange(k), "value": values},
+            "dense": {"a": values, "b": -values, "c": values * 3},
+            "indexed": {"n": np.arange(k), "m": np.arange(k)[::-1], "lambda": values},
+            "many": {"x": many[:, 0], "y": many[:, 1]},  # more than one block of rows
+            "empty": {"a": np.empty(0)},
+            "empty_dense": {"a": np.empty(0), "b": np.empty(0)},
+            "indexed32": self.long_indexed(rng),
             # a block holds fewer rows of a wide table
-            "wide": {"columns": [f"psi_{j}" for j in range(40)], "rows": rng.standard_normal((1000, 40))},
+            "wide": dict(zip([f"psi_{j}" for j in range(40)], rng.standard_normal((1000, 40)).T)),
         }
         report = ScenarioReport("t", {"schema_version": 1}, {"x": 1.0}, tables)
         for fmt, suffix in (("csv", "csv"), ("gnuplot", "dat"), ("json", "json")):
@@ -292,8 +328,8 @@ class TestWriteReportFormats:
             "scenario": {"name": "gap-spectroscopy"},
         }
         report = run_scenario(cfg)
-        held = sum(t["rows"].nbytes for t in report.tables.values() if isinstance(t["rows"], np.ndarray))
-        assert len(report.tables["gaps"]["rows"]) >= 4 * 10**5
+        held = sum(column.nbytes for table in report.tables.values() for column in table.values())
+        assert len(report.tables["gaps"]["lambda"]) >= 4 * 10**5
         tracemalloc.start()
         try:
             write_report(report, tmp_path, fmt="json")
