@@ -1,11 +1,13 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 usage error (unknown subcommand, missing config),
-3 config schema violation, 4 numerical failure.  The config is checked
-against `schema` before numpy or scipy is imported.  Every other subcommand
-is a run of `scenarios.run_scenario`, whose ScenarioReport is written in the
-chosen format to a temporary directory and renamed into place on success,
-so a failed run never leaves a partial output directory.
+Exit codes: 0 success, 2 usage error (unknown subcommand, a path that cannot
+be read or written), 3 config schema violation, 4 numerical failure.  Before
+numpy or scipy is imported, a subcommand resolves the config for its run and
+`validate-config` for the run of every subcommand, so it exits 0 exactly when
+none of them would exit 3.  Every other subcommand is a run of
+`scenarios.run_scenario`, whose ScenarioReport is written in the chosen
+format to a temporary directory and renamed into place on success, so a
+failed run never leaves a partial output directory.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import shutil
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, SimulationError
@@ -27,17 +28,6 @@ from .schema import COMMANDS, GROUPS, SCENARIOS, resolve, validate_config
 SUBCOMMANDS = (*COMMANDS, "validate-config")
 
 FORMATS = ("csv", "json", "gnuplot")
-
-
-@dataclass
-class CliInvocation:
-    subcommand: str
-    config_path: str
-    output_dir: str
-    overrides: list = field(default_factory=list)
-    seed: int | None = None
-    format: str = "csv"
-    no_timestamp: bool = False
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,7 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in SUBCOMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON configuration file")
-        p.add_argument("--output", default=None, help="output root (default $VNLW_OUTPUT_DIR or .)")
+        p.add_argument("--output", default=os.environ.get("VNLW_OUTPUT_DIR", "."),
+                       help="output root (default $VNLW_OUTPUT_DIR or .)")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config key, e.g. spectra.k=6")
         p.add_argument("--seed", type=int, default=None, help="state.seed, when the config gives none")
@@ -59,22 +50,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_invocation(argv) -> CliInvocation:
-    args = _build_parser().parse_args(argv)
-    output = args.output or os.environ.get("VNLW_OUTPUT_DIR", ".")
-    return CliInvocation(
-        subcommand=args.subcommand,
-        config_path=args.config,
-        output_dir=output,
-        overrides=args.overrides,
-        seed=args.seed,
-        format=args.format,
-        no_timestamp=args.no_timestamp,
-    )
+def parse_invocation(argv) -> argparse.Namespace:
+    return _build_parser().parse_args(argv)
 
 
 def apply_overrides(config: dict, overrides) -> dict:
-    config = json.loads(json.dumps(config))  # deep copy
+    """config with each KEY=VALUE of overrides set in a new copy of its group; config is not changed."""
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must be KEY=VALUE, got {item!r}")
@@ -86,30 +67,54 @@ def apply_overrides(config: dict, overrides) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        content = config.setdefault(name, {}) if isinstance(config, dict) else None
+        content = config.get(name, {}) if isinstance(config, dict) else None
         if not isinstance(content, dict):
             raise ConfigError(f"{name}: must be an object")
-        content[key] = value
+        config = {**config, name: {**content, key: value}}
     return config
 
 
-def load_config(path) -> dict:
+def checked_config(inv: argparse.Namespace) -> dict:
+    """The config of inv with its --set and --seed, once the run of each subcommand inv names accepts it.
+
+    validate-config names every subcommand, `run` only when the config gives
+    scenario.name.  The ConfigError of the first run that refuses the config
+    names its subcommand.
+    """
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
+        with open(inv.config, encoding="utf-8") as fh:
+            config = apply_overrides(json.load(fh), inv.overrides)
+        validate_config(config)  # every group is an object from here on
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"config does not parse as JSON: {exc}") from exc
+    except RecursionError as exc:  # json, parsing the config or printing one of its values
+        raise ConfigError(f"config is nested too deeply: {exc}") from exc
+    if inv.seed is not None:  # checked also when the config's own state.seed wins
+        validate_config({"schema_version": 1, "state": {"seed": inv.seed}})
+        config.setdefault("state", {}).setdefault("seed", inv.seed)
+    named = config.get("scenario", {}).get("name")
+    if inv.subcommand == "run" and named is None:
+        raise ConfigError("scenario.name: required by vnlw run")
+    checked = COMMANDS if inv.subcommand == "validate-config" else [inv.subcommand]
+    for name in [name for name in checked if COMMANDS[name] or named]:
+        try:
+            resolve(config, COMMANDS[name] or named)
+        except ConfigError as exc:
+            raise ConfigError(f"vnlw {name}: {exc}") from exc
+    return config
 
 
 def _publish(tmpdir: Path, final: Path, replace: bool) -> None:
     """Rename the staged output directory into place.
 
-    With replace, an existing directory of that name is renamed aside first
-    and removed afterwards, so the name never points at a partly removed
-    run.  Without it, an existing directory is never replaced: the run takes
-    the first free name of final, final-2, final-3, ...
+    With replace, an existing run directory (one holding a summary.json) of
+    that name is renamed aside first and removed afterwards, so the name
+    never points at a partly removed run; any other file there is an error.
+    Without replace, the run takes the first free name of final, final-2, ...
     """
     if replace and final.exists():
+        if not (final / "summary.json").is_file():
+            raise FileExistsError(f"{final} exists and is not a run directory")
         aside = tempfile.mkdtemp(prefix=".vnlw-", dir=final.parent)
         os.replace(final, aside)
         os.replace(tmpdir, final)
@@ -120,13 +125,6 @@ def _publish(tmpdir: Path, final: Path, replace: bool) -> None:
         i += 1
         name = final.with_name(f"{final.name}-{i}")
     os.rename(tmpdir, name)  # a run's directory is never empty, so this cannot replace one
-
-
-def _outdir_name(base: str, no_timestamp: bool) -> str:
-    if no_timestamp:
-        return base
-    stamp = datetime.datetime.now().strftime("%Y%m%dT%H%M%S")
-    return f"{base}-{stamp}"
 
 
 # The stdout summary line after the run name, filled from report.summary.
@@ -142,26 +140,20 @@ _HEADLINES = {
 }
 
 
-def execute(inv: CliInvocation) -> int:
-    if not os.path.exists(inv.config_path):
-        print(f"vnlw: config not found: {inv.config_path}", file=sys.stderr)
+def execute(inv: argparse.Namespace) -> int:
+    if not os.path.exists(inv.config):
+        print(f"vnlw: config not found: {inv.config}", file=sys.stderr)
         return 2
     try:
-        config = apply_overrides(load_config(inv.config_path), inv.overrides)
-        validate_config(config)  # every group is an object from here on
-        if inv.seed is not None:  # checked also when the config's own state.seed wins
-            validate_config({"schema_version": 1, "state": {"seed": inv.seed}})
-            config.setdefault("state", {}).setdefault("seed", inv.seed)
-        run = resolve(config, COMMANDS.get(inv.subcommand)).run
+        config = checked_config(inv)
         if inv.subcommand == "validate-config":
             return 0
-        if run is None:
-            raise ConfigError("scenario.name: required by vnlw run")
+        run = COMMANDS[inv.subcommand] or config["scenario"]["name"]
         if run in SCENARIOS:  # `gaps` and `collapse` are `run` with a fixed scenario.name
             config.setdefault("scenario", {})["name"] = run
         from . import scenarios  # numpy and scipy load only for a valid config
 
-        root = Path(inv.output_dir)
+        root = Path(inv.output)
         root.mkdir(parents=True, exist_ok=True)
         tmpdir = Path(tempfile.mkdtemp(prefix=".vnlw-", dir=root))
         try:
@@ -170,7 +162,8 @@ def execute(inv: CliInvocation) -> int:
             elapsed = time.perf_counter() - start
             scenarios.write_report(report, tmpdir, inv.format)
             base = run if inv.subcommand == "run" else inv.subcommand
-            _publish(tmpdir, root / _outdir_name(base, inv.no_timestamp), inv.no_timestamp)
+            name = base if inv.no_timestamp else f"{base}-{datetime.datetime.now():%Y%m%dT%H%M%S}"
+            _publish(tmpdir, root / name, inv.no_timestamp)
         except BaseException:
             shutil.rmtree(tmpdir, ignore_errors=True)
             raise
@@ -180,14 +173,16 @@ def execute(inv: CliInvocation) -> int:
     except SimulationError as exc:
         print(f"vnlw: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:  # a config or output path that cannot be read or written
+        print(f"vnlw: {exc}", file=sys.stderr)
+        return 2
     headline = _HEADLINES[run].format(**report.summary)
     print(f"{run} {headline} elapsed={elapsed:.3f}s")
     return 0
 
 
 def main(argv=None) -> int:
-    inv = parse_invocation(argv if argv is not None else sys.argv[1:])
-    return execute(inv)
+    return execute(parse_invocation(argv if argv is not None else sys.argv[1:]))
 
 
 if __name__ == "__main__":

@@ -148,13 +148,6 @@ class HamiltonianMatrix:
         out[1:] += e * v[:-1]
         return out
 
-    def dense(self) -> np.ndarray:
-        return (
-            np.diag(self.diagonal)
-            + np.diag(self.off_diagonal, 1)
-            + np.diag(self.off_diagonal, -1)
-        )
-
 
 def build_hamiltonian(grid: Grid1D, potential: np.ndarray, hbar: float = 1.0, mass: float = 1.0) -> HamiltonianMatrix:
     """Assemble the tridiagonal Hamiltonian from a sampled potential."""

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ScenarioError
-from .schema import ONE_PARTITE, TWO_SLIT, amplitudes, resolve, two_slit_amplitudes
+from .schema import ONE_PARTITE, TWO_SLIT, amplitudes, resolve, two_slit_amplitudes, window_indices
 from .lattice import (
     Grid1D,
     HamiltonianMatrix,
@@ -65,7 +65,7 @@ def make_slit_modes(grid: Grid1D, separation: float = 4.0, sigma: float = 0.35) 
     overlap = A.conj().T @ A * grid.dx
     w, v = np.linalg.eigh(overlap)
     if not w.min() > 0:  # refuses NaN too
-        raise ScenarioError("slit modes are linearly dependent; increase separation")
+        raise ScenarioError("slit modes are linearly dependent; increase separation or decrease sigma")
     return A @ (v / np.sqrt(w)) @ v.conj().T
 
 
@@ -185,14 +185,25 @@ def run_scenario(config: dict, run: str | None = None) -> ScenarioReport:
     """Perform run, by default the scenario named by scenario.name, on config.
 
     Deterministic given the config, including its seeds.  A config that
-    breaks the schema raises ConfigError.
+    breaks the schema raises ConfigError, and a report that would hold a
+    number that is not finite (an overflow, say the gap of two energies near
+    the ends of the float range) ScenarioError.
     """
     name = run or (config.get("scenario") or {}).get("name")
     if name not in RUNNERS:
         raise ScenarioError(f"unknown run {name!r}; expected one of {tuple(RUNNERS)}")
     c = resolve(config, name)
     grid = grid_from_config(c)
-    return RUNNERS[name](c, grid, hamiltonian_from_config(c, grid))
+    report = RUNNERS[name](c, grid, hamiltonian_from_config(c, grid))
+    try:
+        json.dumps([report.summary, report.records], allow_nan=False)
+    except ValueError:
+        raise ScenarioError(f"{name}: a summary or record value is not finite") from None
+    for table, columns in report.tables.items():
+        for column, values in columns.items():
+            if not np.isfinite(values).all():
+                raise ScenarioError(f"{name}: column {column} of table {table} is not finite")
+    return report
 
 
 def _run_gap_spectroscopy(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
@@ -240,7 +251,7 @@ def _run_collapse(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
 def _run_two_slit(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
     sc = c.scenario
     cfg = PropagatorConfig(c.dynamics.dt, int(round(sc.evolve_time / c.dynamics.dt)), c.dynamics.method)
-    window = _window_indices(grid, sc.window)
+    window = window_indices(vars(c.grid), sc.window)
     modes = propagate_amplitudes(make_slit_modes(grid, sc.separation, sc.sigma), H, cfg)
     evolved = two_slit_state(grid, modes, sc.coefficients, cfg.steps * cfg.dt)
 
@@ -279,13 +290,6 @@ def complementarity_sweep(evolved: BipartiteWave, window, n_points: int = 11):
         entropies.append(entanglement_entropy(state))
         visibilities.append(fringe_visibility(position_density(state), window))
     return thetas, np.array(entropies), np.array(visibilities)
-
-
-def _window_indices(grid: Grid1D, window_x) -> tuple:
-    x = grid.points
-    lo = int(np.searchsorted(x, window_x[0], side="left"))
-    hi = int(np.searchsorted(x, window_x[1], side="right"))
-    return lo, hi
 
 
 def _run_product_equivalence(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:

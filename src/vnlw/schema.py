@@ -101,7 +101,7 @@ VALUES = Check("nonempty array of finite numbers",
 AMPLITUDES = Check("nonempty array of numbers or [re, im] pairs, not all zero",
                    lambda v: any(amplitudes(v) or ()))
 TWO_SLIT = Check('"wave", "particle", or a11..a22 as a 4-array or an object, of unit norm to 1e-10',
-                 lambda v: abs(sum(abs(a) ** 2 for a in two_slit_amplitudes(v) or [0]) - 1.0) <= 1e-10)
+                 lambda v: abs(sum((a * a.conjugate()).real for a in two_slit_amplitudes(v) or [0]) - 1) <= 1e-10)
 COEFFICIENTS = Check(f"{AMPLITUDES.doc}; or {TWO_SLIT.doc}",
                      lambda v: AMPLITUDES.accepts(v) or TWO_SLIT.accepts(v))
 
@@ -283,37 +283,40 @@ def _check_resolved(run, c) -> None:
     if largest > MAX_ARRAY_BYTES:
         raise ConfigError(f"{what}: a {largest:.3g}-byte array, over MAX_ARRAY_BYTES={MAX_ARRAY_BYTES}")
     if run == "two-slit":
-        lo, hi = c["scenario"]["window"]
-        x0, dx = _grid_origin(grid)
-        inside = _points_below(x0, dx, n, hi, inclusive=True) - _points_below(x0, dx, n, lo, inclusive=False)
-        if inside < 3:
-            raise ConfigError(f"scenario.window: holds {inside} grid points, at least 3 required")
+        lo, hi = window_indices(grid, c["scenario"]["window"])
+        if hi - lo < 3:
+            raise ConfigError(f"scenario.window: holds {hi - lo} grid points, at least 3 required")
+
+
+def window_indices(grid: dict, window) -> tuple:
+    """(lo, hi): the points of the grid group in window [a, b] are those of index lo <= i < hi.
+
+    The points are x0 + dx * i, as `build_grid` / `box_grid` make them of the
+    grid group, so the two-slit rule and the run count the same points.
+    """
+    x0, x1, n = grid["x_min"], grid["x_max"], grid["n_points"]
+    if grid["box"]:
+        length = x1 - x0
+        x0, x1 = x0 + length / (n + 1), x0 + length - length / (n + 1)
+    dx = (x1 - x0) / (n - 1)
+    return _points_below(x0, dx, n, window[0], False), _points_below(x0, dx, n, window[1], True)
 
 
 def _points_below(x0: float, dx: float, n: int, v: float, inclusive: bool) -> int:
     """How many of the points x0 + dx * i, 0 <= i < n, lie below v (or at v, if inclusive), in O(1).
 
     The division gives the count to within rounding; the loops settle it on
-    the points as they are computed, which rise with i.
+    the points as they are computed, which rise with i.  A dx that
+    underflowed to 0 puts every point at x0.
     """
     def below(i):
         x = x0 + dx * i
         return x <= v if inclusive else x < v
 
-    q = (v - x0) / dx
-    i = 0 if q <= 0 else n if q >= n else math.ceil(q)
+    q = (v - x0) / dx if dx else n * below(0)
+    i = 0 if not q > 0 else n if q >= n else math.ceil(q)
     while i > 0 and not below(i - 1):
         i -= 1
     while i < n and below(i):
         i += 1
     return i
-
-
-def _grid_origin(grid: dict) -> tuple:
-    """x_min and dx of the points x_min + dx * i that `build_grid` / `box_grid` make of the grid group."""
-    x_min, x_max, n = grid["x_min"], grid["x_max"], grid["n_points"]
-    if grid["box"]:
-        length = x_max - x_min
-        dx = length / (n + 1)
-        x_min, x_max = x_min + dx, x_min + length - dx
-    return x_min, (x_max - x_min) / (n - 1)

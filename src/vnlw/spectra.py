@@ -120,9 +120,13 @@ def _stale_columns(H: HamiltonianMatrix, w: np.ndarray, vecs: np.ndarray) -> lis
 def _inverse_iteration(d: np.ndarray, e: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Unit eigenvectors of the tridiagonal (d, e) for the ascending values w (stein)."""
     n = len(d)
+    # stein returns NaN for |H| from about 1e150 up, and for a subnormal H: an
+    # exact power-of-two scale brings an H outside 2^-256..2^256 to norm about 1
+    _, p = np.frexp(max(np.abs(d).max(), np.abs(e).max(initial=0.0)))
+    s = np.ldexp(1.0, -p) if abs(p) > 256 else 1.0
     # one block: stebz's splits, where |e_i| is below eps sqrt|d_i d_i+1|, leave
     # larger residuals than inverse iteration on the whole matrix
-    vecs, info = dstein(d, e, w, np.ones(n, dtype=np.intc), np.full(n, n, dtype=np.intc))
+    vecs, info = dstein(d * s, e * s, w * s, np.ones(n, dtype=np.intc), np.full(n, n, dtype=np.intc))
     _check(info, "dstein")
     return vecs
 

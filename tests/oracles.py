@@ -5,6 +5,7 @@ that a test can compare the two:
 
 - `difference_operator_spectrum`: the gap spectrum from the dense Kronecker
   difference operator, not from single-particle energies;
+- `dense`: the dense N x N matrix of a tridiagonal H;
 - `kernel`: the dense N x N kernel of a factored state;
 - `dense_propagator`: the N x N unitary of a run from the dense H, by
   `scipy.linalg.expm` or by powers of the dense Cayley matrix, not from the
@@ -23,6 +24,11 @@ import scipy.linalg
 from vnlw.dynamics import BipartiteWave
 
 
+def dense(H) -> np.ndarray:
+    """The dense N x N matrix of the tridiagonal H."""
+    return np.diag(H.diagonal) + np.diag(H.off_diagonal, 1) + np.diag(H.off_diagonal, -1)
+
+
 def kernel(Psi: BipartiteWave) -> np.ndarray:
     """The dense N x N array A C B^H of a factored state."""
     return Psi.left @ Psi.core @ Psi.right.conj().T
@@ -36,7 +42,7 @@ def difference_operator_spectrum(H, max_dim: int = 4096) -> np.ndarray:
     n = H.grid.n_points
     if n * n > max_dim:
         raise ValueError(f"difference operator would be {n * n}x{n * n}; max_dim={max_dim}")
-    Hd = H.dense()
+    Hd = dense(H)
     eye = np.eye(n)
     return np.sort(scipy.linalg.eigvalsh(np.kron(Hd, eye) - np.kron(eye, Hd)))
 
@@ -47,7 +53,7 @@ def dense_propagator(H, dt: float, steps: int, method: str) -> np.ndarray:
     eigenbasis: expm(-i H steps dt / hbar); crank-nicolson: the Cayley matrix
     (I + i a H)^-1 (I - i a H), a = dt / 2 hbar, raised to the power steps.
     """
-    Hd = H.dense()
+    Hd = dense(H)
     if method == "eigenbasis":
         return scipy.linalg.expm(-1j * Hd * (steps * dt) / H.hbar)
     eye, a = np.eye(H.grid.n_points), 0.5j * dt / H.hbar
@@ -74,17 +80,20 @@ def sturm_count(H, shifts) -> np.ndarray:
 
     The count of negative pivots of H - E I = L D L^T (Sylvester's law of
     inertia): d_0 = a_0 - E, d_i = a_i - E - b_{i-1}^2 / d_{i-1}.  A zero
-    pivot is taken as -tiny, as LAPACK's bisection (dstebz) takes one.
+    pivot is taken as -tiny, as LAPACK's bisection (dstebz) takes one.  An H
+    with some |b| above 2^400 is first scaled down by a power of two to
+    max |b| = 2^400, which leaves the counts as they are and keeps b^2 finite.
     """
-    shifts = np.asarray(shifts, dtype=float)
-    b2 = H.off_diagonal**2
+    scale = np.ldexp(1.0, min(0, 400 - np.frexp(np.abs(H.off_diagonal).max(initial=0.0))[1]))
+    a, shifts = H.diagonal * scale, np.asarray(shifts, dtype=float) * scale
+    b2 = (H.off_diagonal * scale) ** 2
     tiny = np.finfo(float).tiny
-    d = H.diagonal[0] - shifts
+    d = a[0] - shifts
     count = np.zeros(shifts.shape, dtype=int)
     for i in range(H.grid.n_points):
         if i:
             with np.errstate(divide="ignore", over="ignore"):
-                d = H.diagonal[i] - shifts - b2[i - 1] / d
+                d = a[i] - shifts - b2[i - 1] / d
         d = np.where(d == 0.0, -tiny, d)
         count += d < 0
     return count

@@ -34,7 +34,7 @@ from vnlw.dynamics import (
     propagate_vnl,
 )
 from vnlw.lattice import PotentialSpec, box_grid, build_grid, build_hamiltonian, sample_potential
-from vnlw.scenarios import complementarity_sweep, make_slit_modes, two_slit_state, _window_indices
+from vnlw.scenarios import complementarity_sweep, make_slit_modes, two_slit_state
 from vnlw.spectra import eigensystem
 from oracles import difference_operator_spectrum, kernel
 
@@ -272,7 +272,7 @@ def test_criterion_09_complementarity_sweep():
     modes = make_slit_modes(g)
     cfg = PropagatorConfig(1e-3, 2000)
     evolved = two_slit_state(g, propagate_amplitudes(modes, H, cfg), "wave")
-    window = _window_indices(g, (-8.0, 8.0))
+    window = np.searchsorted(g.points, -8.0, side="left"), np.searchsorted(g.points, 8.0, side="right")
     thetas, entropies, visibilities = complementarity_sweep(evolved, window, 11)
     elapsed = time.perf_counter() - start
     v_ok = visibilities[0] > 0.9 and visibilities[-1] < 0.05

@@ -21,7 +21,7 @@ from vnlw.errors import GridMismatchError, NonHermitianOperatorError, Unnormaliz
 from vnlw.lattice import PotentialSpec, build_grid, build_hamiltonian, sample_potential
 from vnlw.scenarios import make_slit_modes, two_slit_state
 from vnlw.spectra import eigensystem
-from oracles import kernel
+from oracles import dense, kernel
 
 
 @pytest.fixture(scope="module")
@@ -265,7 +265,7 @@ class TestExpectation:
     def test_eigenstate_energy(self, harmonic):
         g, H, eigs = harmonic
         psi = eigenstate(eigs, 2)
-        val = expectation(from_product(psi, psi), H.dense())
+        val = expectation(from_product(psi, psi), dense(H))
         assert val == pytest.approx(eigs.energies[2], abs=1e-8)
 
     def test_particle_state_projector(self, slits):

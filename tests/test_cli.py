@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vnlw
 from vnlw import cli, scenarios, schema
@@ -35,19 +37,19 @@ class TestParseInvocation:
         monkeypatch.delenv("VNLW_OUTPUT_DIR", raising=False)
         inv = parse_invocation(["gaps", "--config", "c.json"])
         assert inv.subcommand == "gaps"
-        assert inv.output_dir == "."
+        assert inv.output == "."
         assert inv.format == "csv"
         assert not inv.no_timestamp
 
     def test_env_output_dir(self, monkeypatch):
         monkeypatch.setenv("VNLW_OUTPUT_DIR", "/tmp/elsewhere")
         inv = parse_invocation(["gaps", "--config", "c.json"])
-        assert inv.output_dir == "/tmp/elsewhere"
+        assert inv.output == "/tmp/elsewhere"
 
     def test_explicit_output_beats_env(self, monkeypatch):
         monkeypatch.setenv("VNLW_OUTPUT_DIR", "/tmp/elsewhere")
         inv = parse_invocation(["gaps", "--config", "c.json", "--output", "out"])
-        assert inv.output_dir == "out"
+        assert inv.output == "out"
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -223,6 +225,11 @@ class TestExitCodes:
         ("collapse", ["--set", "grid.n_points=32", "--set", "spectra.k=40"], "spectra.k"),
         # --seed is checked also where the config's own state.seed wins
         ("evolve", ["--seed", "-1", "--set", "state.type=random", "--set", "state.seed=3"], "seed"),
+        # two-slit coefficients whose squares overflow in the check itself
+        ("run", ["--set", "scenario.name=two-slit", "--set", "scenario.coefficients=[1e200, 0, 0, 0]"],
+         "scenario.coefficients"),
+        ("schmidt", ["--set", "state.type=two-slit", "--set", "state.coefficients=[1.7e308, 1.7e308, 0, 0]"],
+         "state.coefficients"),
     ])
     def test_bad_run_exit_leaves_nothing(self, tmp_path, capsys, subcommand, args, key):
         out = tmp_path / "out"
@@ -285,6 +292,46 @@ class TestExitCodes:
         code = main([subcommand, "--config", write_config(tmp_path, BASE), "--output", str(out), *sets])
         assert code == 4
         assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("subcommand, column", [("gaps", "lambda"), ("collapse", "delta_E_conditional")])
+    def test_overflowing_report_exits_4(self, tmp_path, capsys, subcommand, column):
+        """Energies near both ends of the float range: a gap, or an energy change, overflows."""
+        values = [sys.float_info.max, -sys.float_info.max] + [0.0] * 31
+        cfg = {**BASE, "grid": {"n_points": 33}, "spectra": {"k": 33}, "state": {"sigma": 2},
+               "potential": {"kind": "tabulated", "values": values}}
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", write_config(tmp_path, cfg), "--output", str(out)]) == 4
+        assert f"column {column} of table" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("spike", [2e154, 1e300])
+    def test_potential_spike_gives_finite_states(self, tmp_path, spike):
+        """Inverse iteration on an H of norm above about 1e150 is scaled first; it used to return NaN."""
+        cfg = {**BASE, "grid": {"n_points": 16}, "potential": {"kind": "tabulated", "values": [0.0] * 15 + [spike]}}
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", write_config(tmp_path, cfg), "--output", str(out), "--no-timestamp"]) == 0
+        states = np.loadtxt(out / "spectrum" / "states.csv", delimiter=",", skiprows=1)
+        dx = states[1, 0] - states[0, 0]
+        assert np.all(np.isfinite(states))
+        assert np.sum(states[:, 1:] ** 2, axis=0) * dx == pytest.approx(np.ones(3))
+
+    def test_window_on_a_grid_whose_dx_underflows(self, tmp_path, capsys):
+        """dx = 5e-324 / 200 is 0: every point sits at x_min, in the window, and H is not finite."""
+        sets = ["--set", "scenario.name=two-slit", "--set", "grid.x_min=0", "--set", "grid.x_max=5e-324"]
+        path = write_config(tmp_path, BASE)
+        assert main(["validate-config", "--config", path, *sets]) == 0
+        assert main(["run", "--config", path, "--output", str(tmp_path / "out"), *sets]) == 4
+        assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand, key", [("run", "scenario.name=two-slit"), ("schmidt", "state.type=two-slit")])
+    def test_flat_slit_modes_blame_sigma(self, tmp_path, capsys, subcommand, key):
+        """sigma^2 overflows, so both slit modes are the same flat wave: the message names sigma."""
+        group = key.split(".")[0]
+        sets = ["--set", "grid.n_points=64", "--set", key, "--set", f"{group}.sigma=2e154"]
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", write_config(tmp_path, BASE), "--output", str(out), *sets]) == 4
+        assert "sigma" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("subcommand, overrides", [
@@ -384,6 +431,76 @@ class TestValidateConfigCommand:
         ])
         assert code == 0
         assert not out.exists()
+
+    def test_refused_by_one_subcommand(self, tmp_path, capsys):
+        """spectra.k above n_points is refused by the runs that solve for k levels, so by validate-config."""
+        cfg = {**BASE, "grid": {**BASE["grid"], "n_points": 32}}
+        args = ["--config", write_config(tmp_path, cfg), "--output", str(tmp_path / "out"),
+                "--set", "spectra.k=100000"]
+        assert main(["validate-config", *args]) == 3
+        assert "vnlw spectrum: spectra.k" in capsys.readouterr().err
+        assert main(["gaps", *args]) == 3
+        assert main(["evolve", *args, "--set", "dynamics.steps=10"]) == 0
+
+    def test_one_partite_state_refused(self, tmp_path, capsys):
+        """An explicit one-partite state.type is refused, since collapse, schmidt and entropy refuse it."""
+        path = write_config(tmp_path, {**BASE, "state": {"type": "gaussian"}})
+        assert main(["validate-config", "--config", path]) == 3
+        assert "vnlw schmidt: state.type" in capsys.readouterr().err
+
+    def test_named_scenario_checked_for_run(self, tmp_path, capsys):
+        cfg = {**BASE, "scenario": {"name": "two-slit", "window": [100, 200]}}
+        assert main(["validate-config", "--config", write_config(tmp_path, cfg)]) == 3
+        assert "vnlw run: scenario.window" in capsys.readouterr().err
+
+
+class TestUnusablePaths:
+    """A path that cannot be read or written exits 2, a config that cannot be decoded exits 3;
+    neither leaves anything behind nor touches a file that is not a run directory."""
+
+    def run_spectrum(self, tmp_path, config_path, out, *args):
+        return main(["spectrum", "--config", str(config_path), "--output", str(out), "--no-timestamp", *args])
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        assert self.run_spectrum(tmp_path, tmp_path, tmp_path / "out") == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff{}")
+        assert self.run_spectrum(tmp_path, path, tmp_path / "out") == 3
+        assert "does not parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["config", "set"])
+    def test_config_nested_too_deep(self, tmp_path, capsys, where):
+        deep = "[" * 100000 + "]" * 100000
+        path = tmp_path / "deep.json"
+        path.write_text(deep if where == "config" else json.dumps(BASE))
+        args = ["--set", f"grid.x_min={deep}"] if where == "set" else []
+        assert self.run_spectrum(tmp_path, path, tmp_path / "out", *args) == 3
+        assert "nested too deeply" in capsys.readouterr().err
+
+    def test_output_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("keep")
+        assert self.run_spectrum(tmp_path, write_config(tmp_path, BASE), out) == 2
+        assert out.read_text() == "keep"
+
+    @pytest.mark.parametrize("kind", ["file", "directory"])
+    def test_run_name_taken_by_other_file(self, tmp_path, capsys, kind):
+        out = tmp_path / "out"
+        out.mkdir()
+        taken = out / "spectrum"
+        if kind == "file":
+            taken.write_text("keep")
+        else:
+            taken.mkdir()
+            (taken / "notes.txt").write_text("keep")
+        assert self.run_spectrum(tmp_path, write_config(tmp_path, BASE), out) == 2
+        assert "not a run directory" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["spectrum"]
+        assert (taken if kind == "file" else taken / "notes.txt").read_text() == "keep"
 
 
 class TestGapsCommand:
@@ -661,3 +778,114 @@ def test_traced_run_binds_every_traced_function(tmp_path):
                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert out.returncode == 0, out.stderr
     assert "scenarios.complementarity_sweep" in {span[0] for span in json.loads(spans.read_text())}
+
+
+# The CLI contract over the whole schema: every key's value drawn from a pool
+# of candidates (the float extremes among them) that its own Check accepts.
+# Sizes stay small (n_points <= 64, steps <= 100, sweep_points <= 5,
+# evolve_time / dt <= 100) or are ones the work budget refuses.
+_NUMBERS = [0, 1, 2, 3, 7, 64, 0.0, -0.0, 5e-324, 1e-300, 1e-3, 0.35, 1.0, -1.0, 4.0, -20.0, 20.0,
+            2e154, 1e300, -1e300, sys.float_info.max, -sys.float_info.max]
+_CANDIDATES = [
+    *_NUMBERS, True, False, "wave", "particle", *schema.POTENTIAL_KINDS, *schema.METHODS, *schema.SCENARIOS,
+    *schema.STATE_TYPES, *([a, b] for a in (-1e308, -20.0, -8.0, 0.0) for b in (0.0, 0.1, 8.0, 1e308)),
+    [1, 0, 0, 0], [0.6, 0, 0, [0, 0.8]], {"a12": 1}, [1e200, 0, 0, 0], [1e-300, 1.0], [1, 1, [0, 1]],
+    [sys.float_info.max, sys.float_info.max], [1.0] * 65,
+]
+
+
+@st.composite
+def cli_configs(draw):
+    """A config of every key drawn from the candidates its Check accepts, or left out.
+
+    The draws lean towards configs that runs accept: x_min below x_max,
+    coefficients of the drawn state.type, one potential value per grid
+    point; one draw in ten of a size is one the work budget refuses.
+    """
+    def pick(values, refused=None):
+        return refused if refused is not None and draw(st.integers(0, 9)) == 0 else draw(st.sampled_from(values))
+
+    n = pick([8, 9, 33, 64], 2**30)
+    sizes = {"n_points": n, "steps": pick([0, 1, 2, 100], schema.MAX_STEPS + 1),
+             "sweep_points": pick([0, 1, 2, 5], schema.MAX_ROWS + 1), "k": pick([1, 3, 8, n, n + 1], 100000)}
+    state_type = draw(st.sampled_from([None, *schema.STATE_TYPES]))
+    config = {"schema_version": 1}
+    for entry in schema.TABLE:
+        check = entry.check.accepts
+        if entry.key == "coefficients" and entry.group == "state" and state_type in ("eigen", "eigen-product"):
+            check = schema.AMPLITUDES.accepts
+        elif entry.key == "coefficients" and state_type in ("two-slit", None):
+            check = schema.TWO_SLIT.accepts
+        if entry.key in sizes:
+            value = sizes[entry.key]
+        elif entry.key == "type":
+            value = state_type
+        elif entry.key == "values":
+            value = draw(st.lists(st.sampled_from(_NUMBERS), min_size=min(n, 64), max_size=min(n, 64)))
+        elif entry.key == "evolve_time":
+            value = config["dynamics"]["dt"] * pick([0, 1, 3, 100], 1e300)
+        elif entry.key == "dt" or draw(st.booleans()):
+            value = draw(st.sampled_from([v for v in _CANDIDATES if check(v)]))
+        else:
+            value = None
+        if value is not None:
+            config.setdefault(entry.group, {})[entry.key] = value
+    grid = config["grid"]
+    if "x_min" in grid and "x_max" in grid:
+        grid["x_min"], grid["x_max"] = sorted([grid["x_min"], grid["x_max"]])
+    return config
+
+
+def _numbers(value):
+    """Every number in a JSON value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for v in value for x in _numbers(v)]
+    return [value] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+def _tree(root: Path) -> dict:
+    return {p.relative_to(root): p.stat().st_mtime_ns for p in root.rglob("*")}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(config=cli_configs(), fmt=st.sampled_from(cli.FORMATS))
+def test_cli_contract(config, fmt):
+    """Exit 0, 3 or 4; validate-config exits 0 iff no subcommand exits 3; outputs are finite."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, root = write_config(Path(tmp), config), Path(tmp) / "out"
+        root.mkdir()
+        named = config.get("scenario", {}).get("name")
+        codes = {}
+        for sub in [s for s in schema.COMMANDS if s != "run" or named]:
+            before = _tree(root)
+            codes[sub] = code = main([sub, "--config", path, "--output", str(root), "--no-timestamp", "--format", fmt])
+            assert code in (0, 3, 4), sub
+            assert not list(root.glob(".vnlw-*")), sub
+            if code != 0:
+                assert _tree(root) == before, sub
+                continue
+            run = schema.COMMANDS[sub] or named
+            outdir = root / (run if sub == "run" else sub)
+            files = {}  # name -> its numbers, row by row
+            for f in outdir.iterdir():
+                text = f.read_text()
+                if f.suffix == ".json":
+                    files[f.stem] = _numbers(json.loads(text))
+                else:
+                    files[f.stem] = [float(v) for line in text.splitlines()[1:] for v in line.replace(",", " ").split()]
+                assert all(map(math.isfinite, files[f.stem])), (sub, f.name)
+            if run in ("spectrum", "gap-spectroscopy"):
+                c = schema.resolve(config, run)
+                grid = scenarios.grid_from_config(c)
+                H = scenarios.hamiltonian_from_config(c, grid)
+                if run == "spectrum":  # states.* holds x, psi_0, ..., psi_k-1 in each row
+                    psi = np.reshape(files["states"], (grid.n_points, -1))[:, 1:]
+                    norms = np.sum((psi * np.sqrt(grid.dx)) ** 2, axis=0)
+                    assert np.allclose(norms, 1.0, rtol=0, atol=1e-10), (sub, norms)
+                E = np.array(json.loads((outdir / "summary.json").read_text())["summary"]["energies"])
+                eps, j = 1e-9 * np.maximum(1.0, np.abs(E)), np.arange(len(E))
+                assert np.all(sturm_count(H, E - eps) <= j) and np.all(j < sturm_count(H, E + eps)), (sub, E)
+        valid = main(["validate-config", "--config", path, "--output", str(root)])
+        assert (valid == 0) == (3 not in codes.values()), codes

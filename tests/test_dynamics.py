@@ -21,7 +21,7 @@ from vnlw.errors import GridMismatchError, SimulationError, UnnormalizedStateErr
 from vnlw.lattice import PotentialSpec, build_grid, build_hamiltonian, sample_potential
 from vnlw.schema import resolve
 from vnlw.spectra import eigensystem
-from oracles import dense_propagator, eigenbasis_bipartite_evolution, kernel
+from oracles import dense, dense_propagator, eigenbasis_bipartite_evolution, kernel
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +101,7 @@ class TestCrankNicolsonStepper:
         v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         given = v.copy()
         eye, a = np.eye(g.n_points), 0.5 * dt / H.hbar
-        plus, minus = eye + 1j * a * H.dense(), eye - 1j * a * H.dense()
+        plus, minus = eye + 1j * a * dense(H), eye - 1j * a * dense(H)
         expected = v
         for _ in range(25):
             expected = np.linalg.solve(plus, minus @ expected)

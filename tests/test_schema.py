@@ -183,6 +183,20 @@ class TestResolve:
                        "two-slit")
         schema.resolve({"schema_version": 1, "grid": {"n_points": 10**6}}, "two-slit")  # no N x N array
 
+    @pytest.mark.parametrize("box", [False, True])
+    def test_window_edges_on_grid_points(self, box):
+        """Window edges at a grid point, or one ulp either side of it, count as numpy's searchsorted does."""
+        import numpy as np
+        from vnlw.scenarios import grid_from_config
+
+        grid = {"x_min": -15.0, "x_max": 15.0, "n_points": 401, "box": box}
+        x = grid_from_config(schema.resolve({"schema_version": 1, "grid": grid}, "spectrum")).points
+        for i, j in [(0, 400), (3, 17), (107, 294), (200, 203)]:
+            for lo in (np.nextafter(x[i], -np.inf), x[i], np.nextafter(x[i], np.inf)):
+                for hi in (np.nextafter(x[j], -np.inf), x[j], np.nextafter(x[j], np.inf)):
+                    expected = np.searchsorted(x, lo, side="left"), np.searchsorted(x, hi, side="right")
+                    assert schema.window_indices(grid, [float(lo), float(hi)]) == expected
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         x_min=st.floats(-30, 30), width=st.floats(0.5, 60), n_points=st.integers(8, 300), box=st.booleans(),
@@ -190,12 +204,14 @@ class TestResolve:
     )
     def test_window_counts_the_points_of_the_grid(self, x_min, width, n_points, box, lo, span):
         """A window is refused exactly when the runner's grid has fewer than 3 points in it."""
-        from vnlw.scenarios import _window_indices, grid_from_config
+        import numpy as np
+        from vnlw.scenarios import grid_from_config
 
         grid = {"x_min": x_min, "x_max": x_min + width, "n_points": n_points, "box": box}
         window = [lo, lo + span]
-        g = grid_from_config(schema.resolve({"schema_version": 1, "grid": grid}, "spectrum"))
-        i, j = _window_indices(g, window)
+        x = grid_from_config(schema.resolve({"schema_version": 1, "grid": grid}, "spectrum")).points
+        i, j = np.searchsorted(x, window[0], side="left"), np.searchsorted(x, window[1], side="right")
+        assert schema.window_indices(grid, window) == (i, j)
         config = {"schema_version": 1, "grid": grid, "scenario": {"name": "two-slit", "window": window}}
         if j - i < 3:
             with pytest.raises(ConfigError, match=r"scenario\.window"):
