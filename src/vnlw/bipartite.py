@@ -201,7 +201,8 @@ def collapse_statistics(amps: TransitionAmplitudes) -> CollapseStatistics:
     w = np.abs(amps.c) ** 2
     E = amps.eigensystem.energies
     p = w.sum(axis=0)
-    delta_E = (w * E[:, None]).sum(axis=0) - p * E
     resolved = p > np.finfo(float).eps * p.sum()
-    conditional = np.where(resolved, delta_E / np.where(resolved, p, 1.0), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # energies near the float limits; run_scenario refuses them
+        delta_E = (w * E[:, None]).sum(axis=0) - p * E
+        conditional = np.where(resolved, delta_E / np.where(resolved, p, 1.0), 0.0)
     return CollapseStatistics(p, delta_E, conditional, amps.truncation_residual)

@@ -7,7 +7,8 @@ numpy or scipy is imported, a subcommand resolves the config for its run and
 none of them would exit 3.  Every other subcommand is a run of
 `scenarios.run_scenario`, whose ScenarioReport is written in the chosen
 format to a temporary directory and renamed into place on success, so a
-failed run never leaves a partial output directory.
+failed run never leaves a partial output directory; nor does it leave the
+output root, or any of its parents, that it made and that is still empty.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import shutil
 import sys
 import tempfile
 import time
+from itertools import takewhile
 from pathlib import Path
 
 from .errors import ConfigError, SimulationError
@@ -127,6 +129,17 @@ def _publish(tmpdir: Path, final: Path, replace: bool) -> None:
     os.rename(tmpdir, name)  # a run's directory is never empty, so this cannot replace one
 
 
+def _remove_made(made: list) -> None:
+    """Remove the directories of made, deepest first, up to the first that is not empty."""
+    for path in made:
+        try:
+            path.rmdir()
+        except FileNotFoundError:  # never made
+            continue
+        except OSError:  # not empty: it and its parents stay
+            return
+
+
 # The stdout summary line after the run name, filled from report.summary.
 _HEADLINES = {
     "two-slit": "visibility={visibility}",
@@ -154,9 +167,11 @@ def execute(inv: argparse.Namespace) -> int:
         from . import scenarios  # numpy and scipy load only for a valid config
 
         root = Path(inv.output)
-        root.mkdir(parents=True, exist_ok=True)
-        tmpdir = Path(tempfile.mkdtemp(prefix=".vnlw-", dir=root))
+        made = list(takewhile(lambda path: not path.exists(), [root, *root.parents]))  # deepest first
+        tmpdir = None
         try:
+            root.mkdir(parents=True, exist_ok=True)
+            tmpdir = Path(tempfile.mkdtemp(prefix=".vnlw-", dir=root))
             start = time.perf_counter()
             report = scenarios.run_scenario(config, run)
             elapsed = time.perf_counter() - start
@@ -165,7 +180,9 @@ def execute(inv: argparse.Namespace) -> int:
             name = base if inv.no_timestamp else f"{base}-{datetime.datetime.now():%Y%m%dT%H%M%S}"
             _publish(tmpdir, root / name, inv.no_timestamp)
         except BaseException:
-            shutil.rmtree(tmpdir, ignore_errors=True)
+            if tmpdir is not None:
+                shutil.rmtree(tmpdir, ignore_errors=True)
+            _remove_made(made)
             raise
     except ConfigError as exc:
         print(f"vnlw: invalid config: {exc}", file=sys.stderr)

@@ -23,10 +23,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._lapack import zgemm, zgttrf, zgttrs
-from .errors import GridMismatchError, SimulationError, UnnormalizedStateError
+from .errors import EigensolverError, GridMismatchError, SimulationError, UnnormalizedStateError
 from .lattice import Grid1D, HamiltonianMatrix
 from .schema import METHODS
-from .spectra import eigensystem
+from .spectra import _stale_columns, eigensystem
 
 NORM_TOL = 1e-6
 
@@ -142,9 +142,10 @@ class CrankNicolsonStepper:
             raise SimulationError(f"Crank-Nicolson factorization failed: gttrf info={info}")
 
     def apply(self, v: np.ndarray, steps: int = 1) -> np.ndarray:
-        """`steps` Cayley steps applied to v."""
-        for _ in range(steps):
-            v = zgttrs(*self._lu, self._numerator.apply(v), overwrite_b=True)[0]
+        """`steps` Cayley steps applied to v; a product past the float range leaves it not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):  # every run refuses a state that is not finite
+            for _ in range(steps):
+                v = zgttrs(*self._lu, self._numerator.apply(v), overwrite_b=True)[0]
         return v
 
 
@@ -177,13 +178,18 @@ class SpectralPropagator:
     S holds the Euclidean-orthonormal eigenvectors of H and f(E) the method's
     factor for a step count, so one instance serves every step count of a run.
     A factor that is not finite (dt or steps * dt overflows) raises
-    SimulationError.
+    SimulationError, and a column of S that is no eigenvector of H (its
+    residual is above `spectra._RESIDUAL_BOUND`; S is then not orthonormal
+    and the propagator not unitary) EigensolverError.
     """
 
     def __init__(self, H: HamiltonianMatrix, dt: float, method: str):
         eigs = eigensystem(H, H.grid.n_points)
         self._S = eigs.states * np.sqrt(H.grid.dx)
         self._E = eigs.energies
+        stale = _stale_columns(H, self._E, self._S)
+        if stale:  # as behind a barrier near the float limit
+            raise EigensolverError(f"{len(stale)} of the {len(self._E)} eigenstates of H are off their energies")
         self._dt, self._method, self._hbar = dt, method, H.hbar
 
     def _factor(self, steps: int) -> np.ndarray:
@@ -304,7 +310,9 @@ def trajectory(
         values = _stepped_trajectory(state, CrankNicolsonStepper(H, cfg.dt), counts)
     else:
         values = SpectralPropagator(H, cfg.dt, cfg.method).trajectory(state, counts)
-    return np.column_stack([state.time + cfg.dt * np.array(counts, dtype=float), values])
+    with np.errstate(over="ignore"):  # a time past the float range, which run_scenario refuses
+        times = state.time + cfg.dt * np.array(counts, dtype=float)
+    return np.column_stack([times, values])
 
 
 def _stepped_trajectory(psi: WaveFunction, stepper: CrankNicolsonStepper, counts) -> np.ndarray:
@@ -316,8 +324,9 @@ def _stepped_trajectory(psi: WaveFunction, stepper: CrankNicolsonStepper, counts
     for i, steps in enumerate(counts):
         amp = stepper.apply(amp, steps - done)
         done = steps
-        density = np.abs(amp) ** 2 * dx
-        rows[i] = np.sum(density), x @ density
+        with np.errstate(over="ignore", invalid="ignore"):  # a state past the float range, which run_scenario refuses
+            density = np.abs(amp) ** 2 * dx
+            rows[i] = np.sum(density), x @ density
     return rows
 
 

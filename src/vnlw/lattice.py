@@ -158,7 +158,7 @@ def build_hamiltonian(grid: Grid1D, potential: np.ndarray, hbar: float = 1.0, ma
         )
     if hbar <= 0 or mass <= 0:
         raise HamiltonianError(f"hbar and mass must be positive, got hbar={hbar}, mass={mass}")
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below (dx may underflow to 0)
         mass_dx2 = mass * np.float64(grid.dx) ** 2
         t = np.float64(hbar) ** 2 / mass_dx2
         diagonal = t + potential

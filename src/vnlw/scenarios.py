@@ -172,6 +172,7 @@ def build_state(c, grid: Grid1D, H: HamiltonianMatrix) -> WaveFunction | Biparti
         psi = gaussian_packet(grid, st.center, st.sigma, st.momentum)
     else:  # eigen, eigen-product
         a = np.array(amplitudes(st.coefficients))
+        a = a / np.abs(a).max()  # so that |a|^2 cannot overflow: the schema admits any finite amplitudes
         a = a / np.linalg.norm(a)
         psi = WaveFunction(eigensystem(H, len(a)).states @ a, grid)
     return psi if st.type in ONE_PARTITE else from_product(psi, psi)
@@ -390,12 +391,13 @@ def write_report(report: ScenarioReport, outdir, fmt: str = "csv") -> None:
 
 _SUFFIX = {"csv": ".csv", "gnuplot": ".dat", "json": ".json"}
 _BLOCK = 1 << 14  # cells formatted, or laid out in rows, per step
-# Magnitudes are taken as float64 and int64, so |n| of an int32 or uint32 is
-# exact (an int column must stay above -2**63); the longest string of one is
-# 23 for a float ('%.17g' or repr, as in '2.2250738585072014e-308') and 19
-# for an int.
-_MAGNITUDE = {"f": np.float64, "i": np.int64}
-_WIDTH = {"f": 23, "i": 19}
+# Magnitudes of a float column are its float64 |x|, of an int column its
+# int64 |n| read as uint64, which is exact for every int64 and uint32 (-2**63
+# included) and fits 19 digits.  A magnitude's '%.17g' (as
+# '2.2250738585072014e-308') or str fits the field of _SPEC, so one '%' call
+# formats a block of them as fixed-width fields.
+_MAGNITUDE = {"f": np.float64, "i": np.uint64}
+_SPEC = {"f": "%-23.17g", "i": "%-19d"}
 
 
 def _layout(fmt: str, names: list, has_rows: bool):
@@ -419,13 +421,31 @@ def _kind(column: np.ndarray) -> str:
     return "i" if column.dtype.kind in "iu" else "f"
 
 
+def _magnitudes(values: np.ndarray, out=None) -> np.ndarray:
+    """|values| as _MAGNITUDE of their kind, into out when given."""
+    if _kind(values) == "f":
+        return np.abs(values, out=out, dtype=np.float64)
+    return np.abs(values, out=None if out is None else out.view(np.int64), dtype=np.int64).view(np.uint64)
+
+
+def _negative(values: np.ndarray) -> np.ndarray:
+    """Where a cell takes a minus sign: below 0, or a float -0.0 (not a NaN)."""
+    if _kind(values) == "i":
+        return values < 0
+    negative = np.signbit(values)
+    negative &= ~np.isnan(values)
+    return negative
+
+
 def _distinct_cells(columns: list, fmt: str):
     """The sorted distinct magnitudes of columns of one kind, and each one's string.
 
-    The strings are one (d, w) byte array, NUL-padded: '%.17g' for a float
-    in csv and gnuplot, str for an int (which '%.17g' also gives below
-    2**53), and json's own for both in json (NaN, Infinity).  Each distinct
-    value is formatted once.
+    The strings are one 1-D array of V{used} records, NUL-padded to the
+    longest: '%.17g' for a float in csv and gnuplot, str for an int (which
+    '%.17g' also gives below 2**53), and json's own for both in json (NaN,
+    Infinity).  Each block of distinct values is formatted by one '%' call
+    on _SPEC's fixed-width fields, whose padding spaces become NUL; the rows
+    are then compacted to the longest string in place.
     """
     if not columns:
         return None
@@ -433,7 +453,7 @@ def _distinct_cells(columns: list, fmt: str):
     mags = np.empty(sum(len(c) for c in columns), dtype=_MAGNITUDE[kind])
     start = 0
     for c in columns:
-        np.abs(c, out=mags[start:start + len(c)], dtype=mags.dtype)
+        _magnitudes(c, out=mags[start:start + len(c)])
         start += len(c)
     mags.sort()
     keep = np.empty(len(mags), dtype=bool)
@@ -441,18 +461,35 @@ def _distinct_cells(columns: list, fmt: str):
     np.not_equal(mags[1:], mags[:-1], out=keep[1:])
     values = mags[keep]
     del mags, keep
-    width = _WIDTH[kind]
-    text = np.empty(len(values), dtype=f"S{width}")
-    used = 1
-    for i in range(0, len(values), _BLOCK):
+    count, spec = len(values), _SPEC[kind]
+    width = len(spec % 0)  # the field; json's strings (repr, NaN, Infinity) fit it too
+    flat = np.empty(count * width, dtype=np.uint8)
+    for i in range(0, count, _BLOCK):
         part = values[i:i + _BLOCK].tolist()
+        block = flat[i * width:(i + len(part)) * width]
         if fmt == "json":
-            strings = json.dumps(part)[1:-1].split(", ")
+            block.view(f"S{width}")[:] = json.dumps(part)[1:-1].split(", ")
         else:
-            strings = list(map(str if kind == "i" else "%.17g".__mod__, part))
-        text[i:i + len(part)] = strings
-        used = max(used, max(map(len, strings)))
-    return values, text.view(np.uint8).reshape(len(values), width)[:, :used]
+            block[:] = np.frombuffer((spec * len(part) % tuple(part)).encode(), dtype=np.uint8)
+            block[block == ord(" ")] = 0
+    rows = flat.reshape(count, width)
+    used = width
+    while used > 1 and not rows[:, used - 1].any():
+        used -= 1
+    for i in range(0, count, _BLOCK):  # forward: a block lands on moved bytes or on its own, which numpy copies first
+        n = min(_BLOCK, count - i)
+        flat[i * used:(i + n) * used].reshape(n, used)[:] = rows[i:i + n, :used]
+    return values, flat[:count * used].view(f"V{used}")
+
+
+def _lookup(values: np.ndarray, mags: np.ndarray) -> np.ndarray:
+    """The index of each of mags in the sorted distinct values, which hold every one."""
+    if values.dtype.kind == "u" and values[-1] - values[0] == len(values) - 1:  # consecutive, as indices are
+        return (mags - values[0]).view(np.intp)
+    order = np.argsort(mags)  # sorted keys keep the binary search in cache
+    found = np.empty(len(mags), dtype=np.intp)
+    found[order] = np.searchsorted(values, mags[order])
+    return found
 
 
 def _write_cells(fh, columns: list, cells: dict, layout) -> None:
@@ -460,9 +497,9 @@ def _write_cells(fh, columns: list, cells: dict, layout) -> None:
 
     Adjacent columns of one kind form a run, whose cells are filled at once:
     each takes a slot of the literal before it, a sign byte and its
-    magnitude's string from cells, found by binary search, all NUL-padded to
-    the run's slot width.  The NUL padding is dropped before the block is
-    written.
+    magnitude's string from cells (`_lookup`, then one take of the run's
+    records), all NUL-padded to the run's slot width.  The NUL padding is
+    dropped before the block is written.
     """
     if not columns:
         return
@@ -476,30 +513,25 @@ def _write_cells(fh, columns: list, cells: dict, layout) -> None:
         pad = max(map(len, before))
         before = np.array([list(b.ljust(pad, b"\0")) for b in before], dtype=np.uint8).reshape(len(run), pad)
         runs.append((run, cells[kind], before, width))
-        width += len(run) * (pad + 1 + cells[kind][1].shape[1])
+        width += len(run) * (pad + 1 + cells[kind][1].itemsize)
     block = max(1, _BLOCK // len(columns))
     for start in range(0, len(columns[0]), block):
         stop = min(start + block, len(columns[0]))
         out = np.empty((stop - start, width + len(end)), dtype=np.uint8)
         for run, (values, text), before, offset in runs:
-            pad = before.shape[1]
-            slot = pad + 1 + text.shape[1]
+            pad, used = before.shape[1], text.itemsize
+            slot = pad + 1 + used
             cell = np.lib.stride_tricks.as_strided(
                 out[:, offset:], (stop - start, len(run), slot), (out.strides[0], slot, 1))
             cell[:, :, :pad] = before
             part = np.stack([column[start:stop] for column in run], axis=1)
-            negative = part < 0 if values.dtype.kind == "i" else np.signbit(part) & ~np.isnan(part)
-            cell[:, :, pad] = np.where(negative, ord("-"), 0)
-            mags = np.abs(part, dtype=values.dtype).reshape(-1)
-            order = np.argsort(mags)  # sorted keys keep the binary search in cache
-            found = np.empty(len(mags), dtype=np.intp)
-            found[order] = np.searchsorted(values, mags[order])
-            cell[:, :, pad + 1:] = text[found.reshape(part.shape)]
+            np.multiply(_negative(part).view(np.uint8), ord("-"), out=cell[:, :, pad])
+            found = _lookup(values, _magnitudes(part).reshape(-1))
+            cell[:, :, pad + 1:].view(text.dtype)[:, :, 0] = text.take(found).reshape(part.shape)
         out[:, width:] = np.frombuffer(end, dtype=np.uint8)
         if start == 0 and lead.startswith(b","):
             out[0, 0] = 0  # no row before the first to separate it from
-        flat = out.reshape(-1)
-        fh.write(flat[flat != 0])
+        fh.write(out.tobytes().translate(None, b"\0"))
 
 
 def _write_json(obj, path: Path) -> None:

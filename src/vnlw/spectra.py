@@ -61,7 +61,9 @@ def _lowest_energies(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
             w, _, _, info = dpteqr(shifted, e, np.zeros((1, 1)))
             _check(info, "dpteqr")
             w = w[: -k - 1 : -1] + sigma  # pteqr's order is descending
-            if np.all(w - sigma <= 1024 * np.maximum(1.0, np.abs(w))):
+            with np.errstate(over="ignore"):  # a bound past the float range admits every value
+                within = np.all(w - sigma <= 1024 * np.maximum(1.0, np.abs(w)))
+            if within:
                 return w
     m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, 1, k, 2 * np.finfo(float).tiny, "E")
     _check(info, "dstebz")
@@ -123,10 +125,11 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, w: np.ndarray) -> np.ndarra
     # stein returns NaN for |H| from about 1e150 up, and for a subnormal H: an
     # exact power-of-two scale brings an H outside 2^-256..2^256 to norm about 1
     _, p = np.frexp(max(np.abs(d).max(), np.abs(e).max(initial=0.0)))
-    s = np.ldexp(1.0, -p) if abs(p) > 256 else 1.0
+    shift = -p if abs(p) > 256 else 0  # applied by ldexp: 2.0**-p itself overflows for a subnormal H
     # one block: stebz's splits, where |e_i| is below eps sqrt|d_i d_i+1|, leave
     # larger residuals than inverse iteration on the whole matrix
-    vecs, info = dstein(d * s, e * s, w * s, np.ones(n, dtype=np.intc), np.full(n, n, dtype=np.intc))
+    vecs, info = dstein(np.ldexp(d, shift), np.ldexp(e, shift), np.ldexp(w, shift), np.ones(n, dtype=np.intc),
+                        np.full(n, n, dtype=np.intc))
     _check(info, "dstein")
     return vecs
 
@@ -161,8 +164,12 @@ def eigensystem(H: HamiltonianMatrix, k: int) -> EigenSystem:
 
 
 def gap_spectrum(energies: np.ndarray) -> np.ndarray:
-    """The k x k array of all pairwise gaps lambda[n, m] = E_n - E_m of the given energies."""
-    return np.subtract.outer(energies, energies)
+    """The k x k array of all pairwise gaps lambda[n, m] = E_n - E_m of the given energies.
+
+    A gap beyond the float range is +-inf, which run_scenario refuses.
+    """
+    with np.errstate(over="ignore"):
+        return np.subtract.outer(energies, energies)
 
 
 def distinct_gaps(gaps: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -174,10 +181,11 @@ def distinct_gaps(gaps: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     lam = np.sort(gaps, axis=None)
     if lam.size == 0:
         return lam
-    keep = np.concatenate(([True], np.diff(lam) > tol))
-    starts = np.flatnonzero(keep)
-    ends = np.append(starts[1:], lam.size)
-    wide = lam[ends - 1] - lam[starts] > tol
+    with np.errstate(over="ignore", invalid="ignore"):  # infinite gaps, which run_scenario refuses
+        keep = np.concatenate(([True], np.diff(lam) > tol))
+        starts = np.flatnonzero(keep)
+        ends = np.append(starts[1:], lam.size)
+        wide = lam[ends - 1] - lam[starts] > tol
     for s, e in zip(starts[wide], ends[wide]):
         last = lam[s]
         for i in range(s + 1, e):

@@ -249,7 +249,7 @@ class TestExitCodes:
         ])
         assert code == 4
         assert "not finite" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("overrides", [
         ["potential.omega=1e300"], ["constants.hbar=1e300"], ["constants.mass=1e-320"],
@@ -267,7 +267,7 @@ class TestExitCodes:
         code = main(["spectrum", "--config", write_config(tmp_path, BASE), "--output", str(out), *sets])
         assert code == 4
         assert "not finite" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     # Packets that cannot be normalised: a parameter overflows, or the width
     # vanishes, to a zero or NaN packet.
@@ -292,7 +292,7 @@ class TestExitCodes:
         code = main([subcommand, "--config", write_config(tmp_path, BASE), "--output", str(out), *sets])
         assert code == 4
         assert message in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("subcommand, column", [("gaps", "lambda"), ("collapse", "delta_E_conditional")])
     def test_overflowing_report_exits_4(self, tmp_path, capsys, subcommand, column):
@@ -303,7 +303,32 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main([subcommand, "--config", write_config(tmp_path, cfg), "--output", str(out)]) == 4
         assert f"column {column} of table" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_failed_run_removes_only_the_directories_it_made(self, tmp_path):
+        (tmp_path / "keep").mkdir()
+        out = tmp_path / "keep" / "a" / "b"
+        code = main(["evolve", "--config", write_config(tmp_path, BASE), "--output", str(out),
+                     "--set", "dynamics.dt=1e308"])
+        assert code == 4
+        assert list((tmp_path / "keep").iterdir()) == []
+
+    def test_evolve_on_an_inexact_eigenbasis_exits_4(self, tmp_path, capsys):
+        """A spike of 1e300 leaves k = N states that are no eigenvectors, so no unitary propagator."""
+        cfg = {**BASE, "grid": {"n_points": 8}, "potential": {"kind": "tabulated", "values": [0.0] * 7 + [1e300]},
+               "state": {"type": "gaussian-product"}, "dynamics": {"dt": 1.0, "steps": 0}}
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", write_config(tmp_path, cfg), "--output", str(out)]) == 4
+        assert "off their energies" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eigen_state_of_huge_amplitudes(self, tmp_path):
+        """Amplitudes whose squares overflow still give the normalised state they describe."""
+        out = tmp_path / "out"
+        code = main(["evolve", "--config", write_config(tmp_path, BASE), "--output", str(out), "--no-timestamp",
+                     "--set", "state.type=eigen", "--set", "state.coefficients=[1e308, -1e308]"])
+        assert code == 0
+        assert json.loads((out / "evolve" / "summary.json").read_text())["summary"]["final_norm"] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("spike", [2e154, 1e300])
     def test_potential_spike_gives_finite_states(self, tmp_path, spike):
@@ -332,7 +357,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main([subcommand, "--config", write_config(tmp_path, BASE), "--output", str(out), *sets]) == 4
         assert "sigma" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("subcommand, overrides", [
         ("evolve", ["state.sigma=2e154"]),
@@ -362,7 +387,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         with pytest.raises(RuntimeError, match="boom"):
             main(["spectrum", "--config", write_config(tmp_path, BASE), "--output", str(out)])
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_numerical_failure_leaves_no_output(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -372,8 +397,7 @@ class TestExitCodes:
             "--set", "scenario.separation=1e-12",  # coincident slits: no two orthonormal modes
         ])
         assert code == 4
-        visible = [p for p in out.iterdir() if not p.name.startswith(".")]
-        assert visible == []
+        assert not out.exists()
 
 
 class TestSeed:
@@ -849,6 +873,11 @@ def _tree(root: Path) -> dict:
     return {p.relative_to(root): p.stat().st_mtime_ns for p in root.rglob("*")}
 
 
+# Probability totals an exit-0 run must keep.
+EVOLVED_NORM_TOL = 1e-10
+COLLAPSE_TOTAL_TOL = 1e-10
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(config=cli_configs(), fmt=st.sampled_from(cli.FORMATS))
 def test_cli_contract(config, fmt):
@@ -876,6 +905,13 @@ def test_cli_contract(config, fmt):
                 else:
                     files[f.stem] = [float(v) for line in text.splitlines()[1:] for v in line.replace(",", " ").split()]
                 assert all(map(math.isfinite, files[f.stem])), (sub, f.name)
+            summary = json.loads((outdir / "summary.json").read_text())["summary"]
+            if run == "evolve":  # trajectory.* holds t, norm, x_mean in each row
+                norms = np.array(files["trajectory"][1::3])
+                assert np.all(np.abs(norms - 1.0) <= EVOLVED_NORM_TOL), (sub, norms)
+            if run == "collapse":
+                total = summary["total_probability"] + summary["truncation_residual"]
+                assert abs(total - 1.0) <= COLLAPSE_TOTAL_TOL, (sub, total)
             if run in ("spectrum", "gap-spectroscopy"):
                 c = schema.resolve(config, run)
                 grid = scenarios.grid_from_config(c)
@@ -884,8 +920,10 @@ def test_cli_contract(config, fmt):
                     psi = np.reshape(files["states"], (grid.n_points, -1))[:, 1:]
                     norms = np.sum((psi * np.sqrt(grid.dx)) ** 2, axis=0)
                     assert np.allclose(norms, 1.0, rtol=0, atol=1e-10), (sub, norms)
-                E = np.array(json.loads((outdir / "summary.json").read_text())["summary"]["energies"])
+                E = np.array(summary["energies"])
                 eps, j = 1e-9 * np.maximum(1.0, np.abs(E)), np.arange(len(E))
-                assert np.all(sturm_count(H, E - eps) <= j) and np.all(j < sturm_count(H, E + eps)), (sub, E)
+                with np.errstate(over="ignore"):  # E -+ eps of an energy near the float limits is -+inf
+                    below, above = E - eps, E + eps
+                assert np.all(sturm_count(H, below) <= j) and np.all(j < sturm_count(H, above)), (sub, E)
         valid = main(["validate-config", "--config", path, "--output", str(root)])
         assert (valid == 0) == (3 not in codes.values()), codes
