@@ -23,10 +23,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._lapack import zgemm, zgttrf, zgttrs
-from .errors import EigensolverError, GridMismatchError, SimulationError, UnnormalizedStateError
+from .errors import GridMismatchError, SimulationError, UnnormalizedStateError
 from .lattice import Grid1D, HamiltonianMatrix
 from .schema import METHODS
-from .spectra import _stale_columns, eigensystem
+from .spectra import eigensystem
 
 NORM_TOL = 1e-6
 
@@ -178,18 +178,15 @@ class SpectralPropagator:
     S holds the Euclidean-orthonormal eigenvectors of H and f(E) the method's
     factor for a step count, so one instance serves every step count of a run.
     A factor that is not finite (dt or steps * dt overflows) raises
-    SimulationError, and a column of S that is no eigenvector of H (its
-    residual is above `spectra._RESIDUAL_BOUND`; S is then not orthonormal
-    and the propagator not unitary) EigensolverError.
+    SimulationError.  The eigensolve refuses an H with a state that is no
+    eigenvector (EigensolverError), whose S would not be orthonormal nor the
+    propagator unitary.
     """
 
     def __init__(self, H: HamiltonianMatrix, dt: float, method: str):
         eigs = eigensystem(H, H.grid.n_points)
         self._S = eigs.states * np.sqrt(H.grid.dx)
         self._E = eigs.energies
-        stale = _stale_columns(H, self._E, self._S)
-        if stale:  # as behind a barrier near the float limit
-            raise EigensolverError(f"{len(stale)} of the {len(self._E)} eigenstates of H are off their energies")
         self._dt, self._method, self._hbar = dt, method, H.hbar
 
     def _factor(self, steps: int) -> np.ndarray:

@@ -22,7 +22,7 @@ class GridMismatchError(SimulationError):
 
 
 class EigensolverError(SimulationError):
-    """Eigensolver failed to converge or k out of range."""
+    """Eigensolver failed to converge, k out of range, or a state off its energy."""
 
 
 class UnnormalizedStateError(SimulationError):

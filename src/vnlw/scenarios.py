@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._digits import WIDTH, magnitude_strings
 from .errors import ScenarioError
 from .schema import ONE_PARTITE, TWO_SLIT, amplitudes, resolve, two_slit_amplitudes, window_indices
 from .lattice import (
@@ -393,11 +394,8 @@ _SUFFIX = {"csv": ".csv", "gnuplot": ".dat", "json": ".json"}
 _BLOCK = 1 << 14  # cells formatted, or laid out in rows, per step
 # Magnitudes of a float column are its float64 |x|, of an int column its
 # int64 |n| read as uint64, which is exact for every int64 and uint32 (-2**63
-# included) and fits 19 digits.  A magnitude's '%.17g' (as
-# '2.2250738585072014e-308') or str fits the field of _SPEC, so one '%' call
-# formats a block of them as fixed-width fields.
+# included).
 _MAGNITUDE = {"f": np.float64, "i": np.uint64}
-_SPEC = {"f": "%-23.17g", "i": "%-19d"}
 
 
 def _layout(fmt: str, names: list, has_rows: bool):
@@ -441,11 +439,11 @@ def _distinct_cells(columns: list, fmt: str):
     """The sorted distinct magnitudes of columns of one kind, and each one's string.
 
     The strings are one 1-D array of V{used} records, NUL-padded to the
-    longest: '%.17g' for a float in csv and gnuplot, str for an int (which
-    '%.17g' also gives below 2**53), and json's own for both in json (NaN,
-    Infinity).  Each block of distinct values is formatted by one '%' call
-    on _SPEC's fixed-width fields, whose padding spaces become NUL; the rows
-    are then compacted to the longest string in place.
+    longest: '%.17g' for a float in csv and gnuplot, json's own (repr, NaN,
+    Infinity) in json, and str for an int (which '%.17g' also gives below
+    2**53) in every format.  `_digits.magnitude_strings` formats each block
+    of distinct values but json's floats; the rows are then compacted to the
+    longest string in place.
     """
     if not columns:
         return None
@@ -461,18 +459,15 @@ def _distinct_cells(columns: list, fmt: str):
     np.not_equal(mags[1:], mags[:-1], out=keep[1:])
     values = mags[keep]
     del mags, keep
-    count, spec = len(values), _SPEC[kind]
-    width = len(spec % 0)  # the field; json's strings (repr, NaN, Infinity) fit it too
-    flat = np.empty(count * width, dtype=np.uint8)
+    count, width = len(values), WIDTH[kind]  # json's float strings fit the width of '%.17g'
+    rows = np.empty((count, width), dtype=np.uint8)
     for i in range(0, count, _BLOCK):
-        part = values[i:i + _BLOCK].tolist()
-        block = flat[i * width:(i + len(part)) * width]
-        if fmt == "json":
-            block.view(f"S{width}")[:] = json.dumps(part)[1:-1].split(", ")
+        part = values[i:i + _BLOCK]
+        if fmt == "json" and kind == "f":
+            rows[i:i + len(part)].view(f"S{width}")[:, 0] = json.dumps(part.tolist())[1:-1].split(", ")
         else:
-            block[:] = np.frombuffer((spec * len(part) % tuple(part)).encode(), dtype=np.uint8)
-            block[block == ord(" ")] = 0
-    rows = flat.reshape(count, width)
+            rows[i:i + len(part)] = magnitude_strings(part)
+    flat = rows.reshape(-1)
     used = width
     while used > 1 and not rows[:, used - 1].any():
         used -= 1

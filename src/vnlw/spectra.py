@@ -70,10 +70,15 @@ def _lowest_energies(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
     return w[:m]
 
 
-# A k = N state is re-solved when its residual |H s - E s| exceeds this times max(1, |E|):
-# none of a harmonic (N = 401, 2001), box (801), double-well (1001) or 1e6-barrier (401)
-# potential is, and 96 of 101 behind a 1e20 barrier are.
+# A state is stale when its residual |H s - E s| exceeds this times max(1, |E|), plus the
+# rounding floor of the kinetic term below: no k = N state of a harmonic (N = 401, 2001),
+# box (801), double-well (1001) or 1e6-barrier (401) potential is, and 96 of 101 behind a
+# 1e20 barrier are.  A k = N state that is stale is re-solved; one still stale is refused.
 _RESIDUAL_BOUND = np.sqrt(np.finfo(float).eps)
+# The floor is this times sqrt(N) eps |e|, |e| = hbar^2 / 2 m dx^2 the off-diagonal of H:
+# inverse iteration leaves 0.3-0.4 sqrt(N) eps |e| on harmonic, box and double-well grids
+# of 2001 to 131072 points, which exceeds _RESIDUAL_BOUND |E| on the finest of them.
+_KINETIC_FLOOR = 16.0
 # Residuals are formed this many columns at a time: no N x N temporaries, and at N = 2001
 # 0.03 s where whole-matrix passes took 0.08 s.
 _RESIDUAL_COLUMNS = 32
@@ -87,7 +92,8 @@ def _tridiagonal_eigh(H: HamiltonianMatrix, k: int, eigvals_only: bool):
     whose error eps * |H| can leave the low levels of a potential that spans
     many orders of magnitude with a state that is no eigenvector; inverse
     iteration re-solves the columns whose residual against their energy
-    exceeds `_RESIDUAL_BOUND`.
+    exceeds `_RESIDUAL_BOUND`.  A state still off its energy after that, as
+    behind a potential near the float limit, raises EigensolverError.
     """
     n = H.grid.n_points
     if not 1 <= k <= n:
@@ -97,26 +103,34 @@ def _tridiagonal_eigh(H: HamiltonianMatrix, k: int, eigvals_only: bool):
     if eigvals_only:
         return w
     if k < n:
-        return w, _inverse_iteration(d, e, w)
-    _, vecs, info = dstevd(d, e)
-    _check(info, "dstevd")
-    stale = _stale_columns(H, w, vecs)
-    if stale:
-        vecs[:, stale] = _inverse_iteration(d, e, w[stale])
+        vecs = _inverse_iteration(d, e, w)
+        stale = _stale_columns(H, w, vecs)
+    else:
+        _, vecs, info = dstevd(d, e)
+        _check(info, "dstevd")
+        stale = _stale_columns(H, w, vecs)
+        if len(stale):
+            vecs[:, stale] = _inverse_iteration(d, e, w[stale])
+            stale = stale[_stale_columns(H, w[stale], vecs[:, stale])]
+    if len(stale):
+        raise EigensolverError(f"{len(stale)} of the {k} eigenstates of H are off their energies")
     return w, vecs
 
 
-def _stale_columns(H: HamiltonianMatrix, w: np.ndarray, vecs: np.ndarray) -> list:
-    """Indices of the unit columns s of vecs with |H s - E s| > _RESIDUAL_BOUND * max(1, |E|)."""
-    stale = []
+def _stale_columns(H: HamiltonianMatrix, w: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Indices of the unit columns s of vecs whose residual |H s - E s| is above
+    _RESIDUAL_BOUND max(1, |E|) plus the kinetic floor."""
+    n = len(H.diagonal)
+    floor = _KINETIC_FLOOR * np.sqrt(n) * np.finfo(float).eps * np.abs(H.off_diagonal).max(initial=0.0)
+    fine = np.empty(len(w), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # a residual that overflows is stale
         for j in range(0, len(w), _RESIDUAL_COLUMNS):
             s, E = vecs[:, j : j + _RESIDUAL_COLUMNS], w[j : j + _RESIDUAL_COLUMNS]
             r = H.apply(s)
             r -= s * E
-            r /= np.maximum(1.0, np.abs(E))
-            stale.extend(j + np.flatnonzero(~(np.einsum("ij,ij->j", r, r) <= _RESIDUAL_BOUND**2)))
-    return stale
+            r /= _RESIDUAL_BOUND * np.maximum(1.0, np.abs(E)) + floor
+            fine[j : j + _RESIDUAL_COLUMNS] = np.einsum("ij,ij->j", r, r) <= 1.0
+    return np.flatnonzero(~fine)
 
 
 def _inverse_iteration(d: np.ndarray, e: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -152,7 +166,8 @@ def eigensystem(H: HamiltonianMatrix, k: int) -> EigenSystem:
 
     States are normalized in the dx-weighted inner product and sign-fixed so
     that the first component of each state above 1e-12 of its largest in
-    magnitude is positive.
+    magnitude is positive.  A state whose residual |H s - E s| is off its
+    energy (`_stale_columns`) raises EigensolverError.
     """
     energies, vecs = _tridiagonal_eigh(H, k, eigvals_only=False)
     # LAPACK returns Euclidean-orthonormal columns; rescale to dx-weighted.

@@ -294,9 +294,9 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("subcommand, column", [("gaps", "lambda"), ("collapse", "delta_E_conditional")])
+    @pytest.mark.parametrize("subcommand, column", [("gaps", "lambda")])
     def test_overflowing_report_exits_4(self, tmp_path, capsys, subcommand, column):
-        """Energies near both ends of the float range: a gap, or an energy change, overflows."""
+        """Energies near both ends of the float range: a gap overflows."""
         values = [sys.float_info.max, -sys.float_info.max] + [0.0] * 31
         cfg = {**BASE, "grid": {"n_points": 33}, "spectra": {"k": 33}, "state": {"sigma": 2},
                "potential": {"kind": "tabulated", "values": values}}
@@ -330,9 +330,25 @@ class TestExitCodes:
         assert code == 0
         assert json.loads((out / "evolve" / "summary.json").read_text())["summary"]["final_norm"] == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("spike", [2e154, 1e300])
+    @pytest.mark.parametrize("subcommand, values, k", [
+        ("spectrum", [0.0] * 15 + [1e300], 3),
+        ("spectrum", [0.0] * 15 + [1e300], 16),
+        ("collapse", [sys.float_info.max, -sys.float_info.max] + [0.0] * 31, 33),
+    ], ids=["spike-k3", "spike-all", "extremes-collapse"])
+    def test_states_off_their_energies_exit_4(self, tmp_path, capsys, subcommand, values, k):
+        """A potential near the float limit leaves states that are no eigenvectors, at k < N from
+        inverse iteration and at k = N after it: no run publishes them."""
+        cfg = {**BASE, "grid": {"n_points": len(values)}, "spectra": {"k": k}, "state": {"sigma": 2},
+               "potential": {"kind": "tabulated", "values": values}}
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", write_config(tmp_path, cfg), "--output", str(out)]) == 4
+        assert "eigenstates of H are off their energies" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spike", [2e154])
     def test_potential_spike_gives_finite_states(self, tmp_path, spike):
-        """Inverse iteration on an H of norm above about 1e150 is scaled first; it used to return NaN."""
+        """Inverse iteration on an H of norm above about 1e150 is scaled first; it used to return NaN.
+        Exit 0 means that no state is off its energy, which would exit 4."""
         cfg = {**BASE, "grid": {"n_points": 16}, "potential": {"kind": "tabulated", "values": [0.0] * 15 + [spike]}}
         out = tmp_path / "out"
         assert main(["spectrum", "--config", write_config(tmp_path, cfg), "--output", str(out), "--no-timestamp"]) == 0

@@ -272,14 +272,17 @@ def test_crank_nicolson_loads_no_sparse(tmp_path, args):
 ], ids=["two-slit", "product-equivalence", "evolve-random", "gaps"])
 def test_numeric_runs_load_no_scipy_package(tmp_path, args, config):
     """The LAPACK and BLAS routines come from scipy's extension modules, loaded by file,
-    so no run imports the scipy package or scipy.linalg."""
+    so no run imports the scipy package or scipy.linalg.  Nor does any load numpy.ma
+    (which np.unique imports, 10-20 ms), fractions or decimal: each cost the short runs
+    a share of their time."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema_version": 1, "grid": {"n_points": 101}, **config}))
     script = (
         "import sys\n"
         "from vnlw.cli import main\n"
         f"code = main({args!r} + ['--config', {str(cfg)!r}, '--output', {str(tmp_path / 'out')!r}])\n"
-        "print(code, sorted(m for m in ('scipy', 'scipy.linalg') if m in sys.modules))\n"
+        "print(code, sorted(m for m in ('scipy', 'scipy.linalg', 'numpy.ma', 'fractions', 'decimal')"
+        " if m in sys.modules))\n"
     )
     src = str(Path(vnlw.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

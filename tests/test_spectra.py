@@ -134,6 +134,16 @@ class TestWideRangePotentials:
         assert np.max(np.abs(eigs.states.T @ eigs.states * g.dx - np.eye(k))) < 1e-12
 
 
+    @pytest.mark.parametrize("k", [3, 15, 16])
+    def test_states_off_their_energies_raise(self, k):
+        """A spike of 1e300 scales H near underflow for inverse iteration, and stevd's states
+        are off by eps |H|: at k = 3 the residuals reached 1.5e14 max(1, |E|)."""
+        g = build_grid(-10, 10, 16)
+        H = build_hamiltonian(g, np.append(np.zeros(15), 1e300))
+        with pytest.raises(EigensolverError, match=f"of the {k} eigenstates of H are off their energies"):
+            eigensystem(H, k)
+
+
 class TestEigenvalues:
     @PROPERTY
     @given(
@@ -223,6 +233,18 @@ class TestRoute:
             monkeypatch.setattr(spectra, name, wrapper)
         return calls
 
+    @staticmethod
+    def checked(monkeypatch):
+        """The number of columns of each residual check."""
+        checked, real = [], spectra._stale_columns
+
+        def wrapper(H, w, vecs):
+            checked.append(len(w))
+            return real(H, w, vecs)
+
+        monkeypatch.setattr(spectra, "_stale_columns", wrapper)
+        return checked
+
     def test_gaps_at_half_the_levels_take_dqds(self, monkeypatch):
         calls = self.counting(monkeypatch)
         report = run_scenario({
@@ -264,10 +286,13 @@ class TestRoute:
                                                                      PotentialSpec.barrier(1e6, 1.0))),
     ], ids=["harmonic-401", "harmonic-2001", "box-801", "double-well-1001", "barrier-1e6-401"])
     def test_full_spectrum_keeps_stevd_states(self, monkeypatch, H):
-        """No k = N state of a benign potential is re-solved: they are stevd's, bit for bit."""
+        """No k = N state of a benign potential is re-solved: they are stevd's, bit for bit,
+        checked by one residual pass."""
         calls = self.counting(monkeypatch)
+        checked = self.checked(monkeypatch)
         states = eigensystem(H, H.grid.n_points).states
         assert calls == ["dpteqr", "dstevd"]
+        assert checked == [H.grid.n_points]
         _, vecs, _ = _lapack.dstevd(H.diagonal, H.off_diagonal)
         assert np.array_equal(np.abs(states), np.abs(vecs / np.sqrt(H.grid.dx)))
 
@@ -283,10 +308,12 @@ class TestRoute:
             return _lapack.dstein(d, e, w, *args)
 
         calls = self.counting(monkeypatch, dstein=recording)
+        checked = self.checked(monkeypatch)
         g = build_grid(-10, 10, n)
         eigensystem(build_hamiltonian(g, sample_potential(g, PotentialSpec.barrier(height, 1.0))), n)
         assert calls == ["dpteqr", "dstevd", "dstein"]
         assert solved == [stale]
+        assert checked == [n, stale]  # the re-solved columns alone are checked again
 
     @pytest.mark.parametrize("routine, k", [("dpteqr", 100), ("dstebz", 2), ("dstein", 2), ("dstein", 100), ("dstevd", 201)])
     def test_lapack_failure_raises(self, monkeypatch, routine, k):
