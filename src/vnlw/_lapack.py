@@ -11,6 +11,10 @@ locates the package without running its `__init__`.
 Each module is registered in `sys.modules` under its full name, as an import
 would, so a later `import scipy.linalg` reuses it: the routines bound here are
 the very objects `scipy.linalg.lapack` and `.blas` hand out.
+
+`_flapack` loads with this module.  `_fblas` (about 1.3 MB resident) loads on
+the first access to `zgemm`, which only the reduced-operator order of
+`SpectralPropagator.trajectory` calls, so no other run maps it.
 """
 
 import importlib.util
@@ -42,7 +46,6 @@ def _extension(name: str):
 
 
 _flapack = _extension("_flapack")
-_fblas = _extension("_fblas")
 
 dpteqr = _flapack.dpteqr
 dstebz = _flapack.dstebz
@@ -50,4 +53,12 @@ dstein = _flapack.dstein
 dstevd = _flapack.dstevd
 zgttrf = _flapack.zgttrf
 zgttrs = _flapack.zgttrs
-zgemm = _fblas.zgemm
+
+
+def __getattr__(name: str):
+    """`zgemm`, bound from `_fblas` on its first access and kept as a module global."""
+    if name != "zgemm":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global zgemm
+    zgemm = _extension("_fblas").zgemm
+    return zgemm

@@ -10,8 +10,9 @@ to the step count, exp(-2i steps atan(dt E / 2hbar)).  A bipartite state is
 held factored, Psi = A C B^H, and H(x) - H(y) is separable, so U Psi U^dagger
 = (U A) C (U B)^H: U is applied to the factors and never formed.  Vectors, and
 the columns of a factor such as the N x 2 slit modes (`propagate_amplitudes`),
-use U only for the eigenbasis method and otherwise step the Cayley form with
-one tridiagonal LU (LAPACK gttrf), O(N r) per step.  A trajectory of x-side
+use U only for the eigenbasis method and otherwise step the Cayley form:
+(I + i a H)/2 is factored once (LAPACK gttrf), and each step is one solve of
+it (gttrs) less the state, O(N r) per step.  A trajectory of x-side
 observables reads the state only through its reduced operator
 rho_x = Psi Psi^H dx^2, projected on the eigenbasis once (`trajectory`).
 """
@@ -22,7 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._lapack import zgemm, zgttrf, zgttrs
+from . import _lapack
+from ._lapack import zgttrf, zgttrs
 from .errors import GridMismatchError, SimulationError, UnnormalizedStateError
 from .lattice import Grid1D, HamiltonianMatrix
 from .schema import METHODS
@@ -123,29 +125,35 @@ class CrankNicolsonStepper:
     """One Cayley step (I + i a H)^-1 (I - i a H), a = dt / 2 hbar, on H's tridiagonals.
 
     The tridiagonal scheme of Goldberg, Schey & Schwartz, Am. J. Phys. 35, 177
-    (1967): I + i a H is factored once with LAPACK's tridiagonal LU (gttrf),
-    and each step is one gttrs solve on (I - i a H) v, a HamiltonianMatrix of
-    its own diagonals so that its product is H's mat-vec.  apply() accepts a
-    vector or a matrix of column vectors.  A dt so large that the factors
-    overflow raises SimulationError.
+    (1967), taken as one solve per step: (I + i a H)^-1 (I - i a H) =
+    2 (I + i a H)^-1 - I, so L = (I + i a H)/2 is factored once with LAPACK's
+    tridiagonal LU (gttrf) and a step is v <- L^-1 v - v, one gttrs solve.
+    (I - i a H) v is never formed, so a stiff H whose product with v would
+    overflow steps as any other.  apply() accepts a vector or a matrix of
+    column vectors.  A dt so large that the factors overflow raises
+    SimulationError.
     """
 
     def __init__(self, H: HamiltonianMatrix, dt: float):
-        a = 0.5j * dt / H.hbar
+        a = 0.25j * dt / H.hbar
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             d, e = a * H.diagonal, a * H.off_diagonal
         if not (np.isfinite(d).all() and np.isfinite(e).all()):
             raise SimulationError(f"Crank-Nicolson factors are not finite at dt={dt}")
-        self._numerator = replace(H, diagonal=1 - d, off_diagonal=-e)
-        *self._lu, info = zgttrf(e, 1 + d, e)
+        *self._lu, info = zgttrf(e, 0.5 + d, e)
         if info:
             raise SimulationError(f"Crank-Nicolson factorization failed: gttrf info={info}")
 
     def apply(self, v: np.ndarray, steps: int = 1) -> np.ndarray:
-        """`steps` Cayley steps applied to v; a product past the float range leaves it not finite."""
+        """`steps` Cayley steps applied to v, which is left unchanged.
+
+        A value past the float range leaves the result not finite.
+        """
         with np.errstate(over="ignore", invalid="ignore"):  # every run refuses a state that is not finite
             for _ in range(steps):
-                v = zgttrs(*self._lu, self._numerator.apply(v), overwrite_b=True)[0]
+                u = zgttrs(*self._lu, v)[0]
+                u -= v
+                v = u
         return v
 
 
@@ -185,7 +193,8 @@ class SpectralPropagator:
 
     def __init__(self, H: HamiltonianMatrix, dt: float, method: str):
         eigs = eigensystem(H, H.grid.n_points)
-        self._S = eigs.states * np.sqrt(H.grid.dx)
+        self._S = eigs.states  # this run's own eigensystem, scaled back to Euclidean norm in place
+        self._S *= np.sqrt(H.grid.dx)
         self._E = eigs.energies
         self._dt, self._method, self._hbar = dt, method, H.hbar
 
@@ -228,7 +237,7 @@ class SpectralPropagator:
         G *= np.sqrt(grid.dx)
         rows = np.empty((len(counts), 2))
         if _reduced_order_pays(*G.shape, len(counts)):
-            M = zgemm(1.0, G.T, G.T, trans_a=2)  # conj(R~) = conj(G) G^T, with no conjugated copy of G
+            M = _lapack.zgemm(1.0, G.T, G.T, trans_a=2)  # conj(R~) = conj(G) G^T, with no conjugated copy of G
             del G
             weights = M.diagonal().real.copy()
             X = (S.T * x) @ S

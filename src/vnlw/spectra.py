@@ -170,8 +170,8 @@ def eigensystem(H: HamiltonianMatrix, k: int) -> EigenSystem:
     energy (`_stale_columns`) raises EigensolverError.
     """
     energies, vecs = _tridiagonal_eigh(H, k, eigvals_only=False)
-    # LAPACK returns Euclidean-orthonormal columns; rescale to dx-weighted.
-    vecs = vecs / np.sqrt(H.grid.dx)
+    # LAPACK returns fresh Euclidean-orthonormal columns; rescale them to dx-weighted in place.
+    vecs /= np.sqrt(H.grid.dx)
     top = 1e-12 * np.maximum(vecs.max(axis=0), -vecs.min(axis=0))
     first = np.argmax((vecs > top) | (vecs < -top), axis=0)
     vecs[:, vecs[first, np.arange(k)] < 0] *= -1

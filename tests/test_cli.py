@@ -251,6 +251,19 @@ class TestExitCodes:
         assert "not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_stiff_crank_nicolson_step_stays_finite(self, tmp_path):
+        """A potential of 1e308 at one point: a step is one solve, and (I - i a H) v, which
+        overflows there, is never formed.  The Cayley step is unitary, so the norm stays 1."""
+        cfg = {"schema_version": 1, "grid": {"x_min": -1.0, "x_max": 1.0, "n_points": 32},
+               "potential": {"kind": "tabulated", "values": [0.0] * 16 + [1e308] + [0.0] * 15},
+               "dynamics": {"dt": 2.0, "steps": 3, "stride": 1, "method": "crank-nicolson"},
+               "state": {"type": "gaussian", "center": 0.03, "sigma": 0.02}}
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", write_config(tmp_path, cfg), "--output", str(out), "--no-timestamp"]) == 0
+        table = np.loadtxt(out / "evolve" / "trajectory.csv", delimiter=",", skiprows=1)
+        assert table.shape == (4, 3)
+        assert np.max(np.abs(table[:, 1] - 1.0)) <= 1e-10
+
     @pytest.mark.parametrize("overrides", [
         ["potential.omega=1e300"], ["constants.hbar=1e300"], ["constants.mass=1e-320"],
         ["potential.kind=double-well", "potential.b=1e200"],

@@ -274,7 +274,8 @@ def test_numeric_runs_load_no_scipy_package(tmp_path, args, config):
     """The LAPACK and BLAS routines come from scipy's extension modules, loaded by file,
     so no run imports the scipy package or scipy.linalg.  Nor does any load numpy.ma
     (which np.unique imports, 10-20 ms), fractions or decimal: each cost the short runs
-    a share of their time."""
+    a share of their time.  The BLAS module (_fblas) loads only for zgemm, which only
+    evolve-random's reduced-operator trajectory calls."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema_version": 1, "grid": {"n_points": 101}, **config}))
     script = (
@@ -282,12 +283,12 @@ def test_numeric_runs_load_no_scipy_package(tmp_path, args, config):
         "from vnlw.cli import main\n"
         f"code = main({args!r} + ['--config', {str(cfg)!r}, '--output', {str(tmp_path / 'out')!r}])\n"
         "print(code, sorted(m for m in ('scipy', 'scipy.linalg', 'numpy.ma', 'fractions', 'decimal')"
-        " if m in sys.modules))\n"
+        " if m in sys.modules), 'scipy.linalg._fblas' in sys.modules)\n"
     )
     src = str(Path(vnlw.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    assert out.stdout.split("\n")[-2] == "0 []", out.stdout + out.stderr
+    assert out.stdout.split("\n")[-2] == f"0 [] {args == ['evolve']}", out.stdout + out.stderr
 
 
 # The public names of the package before its names were resolved on first access.
