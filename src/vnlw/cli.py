@@ -1,20 +1,31 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 usage error (unknown subcommand, a path that cannot
-be read or written), 3 config schema violation, 4 numerical failure.  Before
-numpy or scipy is imported, a subcommand resolves the config for its run and
-`validate-config` for the run of every subcommand, so it exits 0 exactly when
-none of them would exit 3.  Every other subcommand is a run of
-`scenarios.run_scenario`, whose ScenarioReport is written in the chosen
-format to a temporary directory and renamed into place on success, so a
-failed run never leaves a partial output directory; nor does it leave the
-output root, or any of its parents, that it made and that is still empty.
+Exit codes: 0 success, 2 usage error (unknown subcommand, a path or stdout
+that cannot be read or written), 3 config schema violation, 4 numerical
+failure.  Before numpy or scipy is imported, a subcommand resolves the
+config for its run and `validate-config` for the run of every subcommand,
+so it exits 0 exactly when none of them would exit 3.  Every other
+subcommand is a run of `scenarios.run_scenario`, whose ScenarioReport is
+written in the chosen format to a temporary directory and renamed into
+place on success, so a failed run never leaves a partial output directory;
+nor does it leave the output root, or any of its parents, that it made and
+that is still empty.
+
+`vnlw` and `python -m vnlw.cli` run `console_main`.  Once `main` has
+returned, it flushes stdout and stderr and ends the process with
+`os._exit`, which skips the interpreter's teardown (freeing every module
+and object, and atexit handlers): by then a run's output directory is
+published and nothing is left to do.  A stdout that cannot be written (a
+pipe its reader has closed) exits 2 with one line on stderr, and the
+published directory stays.  Under a profiler, tracer or coverage tool the
+process ends with `sys.exit` instead, so the tool's own exit work, such as
+cProfile's table, still runs.  `main` only returns its code, for callers
+in process.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import os
 import shutil
@@ -23,6 +34,7 @@ import tempfile
 import time
 from itertools import takewhile
 from pathlib import Path
+from typing import NoReturn
 
 from .errors import ConfigError, SimulationError
 from .schema import COMMANDS, GROUPS, SCENARIOS, resolve, validate_config
@@ -177,7 +189,7 @@ def execute(inv: argparse.Namespace) -> int:
             elapsed = time.perf_counter() - start
             scenarios.write_report(report, tmpdir, inv.format)
             base = run if inv.subcommand == "run" else inv.subcommand
-            name = base if inv.no_timestamp else f"{base}-{datetime.datetime.now():%Y%m%dT%H%M%S}"
+            name = base if inv.no_timestamp else f"{base}-{time.strftime('%Y%m%dT%H%M%S')}"
             _publish(tmpdir, root / name, inv.no_timestamp)
         except BaseException:
             if tmpdir is not None:
@@ -202,5 +214,34 @@ def main(argv=None) -> int:
     return execute(parse_invocation(argv if argv is not None else sys.argv[1:]))
 
 
+def _observed() -> bool:
+    """Whether a profiler, tracer or coverage tool watches this process.
+
+    From Python 3.12 cProfile and coverage may use sys.monitoring, which
+    sys.getprofile() and sys.gettrace() do not show.
+    """
+    monitoring = getattr(sys, "monitoring", None)
+    return (sys.getprofile() is not None or sys.gettrace() is not None
+            or (monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))))
+
+
+def console_main() -> NoReturn:
+    """Run main() as the whole process: flush stdout and stderr, then exit without teardown."""
+    try:
+        code = main()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None in a process started without that file descriptor
+                stream.flush()
+    except OSError as exc:  # the summary line met a closed pipe; any run output is already published
+        code = 2
+        try:
+            print(f"vnlw: cannot write to stdout: {exc}", file=sys.stderr, flush=True)
+        except OSError:  # stderr is closed too
+            pass
+    if _observed():
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

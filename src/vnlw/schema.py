@@ -13,9 +13,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError
 
@@ -69,8 +68,7 @@ def two_slit_amplitudes(v) -> list | None:
     return a if a is not None and len(a) == 4 else None
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """The values a key accepts: doc describes them, accepts(value) tests one."""
 
     doc: str
@@ -106,8 +104,7 @@ COEFFICIENTS = Check(f"{AMPLITUDES.doc}; or {TWO_SLIT.doc}",
                      lambda v: AMPLITUDES.accepts(v) or TWO_SLIT.accepts(v))
 
 
-@dataclass(frozen=True)
-class Derived:
+class Derived(NamedTuple):
     """A default computed as value(run, c) from the run and the groups c resolved so far."""
 
     doc: str
@@ -122,8 +119,7 @@ def _by(table: dict, other=None, state_key: str = "") -> Derived:
     return Derived(doc, lambda run, c: table.get(c["state"][state_key] if state_key else run, other))
 
 
-@dataclass(frozen=True)
-class Key:
+class Key(NamedTuple):
     """One config key: its check, and its default (a constant, a Derived, or None for none)."""
 
     group: str

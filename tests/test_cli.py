@@ -1,7 +1,7 @@
-import datetime
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -451,12 +451,8 @@ class TestSeed:
 
 class TestOutputNames:
     def test_same_second_runs_both_kept(self, tmp_path, monkeypatch):
-        class Frozen(datetime.datetime):
-            @classmethod
-            def now(cls, tz=None):
-                return cls(2026, 1, 2, 3, 4, 5)
-
-        monkeypatch.setattr(cli.datetime, "datetime", Frozen)
+        strftime = time.strftime
+        monkeypatch.setattr(time, "strftime", lambda fmt: strftime(fmt, (2026, 1, 2, 3, 4, 5, 4, 2, -1)))
         out = tmp_path / "out"
         args = ["gaps", "--config", write_config(tmp_path, BASE), "--output", str(out)]
         assert cli.execute(parse_invocation(args)) == 0
@@ -812,6 +808,66 @@ class TestSchemaDocs:
 
     def test_schema_version_documented(self):
         assert '"schema_version": 1' in self.DOC.read_text()
+
+
+def run_vnlw(*args, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m vnlw.cli` with args, as its own process: console_main's exit, not main's return."""
+    src = str(Path(vnlw.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], text=True, timeout=60,
+                          env={**(os.environ if env is None else env), "PYTHONPATH": src}, **kwargs)
+
+
+class TestProcessExit:
+    """The process ends with os._exit after main returns; every documented outcome survives."""
+
+    @pytest.mark.parametrize("args, code, err", [
+        (["validate-config", "--config", "cfg.json"], 0, ""),
+        (["validate-config", "--config", "absent.json"], 2, "vnlw: config not found: absent.json\n"),
+        (["gaps", "--config", "cfg.json", "--set", "grid.npoints=3"], 3,
+         "vnlw: invalid config: unknown key: grid.npoints\n"),
+        (["evolve", "--config", "cfg.json", "--set", "dynamics.dt=1e308"], 4,
+         "vnlw: SimulationError: Crank-Nicolson factors are not finite at dt=1e+308\n"),
+    ], ids=["valid", "missing-config", "unknown-key", "overflowing-dt"])
+    def test_exit_code_and_message(self, tmp_path, args, code, err):
+        write_config(tmp_path, BASE)
+        out = run_vnlw("-m", "vnlw.cli", *args, "--output", "out", capture_output=True, cwd=tmp_path)
+        assert (out.returncode, out.stdout, out.stderr) == (code, "", err)
+        assert not (tmp_path / "out").exists()
+
+    def test_run_prints_its_whole_headline(self, tmp_path):
+        out = run_vnlw("-m", "vnlw.cli", "spectrum", "--config", write_config(tmp_path, BASE),
+                       "--output", str(tmp_path / "out"), "--no-timestamp", capture_output=True)
+        assert (out.returncode, out.stderr) == (0, "")
+        summary = json.loads((tmp_path / "out" / "spectrum" / "summary.json").read_text())["summary"]
+        head, elapsed = out.stdout.rsplit(" elapsed=", 1)
+        assert head == f"spectrum k=3 E0={summary['energies'][0]}"
+        assert re.fullmatch(r"\d+\.\d{3}s\n", elapsed)
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_2(self, tmp_path, unbuffered):
+        """A reader that has gone: the summary line cannot be written, but the run is published."""
+        cfg = {"schema_version": 1, "grid": {"n_points": 64},
+               "scenario": {"name": "product-equivalence"}, "dynamics": {"steps": 10}}
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            out = run_vnlw("-m", "vnlw.cli", "run", "--config", write_config(tmp_path, cfg),
+                           "--output", str(tmp_path / "out"), "--no-timestamp",
+                           env=env, stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert (out.returncode, out.stderr) == (2, "vnlw: cannot write to stdout: [Errno 32] Broken pipe\n")
+        assert (tmp_path / "out" / "product-equivalence" / "summary.json").is_file()
+
+    def test_profiler_keeps_its_table(self, tmp_path):
+        """Under cProfile the process tears down normally, so the profile is still printed."""
+        out = run_vnlw("-m", "cProfile", "-m", "vnlw.cli", "validate-config",
+                       "--config", write_config(tmp_path, BASE), capture_output=True)
+        assert (out.returncode, out.stderr) == (0, "")
+        assert "function calls" in out.stdout and "Ordered by" in out.stdout
 
 
 def test_traced_run_binds_every_traced_function(tmp_path):

@@ -291,6 +291,25 @@ def test_numeric_runs_load_no_scipy_package(tmp_path, args, config):
     assert out.stdout.split("\n")[-2] == f"0 [] {args == ['evolve']}", out.stdout + out.stderr
 
 
+def test_validate_path_loads_no_dataclasses(tmp_path):
+    """Every invocation validates its config before numpy loads.  dataclasses, with the
+    inspect, ast and dis it imports, and datetime cost that path 6-11 ms; modules the
+    interpreter had loaded before vnlw do not count."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "scenario": {"name": "two-slit"}}))
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from vnlw import cli\n"
+        f"code = cli.main(['validate-config', '--config', {str(cfg)!r}])\n"
+        "print(code, sorted({'dataclasses', 'inspect', 'datetime'} & (set(sys.modules) - before)))\n"
+    )
+    src = str(Path(vnlw.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout == "0 []\n", out.stdout + out.stderr
+
+
 # The public names of the package before its names were resolved on first access.
 EXPORTS = {
     "lattice": ["Grid1D", "HamiltonianMatrix", "PotentialSpec", "build_grid", "box_grid",
