@@ -16,11 +16,11 @@ returned, it flushes stdout and stderr and ends the process with
 `os._exit`, which skips the interpreter's teardown (freeing every module
 and object, and atexit handlers): by then a run's output directory is
 published and nothing is left to do.  A stdout that cannot be written (a
-pipe its reader has closed) exits 2 with one line on stderr, and the
-published directory stays.  Under a profiler, tracer or coverage tool the
-process ends with `sys.exit` instead, so the tool's own exit work, such as
-cProfile's table, still runs.  `main` only returns its code, for callers
-in process.
+pipe its reader has closed, or no stdout at all) exits 2 with one line on
+stderr, and the published directory stays.  Under a profiler, tracer or
+coverage tool the process ends with `sys.exit` instead, so the tool's own
+exit work, such as cProfile's table, still runs.  `main` only returns its
+code, for callers in process.
 """
 
 from __future__ import annotations
@@ -205,8 +205,9 @@ def execute(inv: argparse.Namespace) -> int:
     except OSError as exc:  # a config or output path that cannot be read or written
         print(f"vnlw: {exc}", file=sys.stderr)
         return 2
-    headline = _HEADLINES[run].format(**report.summary)
-    print(f"{run} {headline} elapsed={elapsed:.3f}s")
+    if sys.stdout is None:  # started without file descriptor 1: the line cannot be written, as to a closed pipe
+        raise OSError("stdout is closed")
+    print(f"{run} {_HEADLINES[run].format(**report.summary)} elapsed={elapsed:.3f}s")
     return 0
 
 

@@ -1,20 +1,17 @@
 """Time propagation of one-partite and bipartite states.
 
 One-partite states evolve under i hbar dpsi/dt = H psi; bipartite kernels
-Psi(x, y) evolve under i hbar dPsi/dt = (H(x) - H(y)) Psi, which is realized
-as Psi <- U Psi U^dagger.  H does not depend on time, so the propagator of a
-whole run is one spectral matrix U = S diag(f(E)) S^T built from the full
-eigensystem: f(E) = exp(-i E t / hbar) for the eigenbasis method, and for
-Crank-Nicolson the Cayley factor (1 - i dt E/2hbar)/(1 + i dt E/2hbar) raised
-to the step count, exp(-2i steps atan(dt E / 2hbar)).  A bipartite state is
-held factored, Psi = A C B^H, and H(x) - H(y) is separable, so U Psi U^dagger
-= (U A) C (U B)^H: U is applied to the factors and never formed.  Vectors, and
-the columns of a factor such as the N x 2 slit modes (`propagate_amplitudes`),
-use U only for the eigenbasis method and otherwise step the Cayley form:
-(I + i a H)/2 is factored once (LAPACK gttrf), and each step is one solve of
-it (gttrs) less the state, O(N r) per step.  A trajectory of x-side
-observables reads the state only through its reduced operator
-rho_x = Psi Psi^H dx^2, projected on the eigenbasis once (`trajectory`).
+Psi(x, y) under i hbar dPsi/dt = (H(x) - H(y)) Psi, realized as
+Psi <- U Psi U^dagger.  A kernel is held factored, Psi = A C B^H, and
+H(x) - H(y) is separable, so U Psi U^dagger = (U A) C (U B)^H: U acts on the
+N x r factors (a vector is r = 1) and is never formed.  Crank-Nicolson steps
+every factor of fewer columns than grid points: L = (I + i a H)/2 is factored
+once (LAPACK gttrf), and a step is one solve of it (gttrs) less the state,
+O(N r).  The eigenbasis method, and a dense kernel (r = N), use one spectral
+matrix U = S diag(f(E)) S^T of the full eigensystem, with f(E) =
+exp(-i E t / hbar) or the Cayley factor exp(-2i steps atan(dt E / 2hbar)).
+A trajectory of x-side observables reads A C, stepped, or rho_x = Psi Psi^H
+dx^2, projected on the eigenbasis once.
 """
 
 from __future__ import annotations
@@ -272,28 +269,29 @@ def propagate_schrodinger(psi: WaveFunction, H: HamiltonianMatrix, cfg: Propagat
     return WaveFunction(propagate_amplitudes(psi.amplitudes, H, cfg), psi.grid, psi.time + cfg.steps * cfg.dt)
 
 
-def propagate_amplitudes(v: np.ndarray, H: HamiltonianMatrix, cfg: PropagatorConfig) -> np.ndarray:
-    """cfg.steps steps of cfg.method applied to the vector v, or to each column of the N x r array v.
+def _stepped(method: str, columns: int, n: int) -> bool:
+    """Whether `columns` columns on n points take Crank-Nicolson steps, O(n) each, rather than one eigensolve."""
+    return method == "crank-nicolson" and columns < n
 
-    One eigensolve (eigenbasis) or one tridiagonal LU (Crank-Nicolson) serves
-    every column; Crank-Nicolson holds no N x N array.
-    """
+
+def propagate_amplitudes(v: np.ndarray, H: HamiltonianMatrix, cfg: PropagatorConfig) -> np.ndarray:
+    """cfg.steps steps of cfg.method applied to the vector v, or to each column of the N x r array v."""
     if cfg.steps == 0:
         return v
-    if cfg.method == "eigenbasis":
-        return SpectralPropagator(H, cfg.dt, cfg.method).apply(v, cfg.steps)
-    return CrankNicolsonStepper(H, cfg.dt).apply(v.astype(complex), cfg.steps)
+    if _stepped(cfg.method, v.size // len(v), len(v)):
+        return CrankNicolsonStepper(H, cfg.dt).apply(v, cfg.steps)
+    return SpectralPropagator(H, cfg.dt, cfg.method).apply(v, cfg.steps)
 
 
 def propagate_vnl(Psi: BipartiteWave, H: HamiltonianMatrix, cfg: PropagatorConfig) -> BipartiteWave:
-    """Evolve a bipartite kernel under i hbar dPsi/dt = (H(x) - H(y)) Psi, O(N^2 r) after the eigensolve."""
+    """Evolve a kernel under i hbar dPsi/dt = (H(x) - H(y)) Psi: one propagation of [A B], or of A if B is A."""
     _check_grids(Psi, H)
     _check_normalized(bipartite_norm(Psi), "bipartite wave")
     if cfg.steps == 0:
         return Psi
-    spectral = SpectralPropagator(H, cfg.dt, cfg.method)
-    left = spectral.apply(Psi.left, cfg.steps)
-    right = left if Psi.right is Psi.left else spectral.apply(Psi.right, cfg.steps)
+    shared, r = Psi.right is Psi.left, Psi.left.shape[1]
+    F = propagate_amplitudes(Psi.left if shared else np.hstack([Psi.left, Psi.right]), H, cfg)
+    left, right = (F, F) if shared else (F[:, :r], F[:, r:])
     return BipartiteWave(left, Psi.core, right, Psi.grid, Psi.time + cfg.steps * cfg.dt)
 
 
@@ -304,16 +302,16 @@ def trajectory(
 
     norm is the total probability of the evolved state, sum |psi|^2 dx for a
     vector and sum |Psi|^2 dx^2 for a kernel, so it watches the propagation;
-    x_mean is the mean position.  A vector with Crank-Nicolson is stepped with
-    one tridiagonal LU; every other state is read in the eigenbasis of one
-    eigensolve (`SpectralPropagator.trajectory`).
+    x_mean is the mean position.  A C is stepped (`_stepped_trajectory`), or the
+    state read in the eigenbasis of one eigensolve, as `_stepped` decides.
     """
     _check_grids(state, H)
     one_partite = isinstance(state, WaveFunction)
     _check_normalized(state.norm() ** 2 if one_partite else bipartite_norm(state), "initial state")
     counts = list(range(0, cfg.steps, stride)) + [cfg.steps]
-    if one_partite and cfg.method == "crank-nicolson":
-        values = _stepped_trajectory(state, CrankNicolsonStepper(H, cfg.dt), counts)
+    if _stepped(cfg.method, 1 if one_partite else state.core.shape[1], state.grid.n_points):
+        F = state.amplitudes[:, None] if one_partite else state.left @ state.core
+        values = _stepped_trajectory(F, state.grid, CrankNicolsonStepper(H, cfg.dt), counts)
     else:
         values = SpectralPropagator(H, cfg.dt, cfg.method).trajectory(state, counts)
     with np.errstate(over="ignore"):  # a time past the float range, which run_scenario refuses
@@ -321,17 +319,17 @@ def trajectory(
     return np.column_stack([times, values])
 
 
-def _stepped_trajectory(psi: WaveFunction, stepper: CrankNicolsonStepper, counts) -> np.ndarray:
-    """Rows (norm, x_mean) of psi stepped to each step count in counts, O(N) per step."""
-    x, dx = psi.grid.points, psi.grid.dx
-    amp = psi.amplitudes.astype(complex)
+def _stepped_trajectory(F: np.ndarray, grid: Grid1D, stepper: CrankNicolsonStepper, counts) -> np.ndarray:
+    """Rows (norm, x_mean) of F = A C stepped to each step count in counts, O(N r) per step.
+
+    B is dx-orthonormal, so the density of A C B^H is the row sums of |A C|^2 dx.
+    """
+    x, dx = grid.points, grid.dx
     rows = np.empty((len(counts), 2))
-    done = 0
-    for i, steps in enumerate(counts):
-        amp = stepper.apply(amp, steps - done)
-        done = steps
+    for i, steps in enumerate(np.diff(counts, prepend=0)):
+        F = stepper.apply(F, steps)
         with np.errstate(over="ignore", invalid="ignore"):  # a state past the float range, which run_scenario refuses
-            density = np.abs(amp) ** 2 * dx
+            density = np.sum(np.abs(F) ** 2, axis=1) * dx
             rows[i] = np.sum(density), x @ density
     return rows
 

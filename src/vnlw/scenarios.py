@@ -295,6 +295,8 @@ def complementarity_sweep(evolved: BipartiteWave, window, n_points: int = 11):
 
 
 def _run_product_equivalence(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
+    """frobenius_gap: the factored vNL evolution of psi psi^* against the product of Schrodinger evolutions
+    of psi.  Both apply one propagator (with Crank-Nicolson, one Cayley step), so the gap is round-off."""
     sc = c.scenario
     psi = gaussian_packet(grid, sc.center, sc.sigma, sc.momentum)
     cfg = PropagatorConfig(c.dynamics.dt, c.dynamics.steps, c.dynamics.method)

@@ -270,10 +270,9 @@ def _check_resolved(run, c) -> None:
         arrays.append((8 * n * k, "grid.n_points x spectra.k eigenvectors"))
     if run == "gap-spectroscopy":
         arrays.append((24 * k * k, "spectra.k^2 rows of the gap table"))
-    # A random kernel, or the full eigenvectors of H that the kernel propagator and the eigenbasis method use.
-    propagates_kernel = run == "product-equivalence" or (run == "evolve" and kind not in ONE_PARTITE)
-    eigenbasis = run in ("evolve", "two-slit") and dyn["method"] == "eigenbasis"
-    if (builds_state and kind == "random") or propagates_kernel or eigenbasis:
+    # A random kernel, or the full eigenvectors of H for the eigenbasis method; Crank-Nicolson steps the factors.
+    eigenbasis = run in ("evolve", "two-slit", "product-equivalence") and dyn["method"] == "eigenbasis"
+    if (builds_state and kind == "random") or eigenbasis:
         arrays.append((16 * n * n, "grid.n_points^2 kernel"))
     largest, what = max(arrays)
     if largest > MAX_ARRAY_BYTES:

@@ -327,13 +327,16 @@ class TestExitCodes:
         assert list((tmp_path / "keep").iterdir()) == []
 
     def test_evolve_on_an_inexact_eigenbasis_exits_4(self, tmp_path, capsys):
-        """A spike of 1e300 leaves k = N states that are no eigenvectors, so no unitary propagator."""
+        """A spike of 1e300 leaves k = N states that are no eigenvectors, so no unitary propagator.
+        The eigenbasis method needs them; Crank-Nicolson steps the product's factor with no eigensolve."""
         cfg = {**BASE, "grid": {"n_points": 8}, "potential": {"kind": "tabulated", "values": [0.0] * 7 + [1e300]},
-               "state": {"type": "gaussian-product"}, "dynamics": {"dt": 1.0, "steps": 0}}
+               "state": {"type": "gaussian-product"}, "dynamics": {"dt": 1.0, "steps": 0, "method": "eigenbasis"}}
         out = tmp_path / "out"
         assert main(["evolve", "--config", write_config(tmp_path, cfg), "--output", str(out)]) == 4
         assert "off their energies" in capsys.readouterr().err
         assert not out.exists()
+        cfg["dynamics"]["method"] = "crank-nicolson"
+        assert main(["evolve", "--config", write_config(tmp_path, cfg), "--output", str(out)]) == 0
 
     def test_eigen_state_of_huge_amplitudes(self, tmp_path):
         """Amplitudes whose squares overflow still give the normalised state they describe."""
@@ -490,6 +493,24 @@ class TestValidateConfigCommand:
         assert "vnlw spectrum: spectra.k" in capsys.readouterr().err
         assert main(["gaps", *args]) == 3
         assert main(["evolve", *args, "--set", "dynamics.steps=10"]) == 0
+
+    def test_stepped_runs_admitted_at_large_n(self, tmp_path, capsys):
+        """A gaussian-product evolve and product-equivalence step N x 1 factors (Crank-Nicolson), so
+        N = 10^5 is admitted and runs; a random kernel, or the eigenbasis method's full eigenvectors,
+        is an N x N array, still refused above N = 4096."""
+        cfg = {"schema_version": 1, "grid": {"n_points": 10**5}, "state": {"type": "gaussian-product"},
+               "scenario": {"name": "product-equivalence"}, "dynamics": {"steps": 10}}
+        path = write_config(tmp_path, cfg)
+        assert main(["validate-config", "--config", path]) == 0
+        for subcommand in ("evolve", "run"):
+            assert main([subcommand, "--config", path, "--output", str(tmp_path / "out")]) == 0
+        args = ["validate-config", "--config", path, "--set", "grid.n_points=4097"]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main([*args, "--set", "state.type=random"]) == 3
+        assert "vnlw evolve: grid.n_points^2 kernel" in capsys.readouterr().err
+        assert main([*args, "--set", "dynamics.method=eigenbasis"]) == 3
+        assert "vnlw run: grid.n_points^2 kernel" in capsys.readouterr().err
 
     def test_one_partite_state_refused(self, tmp_path, capsys):
         """An explicit one-partite state.type is refused, since collapse, schmidt and entropy refuse it."""
@@ -861,6 +882,22 @@ class TestProcessExit:
             os.close(write)
         assert (out.returncode, out.stderr) == (2, "vnlw: cannot write to stdout: [Errno 32] Broken pipe\n")
         assert (tmp_path / "out" / "product-equivalence" / "summary.json").is_file()
+
+    @pytest.mark.parametrize("subcommand, code, err", [
+        ("run", 2, "vnlw: cannot write to stdout: stdout is closed\n"),
+        ("validate-config", 0, ""),
+    ], ids=["run", "validate-config"])
+    def test_no_stdout_descriptor(self, tmp_path, subcommand, code, err):
+        """Started with file descriptor 1 closed (`vnlw ... >&-`), Python has no sys.stdout.  A run
+        cannot print its summary line, so it exits 2 as a closed pipe does, and its directory stays;
+        validate-config prints nothing on success and still exits 0."""
+        cfg = {"schema_version": 1, "grid": {"n_points": 64},
+               "scenario": {"name": "product-equivalence"}, "dynamics": {"steps": 10}}
+        out = run_vnlw("-m", "vnlw.cli", subcommand, "--config", write_config(tmp_path, cfg),
+                       "--output", str(tmp_path / "out"), "--no-timestamp",
+                       stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+        assert (out.returncode, out.stderr) == (code, err)
+        assert (tmp_path / "out" / "product-equivalence" / "summary.json").is_file() == (subcommand == "run")
 
     def test_profiler_keeps_its_table(self, tmp_path):
         """Under cProfile the process tears down normally, so the profile is still printed."""

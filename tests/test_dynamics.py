@@ -318,7 +318,7 @@ class TestVnl:
     @pytest.mark.parametrize("state, method, solves", [
         ({"type": "random", "seed": 3}, "eigenbasis", 1),
         ({"type": "random", "seed": 3}, "crank-nicolson", 1),
-        ({"type": "gaussian-product", "center": 1.0}, "crank-nicolson", 1),
+        ({"type": "gaussian-product", "center": 1.0}, "crank-nicolson", 0),
         ({"type": "two-slit"}, "eigenbasis", 1),
         ({"type": "gaussian", "center": 1.0}, "eigenbasis", 1),
         ({"type": "gaussian", "center": 1.0}, "crank-nicolson", 0),
@@ -336,6 +336,31 @@ class TestVnl:
         table = scenarios.run_scenario(config, "evolve").tables["trajectory"]
         assert len(calls) == solves
         assert len(table["t"]) == 11
+
+    @pytest.mark.parametrize("rank, lus, solves", [(2, [201], []), (None, [], [201])], ids=["distinct-2", "kernel"])
+    def test_crank_nicolson_factorizes_or_solves_once(self, harmonic, monkeypatch, rank, lus, solves):
+        """Distinct rank-2 factors are stepped as one N x 4 array, from one tridiagonal LU and
+        no eigensolve; the N columns of a dense kernel take one eigensolve and no LU."""
+        g, H, _ = harmonic
+        calls, factored = count_eigensolves(monkeypatch), []
+
+        def counting(dl, d, du):
+            factored.append(len(d))
+            return zgttrf(dl, d, du)
+
+        monkeypatch.setattr(dynamics, "zgttrf", counting)
+        rng = np.random.default_rng(7)
+        if rank is None:
+            Psi = random_kernel(g, seed=7)
+        else:
+            A, B = (rng.standard_normal((g.n_points, 2)) + 1j * rng.standard_normal((g.n_points, 2)) for _ in "AB")
+            Psi = BipartiteWave.from_factors(A, np.eye(2), B, g)
+            Psi = BipartiteWave(Psi.left, Psi.core / np.linalg.norm(Psi.core), Psi.right, g)
+        cfg = PropagatorConfig(1e-3, 100)
+        out = propagate_vnl(Psi, H, cfg)
+        assert (factored, calls) == (lus, solves)
+        U = dense_propagator(H, cfg.dt, cfg.steps, cfg.method)
+        assert np.max(np.abs(kernel(out) - U @ kernel(Psi) @ U.conj().T)) <= 1e-12
 
     def test_evolve_one_partite_crank_nicolson_factorizes_once(self, monkeypatch):
         lus = []

@@ -182,6 +182,10 @@ class TestResolve:
         schema.resolve({"schema_version": 1, "grid": {"n_points": 4096}, "dynamics": {"method": "eigenbasis"}},
                        "two-slit")
         schema.resolve({"schema_version": 1, "grid": {"n_points": 10**6}}, "two-slit")  # no N x N array
+        # Crank-Nicolson steps a product's N x 1 factor: no N x N array either
+        schema.resolve({"schema_version": 1, "grid": {"n_points": 10**6}}, "product-equivalence")
+        schema.resolve({"schema_version": 1, "grid": {"n_points": 10**6}, "state": {"type": "gaussian-product"}},
+                       "evolve")
 
     @pytest.mark.parametrize("box", [False, True])
     def test_window_edges_on_grid_points(self, box):
