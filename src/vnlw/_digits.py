@@ -1,41 +1,37 @@
-"""The decimal strings of float64 and uint64 magnitudes, formatted by numpy.
+"""The decimal strings of float64 magnitudes, formatted by numpy.
 
 `magnitude_strings` gives, for an array of magnitudes, one NUL-padded byte
-row per value: the bytes of `'%.17g' % x` for a float64 x >= 0 and of
-`str(n)` for a uint64 n.  CPython formats one value per call, and 17
-significant digits always take its bignum path; here a block of values takes
-a few dozen numpy operations.
+row per value: the bytes of `'%.17g' % x` for a float64 x >= 0.  CPython
+formats one value per call, and 17 significant digits always take its bignum
+path; here a block of values takes a few dozen numpy operations.
 
 A float x = m 2^e is printed in the manner of Adams's Ryu-printf (PLDI 2019):
 with X = floor(log10 x), y = x 10^(16 - X) lies in [10^16, 10^17), and its
 nearest integer D holds the 17 significant digits.  10^s comes from a table
-of double-doubles (hi + lo) 2^t, built exactly with Python ints for the
-exponents in use, and m hi is formed exactly by Dekker's two-product (Numer.
-Math. 18, 224 (1971)), as numpy has no fused multiply-add.  So y, below
-2^57, is known to better than 2^-48.  A value whose y lies within 1e-6 of a
-rounding tie or of 10^16 or 10^17, and 0, nan and inf, take one exact
-`'%.17g' %` each.
+of double-doubles (hi + lo) 2^t, built exactly with Python ints, and m hi is
+formed exactly by Dekker's two-product (Numer. Math. 18, 224 (1971)), as
+numpy has no fused multiply-add.  So y, below 2^57, is known to better than
+2^-48.  A value whose y lies within 1e-6 of a rounding tie or of 10^16 or
+10^17, and 0, nan and inf, take one exact `'%.17g' %` each.
 
 Digits are written four at a time from a table of 4-digit strings.  The
-layout of a string depends only on its exponent (floats) or its digit count
-(ints), and sorted magnitudes hold each in one run of rows, so each run is
-laid out by one gather of columns.
+layout of a string depends only on its exponent, and sorted magnitudes hold
+each exponent in one run of rows, so each run is laid out by one gather of
+columns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-WIDTH = {"f": 23, "i": 20}  # the longest strings: '2.2250738585072014e-308' and str(2**64 - 1)
+WIDTH = 23  # the longest string: '2.2250738585072014e-308'
 _TIE = 1e-6  # a y this close to a tie or to 10^16 or 10^17 is formatted exactly
 _SPLIT = 134217729.0  # Veltkamp's 2^27 + 1: halves of 26 bits, whose products are exact
 
-# Column s + _S0 holds hi, hi's halves, lo and t of 10^s = (hi + lo) 2^t, hi
-# in [1, 2), for s = 16 - X from -293 to 341: X from -325, below the least
-# subnormal, to 309, above the largest float.  Filled on first use.
+# Column s + _S0 of the powers table holds hi, hi's halves, lo and t of
+# 10^s = (hi + lo) 2^t, hi in [1, 2), for s = 16 - X from -293 to 341: X
+# from -325, below the least subnormal, to 309, above the largest float.
 _S0 = 293
-_POWERS = np.zeros((5, 2 * _S0 + 56))
-_FILLED = np.zeros(_POWERS.shape[1], dtype=bool)
 _X0 = 325  # the exponent suffixes below are indexed by X + _X0
 
 # A float's source row, 32 bytes: its digits 1-16 (bytes 0-15), its first
@@ -46,7 +42,7 @@ _DIGIT = [16, *range(16)]
 _POINT, _SUFFIX, _ZERO, _NUL = 17, 24, 24, 31
 
 
-def _float_layout(key: int) -> list:
+def _layout(key: int) -> list:
     """Source columns of the '%.17g' string of layout key: X for -4 <= X <= 16, 17 for the e notation."""
     if key < 0:  # 0.000ddd
         cols = [_ZERO, _POINT] + [_ZERO] * (-key - 1) + _DIGIT
@@ -54,19 +50,15 @@ def _float_layout(key: int) -> list:
         cols = _DIGIT[:key + 1] + [_POINT] + _DIGIT[key + 1:]
     else:  # d.ddde+XX or d.ddde-XXX
         cols = [_DIGIT[0], _POINT] + _DIGIT[1:] + list(range(_SUFFIX, _SUFFIX + 5))
-    return cols + [_NUL] * (WIDTH["f"] - len(cols))
+    return cols + [_NUL] * (WIDTH - len(cols))
 
 
-_FLOAT_LAYOUTS = np.array([_float_layout(key) for key in range(-4, 18)])
-# An int's source row: its 20 zero-padded digits, then NUL (bytes 20-23).  A
-# string of `count` digits is the last `count` of them.
-_INT_LAYOUTS = np.array([[*range(20 - count, 20)] + [20] * (20 - count) for count in range(21)])
-_POWERS_OF_TEN = np.array([10**k for k in range(20)], dtype=np.uint64)
+_LAYOUTS = np.array([_layout(key) for key in range(-4, 18)])
 
 # _MASKS[k] keeps the first k bytes of a uint32 of four digits, and zeros the rest.
 _MASKS = np.array([[255] * k + [0] * (4 - k) for k in range(5)], dtype=np.uint8).view(np.uint32).ravel()
 
-_tables = {}  # 4-digit strings, their trailing zeros, exponent suffixes; built on first use
+_tables = {}  # 4-digit strings, their trailing zeros, exponent suffixes, powers of ten; built on first use
 
 
 def _table(name: str) -> np.ndarray:
@@ -79,27 +71,18 @@ def _table(name: str) -> np.ndarray:
             zeros += q % 10 ** (i + 1) == 0
         suffixes = [(b"0" if -4 <= X <= 16 else b"e%+03d" % X).ljust(8, b"\0") for X in range(-_X0, 310)]
         _tables.update(quads=chars.view(np.uint32).ravel(), zeros=zeros,
-                       suffix=np.frombuffer(b"".join(suffixes), dtype=np.uint64))
+                       suffix=np.frombuffer(b"".join(suffixes), dtype=np.uint64),
+                       powers=np.array([_power(s) for s in range(-_S0, _S0 + 56)]).T)
     return _tables[name]
 
 
 def magnitude_strings(values: np.ndarray) -> np.ndarray:
-    """The strings of float64 or uint64 magnitudes as (len, WIDTH[kind]) NUL-padded uint8 rows.
+    """The '%.17g' strings of float64 magnitudes as (len, WIDTH) NUL-padded uint8 rows.
 
-    A float's row holds the bytes of '%.17g' % x, and an int's of str(n),
-    with NUL in place of the spaces between them: the zeros '%g' strips
-    from the fraction, the point when nothing follows it, and the padding.
-    Sorted values are laid out fastest.
+    A row holds the bytes of '%.17g' % x with NUL in place of the spaces
+    between them: the zeros '%g' strips from the fraction, the point when
+    nothing follows it, and the padding.  Sorted values are laid out fastest.
     """
-    if values.dtype == np.uint64:
-        top = values // 10**16
-        quads = np.stack([top.view(np.int64), *_quads((values - top * 10**16).view(np.int64))], axis=1)
-        source = np.zeros((len(values), 6), dtype=np.uint32)
-        source[:, :5] = _table("quads").take(quads)
-        count = np.searchsorted(_POWERS_OF_TEN, values, side="right")  # its digits; 0 for n = 0
-        count[count == 0] = 1
-        return _gather(source.view(np.uint8), count, _INT_LAYOUTS)
-
     x = np.asarray(values, dtype=np.float64)
     D, X, exact = _decimal(x)
     first = D // 10**16
@@ -119,7 +102,7 @@ def magnitude_strings(values: np.ndarray) -> np.ndarray:
     chars[:, _DIGIT[0]] = first + ord("0")
     chars[:, _POINT] = ((cut > whole) | (fixed & (X < 0))) * ord(".")
     source[:, _SUFFIX // 8] = _table("suffix").take(X + _X0)
-    rows = _gather(chars, np.where(fixed, X, 17) + 4, _FLOAT_LAYOUTS)
+    rows = _gather(chars, np.where(fixed, X, 17) + 4)
     for i in np.flatnonzero(exact):
         text = b"%.17g" % x[i]
         rows[i] = 0
@@ -184,12 +167,7 @@ def _power(s: int) -> tuple:
 
 def _scaled(m: np.ndarray, e: np.ndarray, X: np.ndarray):
     """y = m 2^e 10^(16 - X) as a double-double yh + yl, for m in [0.5, 1)."""
-    index = 16 - X + _S0
-    missing = np.flatnonzero((np.bincount(index, minlength=len(_FILLED)) > 0) & ~_FILLED)
-    for i in missing:
-        _POWERS[:, i] = _power(int(i) - _S0)
-    _FILLED[missing] = True
-    hi, upper, lower, lo, t = _POWERS.take(index, axis=1)
+    hi, upper, lower, lo, t = _table("powers").take(16 - X + _S0, axis=1)
     c = m * _SPLIT
     mu = c - (c - m)
     ml = m - mu
@@ -202,10 +180,10 @@ def _scaled(m: np.ndarray, e: np.ndarray, X: np.ndarray):
     return yh * scale, (q - (yh - p)) * scale
 
 
-def _gather(source: np.ndarray, keys: np.ndarray, layouts: np.ndarray) -> np.ndarray:
+def _gather(source: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Rows of the source columns that the layout of each row's key names, one gather per run of keys."""
-    rows = np.empty((len(source), layouts.shape[1]), dtype=np.uint8)
+    rows = np.empty((len(source), WIDTH), dtype=np.uint8)
     edges = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(source)]
     for start, stop in zip(edges[:-1], edges[1:]):
-        rows[start:stop] = source[start:stop, layouts[keys[start]]]
+        rows[start:stop] = source[start:stop, _LAYOUTS[keys[start]]]
     return rows

@@ -262,7 +262,7 @@ def _run_two_slit(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
     summary = {
         "entropy": float(entanglement_entropy(evolved)),
         "visibility": float(fringe_visibility(density, window)),
-        "evolve_time": float(sc.evolve_time),
+        "evolve_time": cfg.steps * cfg.dt,
     }
 
     if sc.sweep_points:
@@ -368,8 +368,9 @@ def write_report(report: ScenarioReport, outdir, fmt: str = "csv") -> None:
     Tables take the format fmt (csv, json or gnuplot): a table's keys are
     its header and its 1-D arrays, all of one length, its columns.  Records
     are JSON in every format.  Timing is deliberately left out of
-    summary.json so that repeat runs with the same config produce
-    byte-identical summaries.
+    summary.json so that repeat runs with the same config and the same
+    number of BLAS threads produce byte-identical summaries; another thread
+    count can change the last digits of BLAS-reduced values.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -441,11 +442,10 @@ def _distinct_cells(columns: list, fmt: str):
     """The sorted distinct magnitudes of columns of one kind, and each one's string.
 
     The strings are one 1-D array of V{used} records, NUL-padded to the
-    longest: '%.17g' for a float in csv and gnuplot, json's own (repr, NaN,
-    Infinity) in json, and str for an int (which '%.17g' also gives below
-    2**53) in every format.  `_digits.magnitude_strings` formats each block
-    of distinct values but json's floats; the rows are then compacted to the
-    longest string in place.
+    longest: '%.17g' from `_digits.magnitude_strings` for a float in csv and
+    gnuplot, and otherwise json's own, a block at a time: repr, NaN and
+    Infinity for a float in json, and str for an int, whose few distinct
+    values are level indices.  The rows are then compacted in place.
     """
     if not columns:
         return None
@@ -461,14 +461,14 @@ def _distinct_cells(columns: list, fmt: str):
     np.not_equal(mags[1:], mags[:-1], out=keep[1:])
     values = mags[keep]
     del mags, keep
-    count, width = len(values), WIDTH[kind]  # json's float strings fit the width of '%.17g'
+    count, width = len(values), WIDTH  # json's strings fit the width of '%.17g', str(2**64 - 1) too
     rows = np.empty((count, width), dtype=np.uint8)
     for i in range(0, count, _BLOCK):
         part = values[i:i + _BLOCK]
-        if fmt == "json" and kind == "f":
-            rows[i:i + len(part)].view(f"S{width}")[:, 0] = json.dumps(part.tolist())[1:-1].split(", ")
-        else:
+        if fmt != "json" and kind == "f":
             rows[i:i + len(part)] = magnitude_strings(part)
+        else:
+            rows[i:i + len(part)].view(f"S{width}")[:, 0] = json.dumps(part.tolist())[1:-1].split(", ")
     flat = rows.reshape(-1)
     used = width
     while used > 1 and not rows[:, used - 1].any():

@@ -431,6 +431,14 @@ class TestExitCodes:
         assert code == 4
         assert not out.exists()
 
+    def test_value_that_is_not_finite_leaves_no_output(self, tmp_path, monkeypatch, capsys):
+        report = scenarios.ScenarioReport("spectrum", {}, {"k": 1, "energy": float("nan")})
+        monkeypatch.setitem(scenarios.RUNNERS, "spectrum", lambda *args: report)
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", write_config(tmp_path, BASE), "--output", str(out)]) == 4
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSeed:
     def run_entropy(self, tmp_path, *args):

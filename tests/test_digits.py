@@ -1,4 +1,4 @@
-"""The numpy formatter of table cells against CPython's '%.17g' and str."""
+"""The numpy formatter of table cells against CPython's '%.17g'."""
 
 from fractions import Fraction
 
@@ -14,13 +14,11 @@ from vnlw._digits import WIDTH, magnitude_strings
 def strings(values: np.ndarray) -> list:
     """The kernel's rows with their NUL bytes dropped, as the report writer drops them."""
     rows = magnitude_strings(values)
-    assert rows.shape == (len(values), WIDTH["i" if values.dtype == np.uint64 else "f"])
+    assert rows.shape == (len(values), WIDTH)
     return [row.tobytes().replace(b"\0", b"") for row in rows]
 
 
 def reference(values: np.ndarray) -> list:
-    if values.dtype == np.uint64:
-        return [str(n).encode() for n in values.tolist()]
     return [b"%.17g" % x for x in values.tolist()]
 
 
@@ -39,13 +37,6 @@ def test_every_float64_bit_pattern(bits, ordered):
     """|x| of any 64 bits, nan and inf included, in any order or sorted as the writer sorts them."""
     x = np.abs(np.array(bits, dtype=np.uint64).view(np.float64))
     assert_formats(np.sort(x) if ordered else x)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(bits=BITS, ordered=st.booleans())
-def test_every_uint64(bits, ordered):
-    n = np.array(bits, dtype=np.uint64)
-    assert_formats(np.sort(n) if ordered else n)
 
 
 def powers_of_ten() -> np.ndarray:
@@ -79,12 +70,6 @@ def test_rounding_that_carries_into_the_next_decade():
 ], ids=["tiny", "subnormal", "2^53", "decades", "plain", "special", "ties"])
 def test_fixed_values(values):
     assert_formats(values)
-
-
-def test_fixed_uint64():
-    edges = [0, 1, 9, 10, 99, 2**53 + 1, 2**63, 2**64 - 1]
-    edges += [10**k + d for k in range(1, 20) for d in (-1, 0, 1)]
-    assert_formats(np.array(edges, dtype=np.uint64))
 
 
 def test_exact_fallback_is_rare():

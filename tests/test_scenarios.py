@@ -114,6 +114,15 @@ class TestRunScenario:
         with pytest.raises(ScenarioError):
             run_scenario({"scenario": {"name": "frobnicate"}})
 
+    @pytest.mark.parametrize("report", [
+        ScenarioReport("spectrum", {}, {"k": 1, "energy": float("nan")}),
+        ScenarioReport("spectrum", {}, {"k": 1}, records={"r": {"values": [1.0, float("inf")]}}),
+    ], ids=["summary", "record"])
+    def test_refuses_a_value_that_is_not_finite(self, monkeypatch, report):
+        monkeypatch.setitem(RUNNERS, "spectrum", lambda *args: report)
+        with pytest.raises(ScenarioError, match="spectrum: a summary or record value is not finite"):
+            run_scenario({"schema_version": 1, "grid": {"n_points": 16}}, "spectrum")
+
     def test_gap_spectroscopy_harmonic(self):
         cfg = {
             "schema_version": 1,
@@ -161,6 +170,16 @@ class TestRunScenario:
         assert report.summary["entropy"] == pytest.approx(np.log(2), abs=1e-9)
         assert report.summary["visibility"] < 0.05
         assert "density" in report.tables
+
+    def test_two_slit_reports_the_time_it_reached(self):
+        """dt = 0.3 does not divide 0.5: the run takes round(0.5 / 0.3) = 2 steps, to t = 0.6."""
+        cfg = {
+            "schema_version": 1,
+            "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 101},
+            "dynamics": {"dt": 0.3},
+            "scenario": {"name": "two-slit", "evolve_time": 0.5},
+        }
+        assert run_scenario(cfg).summary["evolve_time"] == 2 * 0.3
 
     def test_determinism(self):
         cfg = {
