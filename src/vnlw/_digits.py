@@ -183,7 +183,7 @@ def _scaled(m: np.ndarray, e: np.ndarray, X: np.ndarray):
 def _gather(source: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Rows of the source columns that the layout of each row's key names, one gather per run of keys."""
     rows = np.empty((len(source), WIDTH), dtype=np.uint8)
-    edges = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(source)]
-    for start, stop in zip(edges[:-1], edges[1:]):
+    starts = np.flatnonzero(np.diff(keys, prepend=-1)).tolist()  # keys are >= 0; none for no rows
+    for start, stop in zip(starts, starts[1:] + [len(source)]):
         rows[start:stop] = source[start:stop, _LAYOUTS[keys[start]]]
     return rows

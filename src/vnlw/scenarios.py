@@ -11,6 +11,9 @@ resolved by `schema.resolve`, its grid and H, and returns a ScenarioReport.
 from __future__ import annotations
 
 import json
+import os
+import queue
+import threading
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 from pathlib import Path
@@ -366,11 +369,14 @@ def write_report(report: ScenarioReport, outdir, fmt: str = "csv") -> None:
     """Write summary.json, one data file per table and name.json per record into outdir.
 
     Tables take the format fmt (csv, json or gnuplot): a table's keys are
-    its header and its 1-D arrays, all of one length, its columns.  Records
-    are JSON in every format.  Timing is deliberately left out of
-    summary.json so that repeat runs with the same config and the same
-    number of BLAS threads produce byte-identical summaries; another thread
-    count can change the last digits of BLAS-reduced values.
+    its header and its 1-D arrays, all of one length, its columns.  Their
+    blocks of rows are laid out on every CPU the process may use, by helper
+    threads that have all ended when this returns or raises; the bytes do
+    not depend on how many there are.  Records are JSON in every format.
+    Timing is deliberately left out of summary.json so that repeat runs
+    with the same config and the same number of BLAS threads produce
+    byte-identical summaries; another thread count can change the last
+    digits of BLAS-reduced values.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -489,14 +495,31 @@ def _lookup(values: np.ndarray, mags: np.ndarray) -> np.ndarray:
     return found
 
 
+def _cpu_count() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _write_cells(fh, columns: list, cells: dict, layout) -> None:
-    """Write the rows of columns in blocks, each laid out as one byte array.
+    """Write the rows of columns in blocks, each laid out as one byte array, on every CPU the process may use.
 
     Adjacent columns of one kind form a run, whose cells are filled at once:
     each takes a slot of the literal before it, a sign byte and its
     magnitude's string from cells (`_lookup`, then one take of the run's
     records), all NUL-padded to the run's slot width.  The NUL padding is
     dropped before the block is written.
+
+    With w workers, one per CPU up to the block count, the main thread lays
+    out blocks 0, w, 2w, ... and writes every block in file order; helper
+    thread i lays out blocks i, i + w, ... into its own one-slot queue.  The
+    w - 1 helpers' blocks together hold one block's rows, so the bytes in
+    flight do not grow with the number of CPUs.  The layout is numpy calls
+    that release the GIL, so the threads overlap.  A helper drops the NULs
+    with a mask, which releases it too; the main thread with
+    bytes.translate, which holds it but is faster alone.  An exception in
+    any block is raised here once every helper has ended.
     """
     if not columns:
         return
@@ -511,9 +534,16 @@ def _write_cells(fh, columns: list, cells: dict, layout) -> None:
         before = np.array([list(b.ljust(pad, b"\0")) for b in before], dtype=np.uint8).reshape(len(run), pad)
         runs.append((run, cells[kind], before, width))
         width += len(run) * (pad + 1 + cells[kind][1].itemsize)
+    rows = len(columns[0])
     block = max(1, _BLOCK // len(columns))
-    for start in range(0, len(columns[0]), block):
-        stop = min(start + block, len(columns[0]))
+    workers = min(-(-rows // block), _cpu_count())
+    if workers > 1:
+        block = max(1, block // (workers - 1))
+    starts = range(0, rows, block)
+
+    def lay_out(start: int) -> np.ndarray:
+        """The rows of the block from start, NUL padding included, as one flat uint8 array."""
+        stop = min(start + block, rows)
         out = np.empty((stop - start, width + len(end)), dtype=np.uint8)
         for run, (values, text), before, offset in runs:
             pad, used = before.shape[1], text.itemsize
@@ -528,7 +558,40 @@ def _write_cells(fh, columns: list, cells: dict, layout) -> None:
         out[:, width:] = np.frombuffer(end, dtype=np.uint8)
         if start == 0 and lead.startswith(b","):
             out[0, 0] = 0  # no row before the first to separate it from
-        fh.write(out.tobytes().translate(None, b"\0"))
+        return out.reshape(-1)
+
+    done = threading.Event()
+    queues = [queue.Queue(maxsize=1) for _ in range(1, workers)]
+
+    def helper(first: int, blocks: queue.Queue) -> None:
+        try:
+            for start in starts[first::workers]:
+                if done.is_set():
+                    return
+                flat = lay_out(start)
+                blocks.put(flat[flat != 0])
+        except Exception as exc:  # raised by the main thread when it reaches this block
+            blocks.put(exc)
+
+    threads = [threading.Thread(target=helper, args=(i, q)) for i, q in enumerate(queues, 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        for i, start in enumerate(starts):
+            if i % workers:
+                part = queues[i % workers - 1].get()
+                if isinstance(part, Exception):
+                    raise part
+            else:
+                part = lay_out(start).tobytes().translate(None, b"\0")
+            fh.write(part)
+    finally:
+        done.set()
+        for blocks, thread in zip(queues, threads):
+            # After done is set a helper puts at most once more, into a slot this frees.
+            while not blocks.empty():
+                blocks.get()
+            thread.join()
 
 
 def _write_json(obj, path: Path) -> None:

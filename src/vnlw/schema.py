@@ -31,8 +31,10 @@ COMMANDS = {"run": None, "spectrum": "spectrum", "gaps": "gap-spectroscopy", "ev
 
 # The work budget.  A resolved config over it is refused like any other bad
 # value, before anything is allocated: a run killed for lack of memory, or
-# one that never ends, cannot remove its staging directory.
-MAX_ARRAY_BYTES = 2**28  # the largest dense array of a run, e.g. an N x N complex kernel (N <= 4096)
+# one that never ends, cannot remove its staging directory.  MAX_ARRAY_BYTES
+# bounds the largest dense array of a run, e.g. an N x N complex kernel
+# (N <= 4096), and the vectors a Crank-Nicolson run holds together.
+MAX_ARRAY_BYTES = 2**28
 MAX_STEPS = 10**7  # time steps: dynamics.steps, or evolve_time / dt for two-slit
 MAX_ROWS = 10**6  # rows of an evolve trajectory or of a two-slit sweep
 
@@ -237,6 +239,15 @@ def _check_resolved(run, c) -> None:
     n = grid["n_points"]
     if grid["x_max"] <= grid["x_min"]:
         raise ConfigError(f"grid.x_max: must exceed grid.x_min ({grid['x_max']} <= {grid['x_min']})")
+    # H's kinetic term hbar^2/(mass dx^2), formed as `lattice.build_hamiltonian` forms it: a dx that
+    # underflows to 0, or a term that overflows, would leave every run an H that is not finite.  (A span
+    # or dx^2 that overflows is refused there, with exit 4.)
+    hbar, mass = float(c["constants"]["hbar"]), float(c["constants"]["mass"])
+    dx = _spacing(grid)[1]
+    mass_dx2 = mass * (dx * dx)
+    if (hbar * hbar / mass_dx2 if mass_dx2 else math.inf) == math.inf:
+        raise ConfigError(f"grid.x_min, grid.x_max, grid.n_points: hbar^2/(mass dx^2) is not finite at "
+                          f"dx = {dx:.3g}, constants.hbar = {hbar:.3g}, constants.mass = {mass:.3g}")
     values = c["potential"]["values"]
     if c["potential"]["kind"] == "tabulated" and (values is None or len(values) != n):
         raise ConfigError(f"potential.values: grid.n_points={n} values required when potential.kind is tabulated")
@@ -264,12 +275,21 @@ def _check_resolved(run, c) -> None:
     arrays = [(16 * n, "grid.n_points complex vector")]
     if builds_state and kind in ("eigen-product", "eigen"):
         arrays.append((8 * n * len(coefficients), "grid.n_points x state.coefficients eigenvectors"))
-    if (builds_state and kind == "two-slit") or (run == "two-slit" and dyn["method"] == "crank-nicolson"):
+    if builds_state and kind == "two-slit":
         arrays.append((32 * n, "grid.n_points x 2 slit-mode factor"))
     if run in ("spectrum", "collapse"):
         arrays.append((8 * n * k, "grid.n_points x spectra.k eigenvectors"))
     if run == "gap-spectroscopy":
         arrays.append((24 * k * k, "spectra.k^2 rows of the gap table"))
+    # A Crank-Nicolson run stepping r columns (1 for a product or one-partite state, 2 for two slits)
+    # holds about 10 + 3 r complex N-vectors at once.  While `dynamics.CrankNicolsonStepper` factors
+    # L: a·d, a·e, 0.5 + a·d and gttrf's four factors and int32 pivots, 7.25; H's real diagonals, 1;
+    # the state's factor, the factor stepped and each step's solve, 3 r.  product-equivalence peaks
+    # after its steps, at 13, in `bipartite.distance`'s QR of two stacked factors.
+    if dyn["method"] == "crank-nicolson" and (
+            run in ("two-slit", "product-equivalence") or (run == "evolve" and kind != "random")):
+        r = 2 if run == "two-slit" or (run == "evolve" and kind == "two-slit") else 1
+        arrays.append((16 * n * (10 + 3 * r), "grid.n_points vectors of a Crank-Nicolson run"))
     # A random kernel, or the full eigenvectors of H for the eigenbasis method; Crank-Nicolson steps the factors.
     eigenbasis = run in ("evolve", "two-slit", "product-equivalence") and dyn["method"] == "eigenbasis"
     if (builds_state and kind == "random") or eigenbasis:
@@ -289,12 +309,18 @@ def window_indices(grid: dict, window) -> tuple:
     The points are x0 + dx * i, as `build_grid` / `box_grid` make them of the
     grid group, so the two-slit rule and the run count the same points.
     """
+    n = grid["n_points"]
+    x0, dx = _spacing(grid)
+    return _points_below(x0, dx, n, window[0], False), _points_below(x0, dx, n, window[1], True)
+
+
+def _spacing(grid: dict) -> tuple:
+    """(x0, dx): the first point and the spacing of the grid group, as `build_grid` / `box_grid` compute them."""
     x0, x1, n = grid["x_min"], grid["x_max"], grid["n_points"]
     if grid["box"]:
         length = x1 - x0
         x0, x1 = x0 + length / (n + 1), x0 + length - length / (n + 1)
-    dx = (x1 - x0) / (n - 1)
-    return _points_below(x0, dx, n, window[0], False), _points_below(x0, dx, n, window[1], True)
+    return x0, (x1 - x0) / (n - 1)
 
 
 def _points_below(x0: float, dx: float, n: int, v: float, inclusive: bool) -> int:

@@ -265,21 +265,37 @@ class TestExitCodes:
         assert np.max(np.abs(table[:, 1] - 1.0)) <= 1e-10
 
     @pytest.mark.parametrize("overrides", [
-        ["potential.omega=1e300"], ["constants.hbar=1e300"], ["constants.mass=1e-320"],
+        ["potential.omega=1e300"],
         ["potential.kind=double-well", "potential.b=1e200"],
         ["grid.x_min=-1e200"],  # dx^2 overflows
         ["grid.x_min=-1e200", "potential.kind=infinite-box"],
         ["grid.x_min=-1e200", "potential.kind=infinite-box", "grid.box=true"],
         ["grid.x_min=-1e308", "grid.x_max=1e308", "potential.kind=infinite-box"],  # the span overflows
         ["grid.x_min=-1e308", "grid.x_max=1e308", "potential.kind=infinite-box", "grid.box=true"],
-    ], ids=["omega", "hbar", "mass", "double-well", "dx2", "dx2-box-potential", "dx2-box-grid",
-            "span", "span-box-grid"])
+    ], ids=["omega", "double-well", "dx2", "dx2-box-potential", "dx2-box-grid", "span", "span-box-grid"])
     def test_non_finite_hamiltonian_exits_4(self, tmp_path, capsys, overrides):
         out = tmp_path / "out"
         sets = [arg for override in overrides for arg in ("--set", override)]
         code = main(["spectrum", "--config", write_config(tmp_path, BASE), "--output", str(out), *sets])
         assert code == 4
         assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides", [
+        ["grid.x_min=0", "grid.x_max=5e-324", "grid.n_points=32"],  # dx underflows to 0
+        ["grid.x_min=0", "grid.x_max=1e-160"],  # 1/dx^2 overflows
+        ["constants.hbar=1e300"], ["constants.mass=1e-320"],
+    ], ids=["dx-zero", "dx-tiny", "hbar", "mass"])
+    def test_kinetic_term_not_finite_exits_3(self, tmp_path, capsys, overrides):
+        """A dx of 0, or an hbar^2/(mass dx^2) that overflows, would leave every run an H that is not finite:
+        validate-config and the subcommands refuse the config before any numerics, and name the grid keys."""
+        out = tmp_path / "out"
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        path = write_config(tmp_path, BASE)
+        assert main(["validate-config", "--config", path, *sets]) == 3
+        assert main(["spectrum", "--config", path, "--output", str(out), *sets]) == 3
+        err = capsys.readouterr().err
+        assert err.count("grid.x_min, grid.x_max, grid.n_points: hbar^2/(mass dx^2) is not finite") == 2
         assert not out.exists()
 
     # Packets that cannot be normalised: a parameter overflows, or the width
@@ -374,12 +390,13 @@ class TestExitCodes:
         assert np.sum(states[:, 1:] ** 2, axis=0) * dx == pytest.approx(np.ones(3))
 
     def test_window_on_a_grid_whose_dx_underflows(self, tmp_path, capsys):
-        """dx = 5e-324 / 200 is 0: every point sits at x_min, in the window, and H is not finite."""
+        """dx = 5e-324 / 200 is 0: every point sits at x_min, in the window, and H would not be finite,
+        so the grid is refused with exit 3 before the window is counted."""
         sets = ["--set", "scenario.name=two-slit", "--set", "grid.x_min=0", "--set", "grid.x_max=5e-324"]
         path = write_config(tmp_path, BASE)
-        assert main(["validate-config", "--config", path, *sets]) == 0
-        assert main(["run", "--config", path, "--output", str(tmp_path / "out"), *sets]) == 4
-        assert "not finite" in capsys.readouterr().err
+        assert main(["validate-config", "--config", path, *sets]) == 3
+        assert main(["run", "--config", path, "--output", str(tmp_path / "out"), *sets]) == 3
+        assert "vnlw run: grid.x_min, grid.x_max, grid.n_points" in capsys.readouterr().err
 
     @pytest.mark.parametrize("subcommand, key", [("run", "scenario.name=two-slit"), ("schmidt", "state.type=two-slit")])
     def test_flat_slit_modes_blame_sigma(self, tmp_path, capsys, subcommand, key):

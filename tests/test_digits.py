@@ -81,3 +81,8 @@ def test_exact_fallback_is_rare():
     _, _, exact = _digits._decimal(x)
     assert exact.mean() < 1e-3, exact.sum()
     assert_formats(np.sort(x))
+
+
+def test_no_values():
+    rows = magnitude_strings(np.array([], dtype=float))
+    assert rows.shape == (0, WIDTH) and rows.dtype == np.uint8

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from vnlw.bipartite import entanglement_entropy, position_density
 from vnlw.dynamics import BipartiteWave
 from vnlw.errors import ScenarioError
 from vnlw.lattice import build_grid
+from vnlw import scenarios
 from vnlw.cli import main
 from vnlw.scenarios import (
     _BLOCK,
@@ -390,7 +392,9 @@ class TestWriteReportFormats:
     # Peak of write_report's own allocations over the bytes of the report's
     # table arrays, for a gap report of 409600 rows in json and in csv, whose
     # floats `_digits.magnitude_strings` formats a block at a time.  Measured:
-    # 0.93 in json and in csv, most of it the sorted magnitudes.  A
+    # 0.92 in json and 0.94 in csv on one CPU, most of it the sorted
+    # magnitudes; 1.08 and 0.96 with one helper thread laying out blocks, and
+    # at most that on more CPUs, whose helpers share one block's rows.  A
     # full-length index of every cell into the distinct strings would add 0.67.
     WRITE_PEAK_SLACK = 1.25
 
@@ -413,3 +417,83 @@ class TestWriteReportFormats:
             finally:
                 tracemalloc.stop()
             assert peak <= self.WRITE_PEAK_SLACK * held, (fmt, peak / held)
+
+
+class TestThreadedWriter:
+    """The blocks of a table are laid out on every CPU the process may use, and written in order."""
+
+    @staticmethod
+    def helpers(monkeypatch, cpus: int) -> list:
+        """Make the writer see cpus CPUs; the returned list collects every thread it starts."""
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(scenarios, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        return started
+
+    @staticmethod
+    def many_blocks() -> dict:
+        """Three-cell rows over twelve blocks and a part: int64 and int32 extremes, -0.0, NaN and inf."""
+        rng = np.random.default_rng(17)
+        count = 4 * _BLOCK + 3
+        n = rng.integers(-(2**63), 2**63 - 1, count, dtype=np.int64, endpoint=True)
+        n[rng.integers(0, count, 7)] = TestWriteReportFormats.EXTREMES[np.int64]
+        m = np.arange(count, dtype=np.int32)[::-1].copy()
+        m[rng.integers(0, count, 5)] = TestWriteReportFormats.EXTREMES[np.int32]
+        lam = rng.standard_normal(count) * 10.0 ** rng.integers(-300, 300, count)
+        specials = TestWriteReportFormats.EXTREMES[np.float64]
+        lam[rng.integers(0, count, 3 * len(specials))] = np.resize(specials, 3 * len(specials))
+        return {"n": n, "m": m, "lambda": lam}
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_same_bytes_on_any_worker_count(self, tmp_path, monkeypatch, workers):
+        table = self.many_blocks()
+        started = self.helpers(monkeypatch, workers)
+        report = ScenarioReport("t", {"schema_version": 1}, {}, {"many": table})
+        for fmt, suffix in (("csv", "csv"), ("gnuplot", "dat"), ("json", "json")):
+            write_report(report, tmp_path / fmt, fmt=fmt)
+            written = (tmp_path / fmt / f"many.{suffix}").read_bytes()
+            assert written == TestWriteReportFormats.reference(table, fmt).encode(), fmt
+        assert len(started) == 3 * (workers - 1)
+        assert not any(thread.is_alive() for thread in started)
+
+    @pytest.mark.parametrize("raiser", ["helper", "main"])
+    def test_an_exception_in_a_block_is_raised(self, tmp_path, monkeypatch, raiser):
+        """A block that raises, on a helper or on the main thread, fails the write and leaves no thread."""
+        baseline = threading.active_count()
+        lookup, calls, lock = scenarios._lookup, [], threading.Lock()
+
+        def failing(values, mags):
+            on_main = threading.current_thread() is threading.main_thread()
+            with lock:
+                if on_main == (raiser == "main"):
+                    calls.append(1)
+                    if len(calls) == 3:
+                        raise RuntimeError("block failed")
+            return lookup(values, mags)
+
+        started = self.helpers(monkeypatch, 3)
+        monkeypatch.setattr(scenarios, "_lookup", failing)
+        report = ScenarioReport("t", {"schema_version": 1}, {}, {"many": self.many_blocks()})
+        with pytest.raises(RuntimeError, match="block failed"):
+            write_report(report, tmp_path / "out", fmt="csv")
+        assert len(started) == 2
+        assert threading.active_count() == baseline
+
+    def test_one_block_tables_start_no_thread(self, tmp_path, monkeypatch):
+        """A two-slit run at its defaults writes tables of one block each, on the main thread alone."""
+        report = run_scenario({"schema_version": 1, "scenario": {"name": "two-slit"}})
+        started = self.helpers(monkeypatch, 4)
+        write_report(report, tmp_path / "out")
+        assert report.tables and started == []
+
+    @pytest.mark.parametrize("cpus", [1, 3, 8])
+    def test_write_memory_bounded_on_any_cpu_count(self, tmp_path, monkeypatch, cpus):
+        """The helpers' blocks share one block's rows, so the write peak does not grow with the CPU count."""
+        monkeypatch.setattr(scenarios, "_cpu_count", lambda: cpus)
+        TestWriteReportFormats().test_write_memory_bounded(tmp_path)
