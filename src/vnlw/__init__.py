@@ -15,7 +15,7 @@ scipy package, scipy.linalg or scipy.sparse.
 import importlib
 
 _EXPORTS = {
-    "lattice": "Grid1D HamiltonianMatrix PotentialSpec build_grid box_grid build_hamiltonian "
+    "lattice": "Grid1D HamiltonianMatrix build_grid box_grid build_hamiltonian "
     "sample_potential",
     "spectra": "EigenSystem distinct_gaps eigensystem eigenvalues gap_spectrum",
     "dynamics": "BipartiteWave CrankNicolsonStepper PropagatorConfig SpectralPropagator WaveFunction "

@@ -78,21 +78,30 @@ def from_product(psi: WaveFunction, phi: WaveFunction) -> BipartiteWave:
     _check_normalized(b**2, "factor phi")
     left = (psi.amplitudes / a)[:, None]
     right = left if phi is psi else (phi.amplitudes / b)[:, None]
-    return BipartiteWave(left, np.array([[a * b]], dtype=complex), right, psi.grid, psi.time)
+    return BipartiteWave(left, np.array([[a * b]], dtype=complex), right, psi.grid)
 
 
 def distance(X: BipartiteWave, Y: BipartiteWave) -> float:
-    """|X - Y|, the norm of one state on the stacked factors [A_X A_Y] diag(C_X, -C_Y) [B_X B_Y]^H.
+    """|X - Y| = |R_A diag(C_X, -C_Y) R_B^H|_F, with R the triangular factors of the stacked factors.
 
-    Its QR keeps the accuracy of a small difference, which the Gram expansion
-    |X|^2 + |Y|^2 - 2 Re<X, Y> would lose to sqrt(eps) noise.  O(N r^2).
+    X - Y is [A_X A_Y] diag(C_X, -C_Y) [B_X B_Y]^H, and the QR of each
+    dx-weighted stack keeps the accuracy of a small difference, which the
+    Gram expansion |X|^2 + |Y|^2 - 2 Re<X, Y> would lose to sqrt(eps) noise.
+    Only R is formed (one QR if both states share their factors).  O(N r^2).
     """
     _check_grids(X, Y)
-    A = np.hstack([X.left, Y.left])
-    B = A if X.right is X.left and Y.right is Y.left else np.hstack([X.right, Y.right])
+    sqrt_dx = np.sqrt(X.grid.dx)
+
+    def r_factor(F, G):
+        stacked = np.hstack([F, G])
+        stacked *= sqrt_dx
+        return np.linalg.qr(stacked, mode="r")
+
+    RA = r_factor(X.left, Y.left)
+    RB = RA if X.right is X.left and Y.right is Y.left else r_factor(X.right, Y.right)
     (r, s), (p, q) = X.core.shape, Y.core.shape
     core = np.block([[X.core, np.zeros((r, q))], [np.zeros((p, s)), -Y.core]])
-    return float(np.sqrt(bipartite_norm(BipartiteWave.from_factors(A, core, B, X.grid))))
+    return float(np.sqrt(np.sum(np.abs(RA @ core @ RB.conj().T) ** 2)))
 
 
 def schmidt(Psi: BipartiteWave, tol: float = 1e-12) -> SchmidtDecomposition:
@@ -148,7 +157,7 @@ def apply_rho(Psi: BipartiteWave, phi: WaveFunction) -> WaveFunction:
     """Action of the kernel operator: (rho phi)_i = sum_j Psi_ij phi_j dx = A C (B^H phi) dx."""
     _check_grids(Psi, phi)
     amp = Psi.left @ (Psi.core @ (Psi.right.conj().T @ phi.amplitudes)) * Psi.grid.dx
-    return WaveFunction(amp, Psi.grid, Psi.time)
+    return WaveFunction(amp, Psi.grid)
 
 
 def projector(phi: WaveFunction) -> np.ndarray:

@@ -32,11 +32,10 @@ NORM_TOL = 1e-6
 
 @dataclass(frozen=True)
 class WaveFunction:
-    """One-partite complex amplitude vector psi(x) at a given time."""
+    """One-partite complex amplitude vector psi(x)."""
 
     amplitudes: np.ndarray
     grid: Grid1D
-    time: float = 0.0
 
     def norm(self) -> float:
         return self.grid.norm(self.amplitudes)
@@ -44,7 +43,7 @@ class WaveFunction:
 
 @dataclass(frozen=True)
 class BipartiteWave:
-    """Kernel Psi(x, y) = A C B^H on the grid square at a given time.
+    """Kernel Psi(x, y) = A C B^H on the grid square.
 
     The factors A = left (N x r) and B = right (N x s) have dx-orthonormal
     columns, A^H A dx = I, so the core C (r x s) holds the amplitudes: its
@@ -57,10 +56,9 @@ class BipartiteWave:
     core: np.ndarray
     right: np.ndarray
     grid: Grid1D
-    time: float = 0.0
 
     @classmethod
-    def from_factors(cls, A, C, B, grid: Grid1D, time: float = 0.0) -> "BipartiteWave":
+    def from_factors(cls, A, C, B, grid: Grid1D) -> "BipartiteWave":
         """Psi = A C B^H for any factors, O(N r^2).
 
         A dx-weighted QR of A and B (one QR if B is A) moves R_A C R_B^H into the core.
@@ -70,13 +68,13 @@ class BipartiteWave:
         QB, RB = (QA, RA) if B is A else np.linalg.qr(np.asarray(B) * sqrt_dx)
         left = QA / sqrt_dx
         right = left if B is A else QB / sqrt_dx
-        return cls(left, RA @ np.asarray(C) @ RB.conj().T, right, grid, time)
+        return cls(left, RA @ np.asarray(C) @ RB.conj().T, right, grid)
 
     @classmethod
-    def from_kernel(cls, K, grid: Grid1D, time: float = 0.0) -> "BipartiteWave":
+    def from_kernel(cls, K, grid: Grid1D) -> "BipartiteWave":
         """A dense N x N kernel K as the rank-N state A = B = I / sqrt(dx), C = K dx."""
         eye = np.eye(grid.n_points) / np.sqrt(grid.dx)
-        return cls(eye, np.asarray(K) * grid.dx, eye, grid, time)
+        return cls(eye, np.asarray(K) * grid.dx, eye, grid)
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,9 @@ class CrankNicolsonStepper:
             d, e = a * H.diagonal, a * H.off_diagonal
         if not (np.isfinite(d).all() and np.isfinite(e).all()):
             raise SimulationError(f"Crank-Nicolson factors are not finite at dt={dt}")
-        *self._lu, info = zgttrf(e, 0.5 + d, e)
+        d += 0.5
+        # gttrf factors in place; dl and du are both e, so du is passed as a copy.
+        *self._lu, info = zgttrf(e, d, e.copy(), overwrite_dl=1, overwrite_d=1, overwrite_du=1)
         if info:
             raise SimulationError(f"Crank-Nicolson factorization failed: gttrf info={info}")
 
@@ -261,12 +261,12 @@ def _reduced_order_pays(n: int, r: int, rows: int) -> bool:
 
 
 def propagate_schrodinger(psi: WaveFunction, H: HamiltonianMatrix, cfg: PropagatorConfig) -> WaveFunction:
-    """Evolve psi to time t + steps*dt under the single-particle equation."""
+    """Evolve psi by steps*dt under the single-particle equation."""
     _check_grids(psi, H)
     _check_normalized(psi.norm() ** 2, "wave function")
     if cfg.steps == 0:
         return psi
-    return WaveFunction(propagate_amplitudes(psi.amplitudes, H, cfg), psi.grid, psi.time + cfg.steps * cfg.dt)
+    return WaveFunction(propagate_amplitudes(psi.amplitudes, H, cfg), psi.grid)
 
 
 def _stepped(method: str, columns: int, n: int) -> bool:
@@ -292,7 +292,7 @@ def propagate_vnl(Psi: BipartiteWave, H: HamiltonianMatrix, cfg: PropagatorConfi
     shared, r = Psi.right is Psi.left, Psi.left.shape[1]
     F = propagate_amplitudes(Psi.left if shared else np.hstack([Psi.left, Psi.right]), H, cfg)
     left, right = (F, F) if shared else (F[:, :r], F[:, r:])
-    return BipartiteWave(left, Psi.core, right, Psi.grid, Psi.time + cfg.steps * cfg.dt)
+    return BipartiteWave(left, Psi.core, right, Psi.grid)
 
 
 def trajectory(
@@ -315,7 +315,7 @@ def trajectory(
     else:
         values = SpectralPropagator(H, cfg.dt, cfg.method).trajectory(state, counts)
     with np.errstate(over="ignore"):  # a time past the float range, which run_scenario refuses
-        times = state.time + cfg.dt * np.array(counts, dtype=float)
+        times = cfg.dt * np.array(counts, dtype=float)
     return np.column_stack([times, values])
 
 

@@ -4,7 +4,8 @@ The Hamiltonian H = -hbar^2/(2m) d^2/dx^2 + U(x) is discretized with the
 3-point central second difference on a uniform grid, giving a real symmetric
 tridiagonal matrix.  Dirichlet behavior (wave function vanishing just outside
 the grid) is implicit in the stencil truncation.  All integrals are
-dx-weighted Riemann sums.
+dx-weighted Riemann sums.  `sample_potential(grid, kind, **params)` is the one
+dispatch of the potential kinds; the config's potential group passes whole.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, HamiltonianError, PotentialError
-from .schema import POTENTIAL_KINDS
+from .schema import GROUPS, POTENTIAL_KINDS
 
 
 @dataclass(frozen=True)
@@ -64,68 +65,52 @@ def box_grid(length: float, n_points: int, x_min: float = 0.0) -> Grid1D:
     return build_grid(x_min + dx, x_min + length - dx, n_points)
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
-    """External potential U(x), one of the supported families or a table."""
-
-    kind: str
-    params: dict
-
-    @classmethod
-    def infinite_box(cls) -> "PotentialSpec":
-        return cls("infinite-box", {})
-
-    @classmethod
-    def harmonic(cls, omega: float, mass: float = 1.0) -> "PotentialSpec":
-        if omega <= 0:
-            raise PotentialError(f"harmonic omega must be positive, got {omega}")
-        return cls("harmonic", {"omega": float(omega), "mass": float(mass)})
-
-    @classmethod
-    def double_well(cls, a: float, b: float) -> "PotentialSpec":
-        return cls("double-well", {"a": float(a), "b": float(b)})
-
-    @classmethod
-    def barrier(cls, height: float, width: float, center: float = 0.0) -> "PotentialSpec":
-        if width <= 0:
-            raise PotentialError(f"barrier width must be positive, got {width}")
-        return cls("barrier", {"height": float(height), "width": float(width), "center": float(center)})
-
-    @classmethod
-    def tabulated(cls, values) -> "PotentialSpec":
-        return cls("tabulated", {"values": np.asarray(values, dtype=float)})
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def sample_potential(grid: Grid1D, spec: PotentialSpec) -> np.ndarray:
-    """Evaluate U(x_i) on the grid.
+def sample_potential(grid: Grid1D, kind: str, **params) -> np.ndarray:
+    """Evaluate U(x_i) of the potential family `kind`, or of a table, on the grid.
 
-    The infinite box is U = 0 with confinement supplied by the Dirichlet
-    boundaries; the double well is U = a (x^2 - b^2)^2 with minima at +-b.
+    params are keys of the config's potential group (`schema.GROUPS`), each
+    as a float, `values` as an array; those the kind does not use are
+    ignored.  The infinite box is U = 0 with confinement supplied by the
+    Dirichlet boundaries; the harmonic well is U = m omega^2 x^2 / 2 (m = 1
+    by default); the double well is U = a (x^2 - b^2)^2 with minima at +-b;
+    the barrier (centered on 0 by default) has the given height and width.
     Parameters are squared as numpy floats, so that an overflow gives a
     non-finite U, which build_hamiltonian refuses.
     """
+    unknown = sorted(set(params) - set(GROUPS["potential"]))
+    if unknown:
+        raise PotentialError(f"unknown potential parameter(s): {', '.join(unknown)}")
+
+    def param(name: str, default: float | None = None):
+        value = params.get(name, default)
+        if value is None:
+            raise PotentialError(f"{kind} potential: missing parameter {name!r}")
+        return np.array(value, dtype=float) if name == "values" else float(value)
+
     x = grid.points
-    if spec.kind == "infinite-box":
+    if kind == "infinite-box":
         return np.zeros(grid.n_points)
-    if spec.kind == "harmonic":
-        omega = np.float64(spec.params["omega"])
-        mass = spec.params.get("mass", 1.0)
-        return 0.5 * mass * omega**2 * x**2
-    if spec.kind == "double-well":
-        a, b = spec.params["a"], np.float64(spec.params["b"])
-        return a * (x**2 - b**2) ** 2
-    if spec.kind == "barrier":
-        h, w, c = spec.params["height"], spec.params["width"], spec.params["center"]
-        return np.where(np.abs(x - c) <= 0.5 * w, h, 0.0)
-    if spec.kind == "tabulated":
-        values = np.asarray(spec.params["values"], dtype=float)
+    if kind == "harmonic":
+        omega = param("omega")
+        if omega <= 0:
+            raise PotentialError(f"harmonic omega must be positive, got {omega}")
+        return 0.5 * param("mass", 1.0) * np.float64(omega) ** 2 * x**2
+    if kind == "double-well":
+        return param("a") * (x**2 - np.float64(param("b")) ** 2) ** 2
+    if kind == "barrier":
+        height, width, center = param("height"), param("width"), param("center", 0.0)
+        if width <= 0:
+            raise PotentialError(f"barrier width must be positive, got {width}")
+        return np.where(np.abs(x - center) <= 0.5 * width, height, 0.0)
+    if kind == "tabulated":
+        values = param("values")
         if values.shape != (grid.n_points,):
             raise PotentialError(
-                f"tabulated length mismatch: {values.shape[0]} values for {grid.n_points} grid points"
+                f"tabulated length mismatch: {values.size} values for {grid.n_points} grid points"
             )
-        return values.copy()
-    raise PotentialError(f"unknown potential kind: {spec.kind!r}; expected one of {POTENTIAL_KINDS}")
+        return values
+    raise PotentialError(f"unknown potential kind: {kind!r}; expected one of {POTENTIAL_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -135,7 +120,6 @@ class HamiltonianMatrix:
     diagonal: np.ndarray
     off_diagonal: np.ndarray
     hbar: float
-    mass: float
     grid: Grid1D
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -168,4 +152,4 @@ def build_hamiltonian(grid: Grid1D, potential: np.ndarray, hbar: float = 1.0, ma
             f"Hamiltonian is not finite: mass dx^2 = {mass_dx2}, hbar^2/(mass dx^2) = {t}, "
             f"max |U| = {np.abs(potential).max()}"
         )
-    return HamiltonianMatrix(diagonal, off_diagonal, float(hbar), float(mass), grid)
+    return HamiltonianMatrix(diagonal, off_diagonal, float(hbar), grid)

@@ -26,7 +26,6 @@ from .schema import ONE_PARTITE, TWO_SLIT, amplitudes, resolve, two_slit_amplitu
 from .lattice import (
     Grid1D,
     HamiltonianMatrix,
-    PotentialSpec,
     build_grid,
     box_grid,
     build_hamiltonian,
@@ -73,7 +72,7 @@ def make_slit_modes(grid: Grid1D, separation: float = 4.0, sigma: float = 0.35) 
     return A @ (v / np.sqrt(w)) @ v.conj().T
 
 
-def two_slit_state(grid: Grid1D, modes: np.ndarray, coefficients, time: float = 0.0) -> BipartiteWave:
+def two_slit_state(grid: Grid1D, modes: np.ndarray, coefficients) -> BipartiteWave:
     """Kernel sum_{k,l} a_kl psi_k(x) psi_l^*(y): factor modes = [psi_1 psi_2], core a.
 
     coefficients are two-slit coefficients as the config gives them
@@ -87,7 +86,7 @@ def two_slit_state(grid: Grid1D, modes: np.ndarray, coefficients, time: float = 
     if not residual <= 1e-6:  # refuses NaN too
         raise ScenarioError(f"slit modes not dx-orthonormal: max |A^H A dx - I| = {residual}")
     a = np.array(two_slit_amplitudes(coefficients), dtype=complex).reshape(2, 2)
-    return BipartiteWave(modes, a, modes, grid, time)
+    return BipartiteWave(modes, a, modes, grid)
 
 
 def fringe_visibility(density: np.ndarray, window: tuple) -> float:
@@ -134,17 +133,6 @@ class ScenarioReport:
 # builders from a resolved config (schema.resolve)
 
 
-def potential_from_config(c) -> PotentialSpec:
-    p = c.potential
-    return {
-        "infinite-box": PotentialSpec.infinite_box,
-        "harmonic": lambda: PotentialSpec.harmonic(p.omega, p.mass),
-        "double-well": lambda: PotentialSpec.double_well(p.a, p.b),
-        "barrier": lambda: PotentialSpec.barrier(p.height, p.width, p.center),
-        "tabulated": lambda: PotentialSpec.tabulated(p.values),
-    }[p.kind]()
-
-
 def grid_from_config(c) -> Grid1D:
     g = c.grid
     if g.box:
@@ -153,7 +141,7 @@ def grid_from_config(c) -> Grid1D:
 
 
 def hamiltonian_from_config(c, grid: Grid1D) -> HamiltonianMatrix:
-    potential = sample_potential(grid, potential_from_config(c))
+    potential = sample_potential(grid, **vars(c.potential))
     return build_hamiltonian(grid, potential, hbar=c.constants.hbar, mass=c.constants.mass)
 
 
@@ -258,7 +246,7 @@ def _run_two_slit(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
     cfg = PropagatorConfig(c.dynamics.dt, int(round(sc.evolve_time / c.dynamics.dt)), c.dynamics.method)
     window = window_indices(vars(c.grid), sc.window)
     modes = propagate_amplitudes(make_slit_modes(grid, sc.separation, sc.sigma), H, cfg)
-    evolved = two_slit_state(grid, modes, sc.coefficients, cfg.steps * cfg.dt)
+    evolved = two_slit_state(grid, modes, sc.coefficients)
 
     density = position_density(evolved)
     tables = {"density": {"x": grid.points, "density": density}}

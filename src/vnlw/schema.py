@@ -239,12 +239,15 @@ def _check_resolved(run, c) -> None:
     n = grid["n_points"]
     if grid["x_max"] <= grid["x_min"]:
         raise ConfigError(f"grid.x_max: must exceed grid.x_min ({grid['x_max']} <= {grid['x_min']})")
-    # H's kinetic term hbar^2/(mass dx^2), formed as `lattice.build_hamiltonian` forms it: a dx that
-    # underflows to 0, or a term that overflows, would leave every run an H that is not finite.  (A span
-    # or dx^2 that overflows is refused there, with exit 4.)
+    # H's kinetic term hbar^2/(mass dx^2), formed as `lattice.build_hamiltonian` forms it: a span or
+    # mass dx^2 that overflows (NaN from a box grid's infinite span), a dx that underflows to 0, or a
+    # term that overflows, would leave every run an H that is not finite.
     hbar, mass = float(c["constants"]["hbar"]), float(c["constants"]["mass"])
     dx = _spacing(grid)[1]
     mass_dx2 = mass * (dx * dx)
+    if not mass_dx2 < math.inf:
+        raise ConfigError(f"grid.x_min, grid.x_max, grid.n_points: mass dx^2 is not finite at "
+                          f"dx = {dx:.3g}, constants.mass = {mass:.3g}")
     if (hbar * hbar / mass_dx2 if mass_dx2 else math.inf) == math.inf:
         raise ConfigError(f"grid.x_min, grid.x_max, grid.n_points: hbar^2/(mass dx^2) is not finite at "
                           f"dx = {dx:.3g}, constants.hbar = {hbar:.3g}, constants.mass = {mass:.3g}")
@@ -283,9 +286,9 @@ def _check_resolved(run, c) -> None:
         arrays.append((24 * k * k, "spectra.k^2 rows of the gap table"))
     # A Crank-Nicolson run stepping r columns (1 for a product or one-partite state, 2 for two slits)
     # holds about 10 + 3 r complex N-vectors at once.  While `dynamics.CrankNicolsonStepper` factors
-    # L: a·d, a·e, 0.5 + a·d and gttrf's four factors and int32 pivots, 7.25; H's real diagonals, 1;
-    # the state's factor, the factor stepped and each step's solve, 3 r.  product-equivalence peaks
-    # after its steps, at 13, in `bipartite.distance`'s QR of two stacked factors.
+    # L in place: a·d, a·e and a copy of it, gttrf's second superdiagonal and int32 pivots, 4.25; H's
+    # real diagonals, 1; the state's factor, the factor stepped and each step's solve, 3 r.
+    # `bipartite.distance` holds two stacked factors and QR's copy of them, 4, beside its states.
     if dyn["method"] == "crank-nicolson" and (
             run in ("two-slit", "product-equivalence") or (run == "evolve" and kind != "random")):
         r = 2 if run == "two-slit" or (run == "evolve" and kind == "two-slit") else 1

@@ -72,7 +72,7 @@ def eigenbasis_bipartite_evolution(C, eigs, t: float, hbar: float = 1.0) -> Bipa
         raise ValueError(f"coefficient matrix shape {C.shape} does not match k={k}")
     phases = np.exp(-1j * eigs.energies * t / hbar)
     S = eigs.states
-    return BipartiteWave(S, phases[:, None] * C * phases.conj()[None, :], S, eigs.grid, float(t))
+    return BipartiteWave(S, phases[:, None] * C * phases.conj()[None, :], S, eigs.grid)
 
 
 def sturm_count(H, shifts) -> np.ndarray:

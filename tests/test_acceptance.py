@@ -33,7 +33,7 @@ from vnlw.dynamics import (
     propagate_schrodinger,
     propagate_vnl,
 )
-from vnlw.lattice import PotentialSpec, box_grid, build_grid, build_hamiltonian, sample_potential
+from vnlw.lattice import box_grid, build_grid, build_hamiltonian, sample_potential
 from vnlw.scenarios import complementarity_sweep, make_slit_modes, two_slit_state
 from vnlw.spectra import eigensystem
 from oracles import difference_operator_spectrum, kernel
@@ -46,7 +46,7 @@ def _verdict(number, label, ok):
 
 def _harmonic(n_points, half_width=10.0, omega=1.0):
     g = build_grid(-half_width, half_width, n_points)
-    return g, build_hamiltonian(g, sample_potential(g, PotentialSpec.harmonic(omega)))
+    return g, build_hamiltonian(g, sample_potential(g, "harmonic", omega=omega))
 
 
 def _random_kernel(grid, rng):
@@ -73,7 +73,7 @@ def _random_states(grid, rng):
 
 def _representations(Psi):
     """Psi as built, and the dense rank-N state of its kernel."""
-    return Psi, BipartiteWave.from_kernel(kernel(Psi), Psi.grid, Psi.time)
+    return Psi, BipartiteWave.from_kernel(kernel(Psi), Psi.grid)
 
 
 def test_criterion_01_gap_spectrum_oracle():
@@ -249,7 +249,7 @@ def test_criterion_08_collapse_statistics():
 
     rng = np.random.default_rng(23)
     g2 = build_grid(-8, 8, 64)
-    H2 = build_hamiltonian(g2, sample_potential(g2, PotentialSpec.harmonic(1.0)))
+    H2 = build_hamiltonian(g2, sample_potential(g2, "harmonic", omega=1.0))
     eigs2 = eigensystem(H2, 12)
     total_err = 0.0
     for _ in range(20):
@@ -268,7 +268,7 @@ def test_criterion_08_collapse_statistics():
 def test_criterion_09_complementarity_sweep():
     start = time.perf_counter()
     g = build_grid(-20, 20, 801)
-    H = build_hamiltonian(g, sample_potential(g, PotentialSpec.infinite_box()))
+    H = build_hamiltonian(g, sample_potential(g, "infinite-box"))
     modes = make_slit_modes(g)
     cfg = PropagatorConfig(1e-3, 2000)
     evolved = two_slit_state(g, propagate_amplitudes(modes, H, cfg), "wave")

@@ -267,18 +267,32 @@ class TestExitCodes:
     @pytest.mark.parametrize("overrides", [
         ["potential.omega=1e300"],
         ["potential.kind=double-well", "potential.b=1e200"],
-        ["grid.x_min=-1e200"],  # dx^2 overflows
-        ["grid.x_min=-1e200", "potential.kind=infinite-box"],
-        ["grid.x_min=-1e200", "potential.kind=infinite-box", "grid.box=true"],
-        ["grid.x_min=-1e308", "grid.x_max=1e308", "potential.kind=infinite-box"],  # the span overflows
-        ["grid.x_min=-1e308", "grid.x_max=1e308", "potential.kind=infinite-box", "grid.box=true"],
-    ], ids=["omega", "double-well", "dx2", "dx2-box-potential", "dx2-box-grid", "span", "span-box-grid"])
+    ], ids=["omega", "double-well"])
     def test_non_finite_hamiltonian_exits_4(self, tmp_path, capsys, overrides):
         out = tmp_path / "out"
         sets = [arg for override in overrides for arg in ("--set", override)]
         code = main(["spectrum", "--config", write_config(tmp_path, BASE), "--output", str(out), *sets])
         assert code == 4
         assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides", [
+        ["grid.x_min=-1e200"],  # dx^2 overflows
+        ["grid.x_min=-1e200", "potential.kind=infinite-box"],
+        ["grid.x_min=-1e200", "potential.kind=infinite-box", "grid.box=true"],
+        ["grid.x_min=-1e308", "grid.x_max=1e308", "potential.kind=infinite-box"],  # the span overflows
+        ["grid.x_min=-1e308", "grid.x_max=1e308", "potential.kind=infinite-box", "grid.box=true"],  # dx is NaN
+    ], ids=["dx2", "dx2-box-potential", "dx2-box-grid", "span", "span-box-grid"])
+    def test_grid_not_finite_exits_3(self, tmp_path, capsys, overrides):
+        """A span or mass dx^2 that overflows would leave every run an H that is not finite:
+        validate-config and the subcommands refuse the config before any numerics, and name the grid keys."""
+        out = tmp_path / "out"
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        path = write_config(tmp_path, BASE)
+        assert main(["validate-config", "--config", path, *sets]) == 3
+        assert main(["spectrum", "--config", path, "--output", str(out), *sets]) == 3
+        err = capsys.readouterr().err
+        assert err.count("grid.x_min, grid.x_max, grid.n_points: mass dx^2 is not finite") == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("overrides", [
@@ -854,6 +868,12 @@ class TestSchemaDocs:
 
     def test_schema_version_documented(self):
         assert '"schema_version": 1' in self.DOC.read_text()
+
+    def test_readme_example_config_validates(self, tmp_path):
+        """The README's example config is one the schema accepts, so it cannot drift from it."""
+        readme = (self.DOC.parents[1] / "README.md").read_text()
+        example = readme.split("Example config:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        assert main(["validate-config", "--config", write_config(tmp_path, json.loads(example))]) == 0
 
 
 def run_vnlw(*args, env=None, **kwargs) -> subprocess.CompletedProcess:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,7 @@ from vnlw.dynamics import (
     propagate_vnl,
 )
 from vnlw.errors import GridMismatchError, SimulationError, UnnormalizedStateError
-from vnlw.lattice import HamiltonianMatrix, PotentialSpec, build_grid, build_hamiltonian, sample_potential
+from vnlw.lattice import HamiltonianMatrix, build_grid, build_hamiltonian, sample_potential
 from vnlw.schema import resolve
 from vnlw.spectra import eigensystem
 from oracles import dense, dense_propagator, eigenbasis_bipartite_evolution, kernel
@@ -27,7 +29,7 @@ from oracles import dense, dense_propagator, eigenbasis_bipartite_evolution, ker
 @pytest.fixture(scope="module")
 def harmonic():
     g = build_grid(-10, 10, 201)
-    H = build_hamiltonian(g, sample_potential(g, PotentialSpec.harmonic(1.0)))
+    H = build_hamiltonian(g, sample_potential(g, "harmonic", omega=1.0))
     eigs = eigensystem(H, 6)
     return g, H, eigs
 
@@ -98,9 +100,9 @@ class TestCrankNicolsonStepper:
     # Barriers up to 1e20 make H stiff: its Cayley factor is about -1 on the barrier. The dense
     # oracle keeps its accuracy there; in 400 draws it differed from apply() by at most 9e-15 max|v|.
     potentials = st.one_of(
-        st.sampled_from([PotentialSpec.harmonic(1.0), PotentialSpec.infinite_box(),
-                         PotentialSpec.double_well(1.0, 1.0)]),
-        st.builds(PotentialSpec.barrier, height=st.floats(0.0, 20.0).map(lambda p: 10.0**p),
+        st.sampled_from([{"kind": "harmonic", "omega": 1.0}, {"kind": "infinite-box"},
+                         {"kind": "double-well", "a": 1.0, "b": 1.0}]),
+        st.builds(dict, kind=st.just("barrier"), height=st.floats(0.0, 20.0).map(lambda p: 10.0**p),
                   width=st.floats(0.5, 3.0)),
     )
 
@@ -128,7 +130,7 @@ class TestCrankNicolsonStepper:
         """apply(v, n) is the n-th power of the dense Cayley matrix (I + i a H)^-1 (I - i a H),
         a = dt / 2 hbar, times v, for a vector or N x r columns; v is left unchanged."""
         g = build_grid(-5, 5, n_points)
-        H = build_hamiltonian(g, sample_potential(g, potential))
+        H = build_hamiltonian(g, sample_potential(g, **potential))
         rng = np.random.default_rng(seed)
         shape = (n_points,) if columns is None else (n_points, columns)
         v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -145,6 +147,25 @@ class TestCrankNicolsonStepper:
         stepper = CrankNicolsonStepper(H, 1e-2)
         held = [*vars(stepper).values(), *stepper._lu]
         assert not any(isinstance(x, HamiltonianMatrix) for x in held)
+
+    def test_factors_in_place(self):
+        """gttrf factors L = (I + i a H)/2 in place: a·d, a·e and its copy, gttrf's second superdiagonal
+        and int32 pivots, at most 4.5 complex N-vectors at N = 10^5 (7.25 when f2py copied all three
+        diagonals).  The factors are those of gttrf on fresh diagonals, bit for bit."""
+        n, dt = 10**5, 1e-3
+        g = build_grid(-20, 20, n)
+        H = build_hamiltonian(g, sample_potential(g, "harmonic", omega=1.0))
+        tracemalloc.start()
+        try:
+            stepper = CrankNicolsonStepper(H, dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 16 * n, peak / (16 * n)
+        a = 0.25j * dt / H.hbar
+        *expected, info = zgttrf(a * H.off_diagonal, 0.5 + a * H.diagonal, a * H.off_diagonal)
+        assert info == 0
+        assert [f.tobytes() for f in stepper._lu] == [f.tobytes() for f in expected]
 
 
 class TestSchrodinger:
@@ -168,12 +189,6 @@ class TestSchrodinger:
         psi = gaussian_packet(g, 1.0, 0.7, momentum=2.0)
         out = propagate_schrodinger(psi, H, PropagatorConfig(1e-3, 1))
         assert abs(out.norm() - 1.0) < 1e-12
-
-    def test_time_recorded(self, harmonic):
-        g, H, _ = harmonic
-        psi = gaussian_packet(g, 0.0, 1.0)
-        out = propagate_schrodinger(psi, H, PropagatorConfig(1e-3, 50))
-        assert out.time == pytest.approx(0.05)
 
     def test_grid_mismatch(self, harmonic):
         g, H, _ = harmonic
@@ -215,7 +230,7 @@ class TestVnl:
 
     def test_norm_conservation_1000_steps(self):
         g = build_grid(-5, 5, 101)
-        H = build_hamiltonian(g, sample_potential(g, PotentialSpec.harmonic(1.0)))
+        H = build_hamiltonian(g, sample_potential(g, "harmonic", omega=1.0))
         Psi = random_kernel(g, seed=11)
         out = propagate_vnl(Psi, H, PropagatorConfig(1e-3, 1000))
         assert abs(bipartite_norm(out) - 1.0) < 1e-10
@@ -231,7 +246,7 @@ class TestVnl:
     def test_cn_matches_eigenbasis_low_rank(self):
         # soft harmonic ladder keeps the Cayley phase error under the budget
         g = build_grid(-12, 12, 121)
-        H = build_hamiltonian(g, sample_potential(g, PotentialSpec.harmonic(0.5)))
+        H = build_hamiltonian(g, sample_potential(g, "harmonic", omega=0.5))
         eigs = eigensystem(H, 3)
         rng = np.random.default_rng(2)
         C = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -344,9 +359,9 @@ class TestVnl:
         g, H, _ = harmonic
         calls, factored = count_eigensolves(monkeypatch), []
 
-        def counting(dl, d, du):
+        def counting(dl, d, du, **overwrite):
             factored.append(len(d))
-            return zgttrf(dl, d, du)
+            return zgttrf(dl, d, du, **overwrite)
 
         monkeypatch.setattr(dynamics, "zgttrf", counting)
         rng = np.random.default_rng(7)
@@ -365,9 +380,9 @@ class TestVnl:
     def test_evolve_one_partite_crank_nicolson_factorizes_once(self, monkeypatch):
         lus = []
 
-        def counting(dl, d, du):
+        def counting(dl, d, du, **overwrite):
             lus.append(len(d))
-            return zgttrf(dl, d, du)
+            return zgttrf(dl, d, du, **overwrite)
 
         monkeypatch.setattr(dynamics, "zgttrf", counting)
         config = {
@@ -393,7 +408,7 @@ class TestVnlProperties:
     @staticmethod
     def problem(n_points, seed):
         g = build_grid(-5, 5, n_points)
-        H = build_hamiltonian(g, sample_potential(g, PotentialSpec.harmonic(1.0)))
+        H = build_hamiltonian(g, sample_potential(g, "harmonic", omega=1.0))
         return g, H, random_kernel(g, seed)
 
     cases = dict(

@@ -3,7 +3,6 @@ import pytest
 
 from vnlw.errors import GridError, HamiltonianError, PotentialError
 from vnlw.lattice import (
-    PotentialSpec,
     box_grid,
     build_grid,
     build_hamiltonian,
@@ -50,24 +49,24 @@ class TestBuildGrid:
 class TestSamplePotential:
     def test_harmonic_values(self):
         g = build_grid(0, 4, 9)  # dx = 0.5, x_4 = 2
-        v = sample_potential(g, PotentialSpec.harmonic(1.0))
+        v = sample_potential(g, "harmonic", omega=1.0)
         assert v[0] == pytest.approx(0.0)
         assert v[4] == pytest.approx(2.0)
 
     def test_infinite_box_is_zero(self):
         g = build_grid(-3, 3, 17)
-        assert np.all(sample_potential(g, PotentialSpec.infinite_box()) == 0.0)
+        assert np.all(sample_potential(g, "infinite-box") == 0.0)
 
     def test_barrier(self):
         g = build_grid(-5, 5, 101)
-        v = sample_potential(g, PotentialSpec.barrier(height=2.0, width=1.0, center=0.0))
+        v = sample_potential(g, "barrier", height=2.0, width=1.0, center=0.0)
         x = g.points
         assert np.all(v[np.abs(x) <= 0.5] == 2.0)
         assert np.all(v[np.abs(x) > 0.51] == 0.0)
 
     def test_double_well_minima(self):
         g = build_grid(-4, 4, 161)
-        v = sample_potential(g, PotentialSpec.double_well(a=1.0, b=2.0))
+        v = sample_potential(g, "double-well", a=1.0, b=2.0)
         x = g.points
         assert v[np.argmin(np.abs(x - 2.0))] == pytest.approx(0.0, abs=1e-12)
         assert v[np.argmin(np.abs(x + 2.0))] == pytest.approx(0.0, abs=1e-12)
@@ -76,13 +75,44 @@ class TestSamplePotential:
     def test_tabulated_length_mismatch(self):
         g = build_grid(0, 1, 11)
         with pytest.raises(PotentialError):
-            sample_potential(g, PotentialSpec.tabulated(np.zeros(10)))
+            sample_potential(g, "tabulated", values=np.zeros(10))
 
     def test_invalid_parameters(self):
+        g = build_grid(-3, 3, 17)
         with pytest.raises(PotentialError):
-            PotentialSpec.harmonic(-1.0)
+            sample_potential(g, "harmonic", omega=-1.0)
         with pytest.raises(PotentialError):
-            PotentialSpec.barrier(height=1.0, width=0.0)
+            sample_potential(g, "barrier", height=1.0, width=0.0)
+        with pytest.raises(PotentialError, match="unknown potential kind"):
+            sample_potential(g, "square-well")
+
+    @pytest.mark.parametrize("kind, params", [
+        ("harmonic", {}), ("double-well", {"a": 1.0}), ("barrier", {"height": 1.0}), ("tabulated", {}),
+        ("tabulated", {"values": None}),
+    ])
+    def test_missing_parameter(self, kind, params):
+        with pytest.raises(PotentialError, match="missing parameter"):
+            sample_potential(build_grid(-3, 3, 17), kind, **params)
+
+    def test_unknown_parameter(self):
+        """A misspelt parameter is refused, not ignored; keys of the potential group that the kind
+        does not use are ignored."""
+        g = build_grid(-3, 3, 17)
+        with pytest.raises(PotentialError, match="unknown potential parameter.*omgea"):
+            sample_potential(g, "harmonic", omgea=2.0)
+        assert np.array_equal(sample_potential(g, "harmonic", omega=1.0, a=5.0, values=None),
+                              sample_potential(g, "harmonic", omega=1.0))
+
+    def test_defaults_and_int_parameters(self):
+        """mass defaults to 1 and center to 0; JSON ints, also beyond int64, go through float()."""
+        g = build_grid(-3, 3, 17)
+        assert np.array_equal(sample_potential(g, "harmonic", omega=2),
+                              sample_potential(g, "harmonic", omega=2.0, mass=1.0))
+        assert np.array_equal(sample_potential(g, "barrier", height=10**30, width=1),
+                              sample_potential(g, "barrier", height=1e30, width=1.0, center=0.0))
+        assert np.array_equal(sample_potential(g, "double-well", a=10**30, b=2),
+                              sample_potential(g, "double-well", a=1e30, b=2.0))
+        assert np.array_equal(sample_potential(g, "tabulated", values=[10**30] * 17), np.full(17, 1e30))
 
 
 class TestBuildHamiltonian:

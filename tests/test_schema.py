@@ -354,7 +354,7 @@ def test_validate_path_loads_no_dataclasses(tmp_path):
 
 # The public names of the package before its names were resolved on first access.
 EXPORTS = {
-    "lattice": ["Grid1D", "HamiltonianMatrix", "PotentialSpec", "build_grid", "box_grid",
+    "lattice": ["Grid1D", "HamiltonianMatrix", "build_grid", "box_grid",
                 "build_hamiltonian", "sample_potential"],
     "spectra": ["EigenSystem", "distinct_gaps", "eigensystem", "eigenvalues", "gap_spectrum"],
     "dynamics": ["BipartiteWave", "CrankNicolsonStepper", "PropagatorConfig", "SpectralPropagator",

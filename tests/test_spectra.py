@@ -9,7 +9,6 @@ from scipy.linalg.lapack import dstebz
 from vnlw import _lapack, spectra
 from vnlw.errors import EigensolverError
 from vnlw.lattice import (
-    PotentialSpec,
     box_grid,
     build_grid,
     build_hamiltonian,
@@ -27,7 +26,7 @@ from oracles import difference_operator_spectrum, sturm_count
 
 def harmonic_hamiltonian(n_points=501, half_width=10.0, omega=1.0):
     g = build_grid(-half_width, half_width, n_points)
-    return build_hamiltonian(g, sample_potential(g, PotentialSpec.harmonic(omega)))
+    return build_hamiltonian(g, sample_potential(g, "harmonic", omega=omega))
 
 
 class TestEigensystem:
@@ -100,16 +99,16 @@ class TestWideRangePotentials:
     a tolerance of eps * |H| gave E0 = 0.046 (height 1e14) and 175.6 (height 1e20)."""
 
     @pytest.mark.parametrize("spec", [
-        PotentialSpec.barrier(1e6, 1.0),
-        PotentialSpec.barrier(1e14, 1.0),
-        PotentialSpec.barrier(1e20, 1.0),
-        PotentialSpec.double_well(1e11, 1.0),
-        PotentialSpec.double_well(1e13, 1.0),
-    ], ids=lambda spec: f"{spec.kind}-{max(spec.params.values()):g}")
+        {"kind": "barrier", "height": 1e6, "width": 1.0},
+        {"kind": "barrier", "height": 1e14, "width": 1.0},
+        {"kind": "barrier", "height": 1e20, "width": 1.0},
+        {"kind": "double-well", "a": 1e11, "b": 1.0},
+        {"kind": "double-well", "a": 1e13, "b": 1.0},
+    ], ids=lambda spec: f"{spec['kind']}-{max(v for k, v in spec.items() if k != 'kind'):g}")
     def test_levels_pass_sturm_count(self, spec):
         """count(E_j - eps) <= j < count(E_j + eps): E_j is the j-th level to within eps."""
         g = build_grid(-10, 10, 401)
-        H = build_hamiltonian(g, sample_potential(g, spec))
+        H = build_hamiltonian(g, sample_potential(g, **spec))
         for E in (eigenvalues(H, 10), eigensystem(H, 10).energies):
             eps = 1e-9 * np.maximum(1.0, np.abs(E))
             j = np.arange(len(E))
@@ -118,16 +117,16 @@ class TestWideRangePotentials:
 
 
     @pytest.mark.parametrize("spec, k", [
-        (PotentialSpec.barrier(1e20, 1.0), 100),
-        (PotentialSpec.barrier(1e20, 1.0), 101),
-        (PotentialSpec.double_well(1e13, 1.0), 100),
+        ({"kind": "barrier", "height": 1e20, "width": 1.0}, 100),
+        ({"kind": "barrier", "height": 1e20, "width": 1.0}, 101),
+        ({"kind": "double-well", "a": 1e13, "b": 1.0}, 100),
     ], ids=["barrier-1e20", "barrier-1e20-all", "double-well-1e13"])
     def test_states_are_eigenvectors(self, spec, k):
         """Inverse iteration on the whole matrix: with stebz's split blocks, level 68 behind
         the 1e20 barrier had a residual of 4% of its energy.  With k = N, stevd's state of
         level 3 there had a residual of 5 times its energy."""
         g = build_grid(-10, 10, 101)
-        H = build_hamiltonian(g, sample_potential(g, spec))
+        H = build_hamiltonian(g, sample_potential(g, **spec))
         eigs = eigensystem(H, k)
         residual = H.apply(eigs.states) - eigs.states * eigs.energies
         assert np.all(np.sqrt(np.sum(residual**2, axis=0) * g.dx) <= 1e-12 * np.maximum(1.0, np.abs(eigs.energies)))
@@ -194,7 +193,7 @@ class TestShiftedDqds:
     def test_agrees_with_bisection(self, potential):
         n, k, values = potential
         g = build_grid(-10, 10, n)
-        H = build_hamiltonian(g, sample_potential(g, PotentialSpec.tabulated(values)))
+        H = build_hamiltonian(g, sample_potential(g, "tabulated", values=values))
         with mock.patch.object(spectra, "dstebz", wraps=dstebz) as bisection:
             E = eigenvalues(H, k)
         assert E.tobytes() == eigensystem(H, k).energies.tobytes()
@@ -281,9 +280,9 @@ class TestRoute:
         harmonic_hamiltonian(2001),
         build_hamiltonian(box_grid(1.0, 801), np.zeros(801)),
         build_hamiltonian(build_grid(-10, 10, 1001), sample_potential(build_grid(-10, 10, 1001),
-                                                                      PotentialSpec.double_well(1.0, 1.0))),
+                                                                      "double-well", a=1.0, b=1.0)),
         build_hamiltonian(build_grid(-10, 10, 401), sample_potential(build_grid(-10, 10, 401),
-                                                                     PotentialSpec.barrier(1e6, 1.0))),
+                                                                     "barrier", height=1e6, width=1.0)),
     ], ids=["harmonic-401", "harmonic-2001", "box-801", "double-well-1001", "barrier-1e6-401"])
     def test_full_spectrum_keeps_stevd_states(self, monkeypatch, H):
         """No k = N state of a benign potential is re-solved: they are stevd's, bit for bit,
@@ -310,7 +309,7 @@ class TestRoute:
         calls = self.counting(monkeypatch, dstein=recording)
         checked = self.checked(monkeypatch)
         g = build_grid(-10, 10, n)
-        eigensystem(build_hamiltonian(g, sample_potential(g, PotentialSpec.barrier(height, 1.0))), n)
+        eigensystem(build_hamiltonian(g, sample_potential(g, "barrier", height=height, width=1.0)), n)
         assert calls == ["dpteqr", "dstevd", "dstein"]
         assert solved == [stale]
         assert checked == [n, stale]  # the re-solved columns alone are checked again
