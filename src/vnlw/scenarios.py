@@ -11,7 +11,6 @@ resolved by `schema.resolve`, its grid and H, and returns a ScenarioReport.
 from __future__ import annotations
 
 import json
-import os
 import queue
 import threading
 from dataclasses import dataclass, field, replace
@@ -20,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import dynamics
 from ._digits import WIDTH, magnitude_strings
 from .errors import ScenarioError
 from .schema import ONE_PARTITE, TWO_SLIT, amplitudes, resolve, two_slit_amplitudes, window_indices
@@ -483,13 +483,6 @@ def _lookup(values: np.ndarray, mags: np.ndarray) -> np.ndarray:
     return found
 
 
-def _cpu_count() -> int:
-    """How many CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _write_cells(fh, columns: list, cells: dict, layout) -> None:
     """Write the rows of columns in blocks, each laid out as one byte array, on every CPU the process may use.
 
@@ -524,7 +517,7 @@ def _write_cells(fh, columns: list, cells: dict, layout) -> None:
         width += len(run) * (pad + 1 + cells[kind][1].itemsize)
     rows = len(columns[0])
     block = max(1, _BLOCK // len(columns))
-    workers = min(-(-rows // block), _cpu_count())
+    workers = min(-(-rows // block), dynamics._cpu_count())
     if workers > 1:
         block = max(1, block // (workers - 1))
     starts = range(0, rows, block)

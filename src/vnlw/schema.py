@@ -287,7 +287,10 @@ def _check_resolved(run, c) -> None:
     # A Crank-Nicolson run stepping r columns (1 for a product or one-partite state, 2 for two slits)
     # holds about 10 + 3 r complex N-vectors at once.  While `dynamics.CrankNicolsonStepper` factors
     # L in place: a·d, a·e and a copy of it, gttrf's second superdiagonal and int32 pivots, 4.25; H's
-    # real diagonals, 1; the state's factor, the factor stepped and each step's solve, 3 r.
+    # real diagonals, 1; the state's factor, the factor stepped and each step's solve, 3 r.  A call
+    # that steps its columns on several CPUs holds the same: the state's factor, r; each group's
+    # copy (its first solve) and each step's solve, whose groups together have r columns, 2 r; at
+    # the end, the groups' last solves and the one array they are assembled into, 2 r.
     # `bipartite.distance` holds two stacked factors and QR's copy of them, 4, beside its states.
     if dyn["method"] == "crank-nicolson" and (
             run in ("two-slit", "product-equivalence") or (run == "evolve" and kind != "random")):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vnlw
-from vnlw import cli, scenarios, schema
+from vnlw import cli, dynamics, scenarios, schema
 from vnlw.cli import apply_overrides, main, parse_invocation, validate_config
 from vnlw.errors import ConfigError
 from oracles import sturm_count
@@ -843,6 +843,42 @@ class TestOtherCommands:
         p = summary["summary"]["p"]
         assert p[0] == pytest.approx(0.5, abs=1e-10)
         assert p[1] == pytest.approx(0.5, abs=1e-10)
+
+
+class TestCpuCount:
+    """Every output of a run is the same bytes on one CPU and on two; calls too short to pay for a
+    thread step on this one."""
+
+    GRID = {"grid": {"x_min": -20.0, "x_max": 20.0, "n_points": 801}, "potential": {"kind": "infinite-box"}}
+    RUNS = {  # (subcommand, config, whether a call splits its columns)
+        "two-slit": ("run", {**GRID, "dynamics": {"dt": 1e-3, "method": "crank-nicolson"}, "scenario": {
+            "name": "two-slit", "coefficients": "wave", "evolve_time": 2.0, "sweep_points": 11,
+            "separation": 4.0, "sigma": 0.34}}, True),
+        "evolve-stride-1": ("evolve", {**GRID, "state": {"type": "two-slit"},
+                                       "dynamics": {"dt": 1e-3, "steps": 1000, "stride": 1}}, False),
+        "evolve-stride-10": ("evolve", {**GRID, "state": {"type": "two-slit"},
+                                        "dynamics": {"dt": 1e-3, "steps": 1000, "stride": 10}}, False),
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_same_bytes_on_one_cpu_and_two(self, tmp_path, monkeypatch, name):
+        subcommand, cfg, splits = self.RUNS[name]
+        path = write_config(tmp_path, {"schema_version": 1, **cfg})
+        steps_of, split = dynamics.CrankNicolsonStepper._steps, []
+
+        def recording(self, v, steps, stop=None):
+            split.append(stop is not None)
+            return steps_of(self, v, steps, stop)
+
+        monkeypatch.setattr(dynamics.CrankNicolsonStepper, "_steps", recording)
+        written = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(dynamics, "_cpu_count", lambda: cpus)
+            out = tmp_path / f"cpus-{cpus}"
+            assert main([subcommand, "--config", path, "--output", str(out), "--no-timestamp"]) == 0
+            written[cpus] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        assert written[1] and written[1] == written[2]
+        assert any(split) == splits
 
 
 class TestSchemaDocs:

@@ -1,9 +1,12 @@
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg.lapack import zgttrf
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from vnlw import dynamics, scenarios, spectra
 from vnlw.bipartite import from_product, position_density, transition_amplitudes
@@ -166,6 +169,138 @@ class TestCrankNicolsonStepper:
         *expected, info = zgttrf(a * H.off_diagonal, 0.5 + a * H.diagonal, a * H.off_diagonal)
         assert info == 0
         assert [f.tobytes() for f in stepper._lu] == [f.tobytes() for f in expected]
+
+
+class TestSplitColumns:
+    """apply() steps the column groups of a long call on every CPU the process may use."""
+
+    @staticmethod
+    def split(monkeypatch, cpus: int) -> None:
+        """Make every call of at least one step split its columns over min(columns, cpus) workers."""
+        monkeypatch.setattr(dynamics, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(dynamics, "_SPLIT_MIN_POINTS", 1)
+        monkeypatch.setattr(dynamics, "_SPLIT_POINT_STEPS", 1)
+
+    @staticmethod
+    def one_call(stepper, v, steps):
+        """Every column in one gttrs call a step, on this thread."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(steps):
+                u = zgttrs(*stepper._lu, v)[0]
+                u -= v
+                v = u
+        return v
+
+    @PROPERTY
+    @given(potential=TestCrankNicolsonStepper.potentials, n_points=st.integers(8, 48), columns=st.integers(1, 5),
+           order=st.sampled_from("CF"), dt=st.floats(1e-3, 1.0), sign=st.sampled_from([1.0, -1.0]),
+           steps=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_same_bytes_on_any_worker_count(self, cpus, potential, n_points, columns, order, dt, sign, steps,
+                                            seed):
+        """The bytes, memory order included, of one gttrs call a step, however the columns are grouped;
+        v is left unchanged."""
+        g = build_grid(-5, 5, n_points)
+        stepper = CrankNicolsonStepper(build_hamiltonian(g, sample_potential(g, **potential)), sign * dt)
+        rng = np.random.default_rng(seed)
+        v = np.asarray(rng.standard_normal((n_points, columns)) + 1j * rng.standard_normal((n_points, columns)),
+                       order=order)
+        given = v.copy(order="A")
+        expected = self.one_call(stepper, v, steps)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.split(monkeypatch, cpus)
+            out = stepper.apply(v, steps)
+        assert (out.dtype, out.shape, out.flags.c_contiguous, out.flags.f_contiguous) == (
+            expected.dtype, expected.shape, expected.flags.c_contiguous, expected.flags.f_contiguous)
+        assert out.tobytes(order="A") == expected.tobytes(order="A")
+        assert v.tobytes(order="A") == given.tobytes(order="A")
+
+    def test_a_helper_exception_is_raised_after_every_worker_ends(self, harmonic, monkeypatch):
+        """The helper fails after this thread's group has ended: apply waits for it, raises its
+        exception and leaves no thread."""
+        g, H, _ = harmonic
+        stepper = CrankNicolsonStepper(H, 1e-2)
+        baseline = threading.active_count()
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.1)
+                raise RuntimeError("solve failed")
+            return zgttrs(*args)
+
+        self.split(monkeypatch, 2)
+        monkeypatch.setattr(dynamics, "zgttrs", failing)
+        with pytest.raises(RuntimeError, match="solve failed"):
+            stepper.apply(np.ones((g.n_points, 2), complex), 50)
+        assert threading.active_count() == baseline
+
+    def test_an_exception_on_this_thread_stops_the_helpers_within_one_step(self, harmonic, monkeypatch):
+        """KeyboardInterrupt in this thread's group: the helper that has taken 5 steps takes no more."""
+        g, H, _ = harmonic
+        stepper = CrankNicolsonStepper(H, 1e-2)
+        baseline = threading.active_count()
+        stops, reached, helper_calls = [], threading.Event(), []
+        steps_of = CrankNicolsonStepper._steps
+
+        def recording(self, v, steps, stop=None):
+            if stop is not None:
+                stops.append(stop)
+            return steps_of(self, v, steps, stop)
+
+        def solve(*args):
+            if threading.current_thread() is threading.main_thread():
+                assert reached.wait(10)
+                raise KeyboardInterrupt
+            helper_calls.append(1)
+            if len(helper_calls) == 5:
+                reached.set()
+                stops[0].wait(2)
+            return zgttrs(*args)
+
+        self.split(monkeypatch, 2)
+        monkeypatch.setattr(CrankNicolsonStepper, "_steps", recording)
+        monkeypatch.setattr(dynamics, "zgttrs", solve)
+        with pytest.raises(KeyboardInterrupt):
+            stepper.apply(np.ones((g.n_points, 2), complex), 1000)
+        assert (len(helper_calls), threading.active_count()) == (5, baseline)
+
+    def test_a_helper_overflow_is_quiet(self, monkeypatch):
+        """Each worker enters its own error state: the helper's column overflows with no RuntimeWarning,
+        and the result is one call's, bit for bit, the helper's column not finite."""
+        g = build_grid(-5, 5, 16)
+        stepper = CrankNicolsonStepper(build_hamiltonian(g, sample_potential(g, "harmonic", omega=1.0)), 1.0)
+        w = np.random.default_rng(1).standard_normal((16, 2)).view(complex)
+        v = np.hstack([np.ones((16, 1), complex), w * (1.7e308 / np.abs(w.view(float)).max())])
+        with pytest.raises(RuntimeWarning, match="overflow"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zgttrs(*stepper._lu, v)[0] - v
+
+        def slow(*args):  # the helper's group ends after this thread's
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.05)
+            return zgttrs(*args)
+
+        self.split(monkeypatch, 2)
+        monkeypatch.setattr(dynamics, "zgttrs", slow)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = stepper.apply(v, 1)
+        expected = self.one_call(stepper, v, 1)
+        assert 0 < np.isfinite(expected[:, 1]).sum() < len(v)
+        assert out.tobytes(order="A") == expected.tobytes(order="A")
+
+    @pytest.mark.parametrize("steps, n_points, splits", [
+        (20, 801, False), (21, 801, True), (1, 2**14, True), (32, 512, True), (10**3, 511, False),
+    ])
+    def test_only_calls_of_enough_work_per_column_split(self, monkeypatch, steps, n_points, splits):
+        """A call of at least 512 points splits once steps x N reaches 2^14; any other never asks for
+        the CPU count."""
+        asked = []
+        monkeypatch.setattr(dynamics, "_cpu_count", lambda: asked.append(1) or 2)
+        g = build_grid(-20, 20, n_points)
+        stepper = CrankNicolsonStepper(build_hamiltonian(g, sample_potential(g, "infinite-box")), 1e-3)
+        stepper.apply(np.ones((n_points, 2), complex), steps)
+        assert bool(asked) == splits
 
 
 class TestSchrodinger:

@@ -14,7 +14,7 @@ from vnlw.bipartite import entanglement_entropy, position_density
 from vnlw.dynamics import BipartiteWave
 from vnlw.errors import ScenarioError
 from vnlw.lattice import build_grid
-from vnlw import scenarios
+from vnlw import dynamics, scenarios
 from vnlw.cli import main
 from vnlw.scenarios import (
     _BLOCK,
@@ -432,7 +432,7 @@ class TestThreadedWriter:
                 started.append(self)
                 super().start()
 
-        monkeypatch.setattr(scenarios, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(dynamics, "_cpu_count", lambda: cpus)
         monkeypatch.setattr(threading, "Thread", Recorded)
         return started
 
@@ -495,5 +495,5 @@ class TestThreadedWriter:
     @pytest.mark.parametrize("cpus", [1, 3, 8])
     def test_write_memory_bounded_on_any_cpu_count(self, tmp_path, monkeypatch, cpus):
         """The helpers' blocks share one block's rows, so the write peak does not grow with the CPU count."""
-        monkeypatch.setattr(scenarios, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(dynamics, "_cpu_count", lambda: cpus)
         TestWriteReportFormats().test_write_memory_bounded(tmp_path)
