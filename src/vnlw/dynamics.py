@@ -18,13 +18,12 @@ dx^2, projected on the eigenbasis once.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _lapack
+from . import _lapack, _workers
 from ._lapack import zgttrf, zgttrs
 from .errors import GridMismatchError, SimulationError, UnnormalizedStateError
 from .lattice import Grid1D, HamiltonianMatrix
@@ -120,13 +119,6 @@ def gaussian_packet(grid: Grid1D, center: float, sigma: float, momentum: float =
     return normalize(WaveFunction(amp.astype(complex), grid))
 
 
-def _cpu_count() -> int:
-    """How many CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 # A call steps its columns on several threads only when both of these pay, as measured on a
 # 2-vCPU host with two columns:
 # - A step's solve of one column outweighs handing the GIL between threads, which every step
@@ -171,42 +163,22 @@ class CrankNicolsonStepper:
         """`steps` Cayley steps applied to v, which is left unchanged.
 
         The r columns of a matrix v are stepped in w = min(r, CPUs) contiguous
-        groups when v has at least _SPLIT_MIN_POINTS rows and each column takes
-        at least _SPLIT_POINT_STEPS point-steps (steps x N): this thread steps
-        the first group, and one helper thread each other.  gttrs solves each
-        column with the same arithmetic, and the groups are assembled in the
-        memory order of one gttrs call, so the bytes do not depend on w.  An
-        exception in a helper is raised here once every worker has ended; one
-        on this thread, KeyboardInterrupt too, stops the helpers within one
-        step.  A value past the float range leaves the result not finite.
+        groups, one per worker of `_workers.ordered_map`, when v has at least
+        _SPLIT_MIN_POINTS rows and each column takes at least
+        _SPLIT_POINT_STEPS point-steps (steps x N).  gttrs solves each column
+        with the same arithmetic, and the groups are assembled in the memory
+        order of one gttrs call, so the bytes do not depend on w.  A value
+        past the float range leaves the result not finite.
         """
         columns, n = (v.shape[1] if v.ndim == 2 else 1), len(v)
         split = columns > 1 and n >= _SPLIT_MIN_POINTS and steps * n >= _SPLIT_POINT_STEPS
-        workers = min(columns, _cpu_count()) if split else 1  # a short call makes no syscall
+        workers = min(columns, _workers._cpu_count()) if split else 1  # a short call makes no syscall
         if workers == 1:
             return self._steps(v, steps)
         bounds = [columns * i // workers for i in range(workers + 1)]
-        groups, failures, stop = [None] * workers, [], threading.Event()
-
-        def helper(i: int) -> None:
-            try:
-                groups[i] = self._steps(v[:, bounds[i]:bounds[i + 1]], steps, stop)
-            except Exception as exc:  # raised by apply once every worker has ended
-                failures.append(exc)
-
-        threads = [threading.Thread(target=helper, args=(i,)) for i in range(1, workers)]
-        for thread in threads:
-            thread.start()
-        try:  # the helpers are joined here too, so that an interrupt while waiting also stops them
-            groups[0] = self._steps(v[:, :bounds[1]], steps)
-            for thread in threads:
-                thread.join()
-        finally:
-            stop.set()
-            for thread in threads:
-                thread.join()
-        if failures:
-            raise failures[0]
+        groups = []
+        _workers.ordered_map(lambda i, stop: self._steps(v[:, bounds[i]:bounds[i + 1]], steps, stop),
+                             range(workers), workers, groups.append)
         out = np.empty(v.shape, dtype=complex, order="F")  # gttrs returns N x r in Fortran order
         for i, group in enumerate(groups):
             out[:, bounds[i]:bounds[i + 1]] = group

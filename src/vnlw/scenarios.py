@@ -11,15 +11,13 @@ resolved by `schema.resolve`, its grid and H, and returns a ScenarioReport.
 from __future__ import annotations
 
 import json
-import queue
-import threading
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
-from . import dynamics
+from . import _workers
 from ._digits import WIDTH, magnitude_strings
 from .errors import ScenarioError
 from .schema import ONE_PARTITE, TWO_SLIT, amplitudes, resolve, two_slit_amplitudes, window_indices
@@ -492,15 +490,12 @@ def _write_cells(fh, columns: list, cells: dict, layout) -> None:
     records), all NUL-padded to the run's slot width.  The NUL padding is
     dropped before the block is written.
 
-    With w workers, one per CPU up to the block count, the main thread lays
-    out blocks 0, w, 2w, ... and writes every block in file order; helper
-    thread i lays out blocks i, i + w, ... into its own one-slot queue.  The
-    w - 1 helpers' blocks together hold one block's rows, so the bytes in
-    flight do not grow with the number of CPUs.  The layout is numpy calls
-    that release the GIL, so the threads overlap.  A helper drops the NULs
-    with a mask, which releases it too; the main thread with
-    bytes.translate, which holds it but is faster alone.  An exception in
-    any block is raised here once every helper has ended.
+    The blocks are laid out by the w workers of `_workers.ordered_map`, one
+    per CPU up to the block count.  Its w - 1 helpers' blocks together hold
+    one block's rows, so the bytes in flight do not grow with the number of
+    CPUs.  The layout is numpy calls that release the GIL, so the threads
+    overlap.  A helper drops the NULs with a mask, which releases it too;
+    this thread with bytes.translate, which holds it but is faster alone.
     """
     if not columns:
         return
@@ -517,62 +512,31 @@ def _write_cells(fh, columns: list, cells: dict, layout) -> None:
         width += len(run) * (pad + 1 + cells[kind][1].itemsize)
     rows = len(columns[0])
     block = max(1, _BLOCK // len(columns))
-    workers = min(-(-rows // block), dynamics._cpu_count())
+    workers = min(-(-rows // block), _workers._cpu_count())
     if workers > 1:
         block = max(1, block // (workers - 1))
-    starts = range(0, rows, block)
 
-    def lay_out(start: int) -> np.ndarray:
-        """The rows of the block from start, NUL padding included, as one flat uint8 array."""
-        stop = min(start + block, rows)
-        out = np.empty((stop - start, width + len(end)), dtype=np.uint8)
+    def lay_out(start: int, stop) -> np.ndarray | bytes:
+        """The rows of the block from start, NUL padding dropped: a uint8 array on a helper, bytes here."""
+        n = min(block, rows - start)
+        out = np.empty((n, width + len(end)), dtype=np.uint8)
         for run, (values, text), before, offset in runs:
             pad, used = before.shape[1], text.itemsize
             slot = pad + 1 + used
             cell = np.lib.stride_tricks.as_strided(
-                out[:, offset:], (stop - start, len(run), slot), (out.strides[0], slot, 1))
+                out[:, offset:], (n, len(run), slot), (out.strides[0], slot, 1))
             cell[:, :, :pad] = before
-            part = np.stack([column[start:stop] for column in run], axis=1)
+            part = np.stack([column[start:start + n] for column in run], axis=1)
             np.multiply(_negative(part).view(np.uint8), ord("-"), out=cell[:, :, pad])
             found = _lookup(values, _magnitudes(part).reshape(-1))
             cell[:, :, pad + 1:].view(text.dtype)[:, :, 0] = text.take(found).reshape(part.shape)
         out[:, width:] = np.frombuffer(end, dtype=np.uint8)
         if start == 0 and lead.startswith(b","):
             out[0, 0] = 0  # no row before the first to separate it from
-        return out.reshape(-1)
+        flat = out.reshape(-1)
+        return flat.tobytes().translate(None, b"\0") if stop is None else flat[flat != 0]
 
-    done = threading.Event()
-    queues = [queue.Queue(maxsize=1) for _ in range(1, workers)]
-
-    def helper(first: int, blocks: queue.Queue) -> None:
-        try:
-            for start in starts[first::workers]:
-                if done.is_set():
-                    return
-                flat = lay_out(start)
-                blocks.put(flat[flat != 0])
-        except Exception as exc:  # raised by the main thread when it reaches this block
-            blocks.put(exc)
-
-    threads = [threading.Thread(target=helper, args=(i, q)) for i, q in enumerate(queues, 1)]
-    for thread in threads:
-        thread.start()
-    try:
-        for i, start in enumerate(starts):
-            if i % workers:
-                part = queues[i % workers - 1].get()
-                if isinstance(part, Exception):
-                    raise part
-            else:
-                part = lay_out(start).tobytes().translate(None, b"\0")
-            fh.write(part)
-    finally:
-        done.set()
-        for blocks, thread in zip(queues, threads):
-            # After done is set a helper puts at most once more, into a slot this frees.
-            while not blocks.empty():
-                blocks.get()
-            thread.join()
+    _workers.ordered_map(lay_out, range(0, rows, block), workers, fh.write)
 
 
 def _write_json(obj, path: Path) -> None:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vnlw
-from vnlw import cli, dynamics, scenarios, schema
+from vnlw import _workers, cli, dynamics, scenarios, schema
 from vnlw.cli import apply_overrides, main, parse_invocation, validate_config
 from vnlw.errors import ConfigError
 from oracles import sturm_count
@@ -873,7 +873,7 @@ class TestCpuCount:
         monkeypatch.setattr(dynamics.CrankNicolsonStepper, "_steps", recording)
         written = {}
         for cpus in (1, 2):
-            monkeypatch.setattr(dynamics, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(_workers, "_cpu_count", lambda: cpus)
             out = tmp_path / f"cpus-{cpus}"
             assert main([subcommand, "--config", path, "--output", str(out), "--no-timestamp"]) == 0
             written[cpus] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import zgttrf, zgttrs
 
-from vnlw import dynamics, scenarios, spectra
+from vnlw import _workers, dynamics, scenarios, spectra
 from vnlw.bipartite import from_product, position_density, transition_amplitudes
 from vnlw.dynamics import (
     METHODS,
@@ -177,7 +177,7 @@ class TestSplitColumns:
     @staticmethod
     def split(monkeypatch, cpus: int) -> None:
         """Make every call of at least one step split its columns over min(columns, cpus) workers."""
-        monkeypatch.setattr(dynamics, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: cpus)
         monkeypatch.setattr(dynamics, "_SPLIT_MIN_POINTS", 1)
         monkeypatch.setattr(dynamics, "_SPLIT_POINT_STEPS", 1)
 
@@ -214,25 +214,6 @@ class TestSplitColumns:
             expected.dtype, expected.shape, expected.flags.c_contiguous, expected.flags.f_contiguous)
         assert out.tobytes(order="A") == expected.tobytes(order="A")
         assert v.tobytes(order="A") == given.tobytes(order="A")
-
-    def test_a_helper_exception_is_raised_after_every_worker_ends(self, harmonic, monkeypatch):
-        """The helper fails after this thread's group has ended: apply waits for it, raises its
-        exception and leaves no thread."""
-        g, H, _ = harmonic
-        stepper = CrankNicolsonStepper(H, 1e-2)
-        baseline = threading.active_count()
-
-        def failing(*args):
-            if threading.current_thread() is not threading.main_thread():
-                time.sleep(0.1)
-                raise RuntimeError("solve failed")
-            return zgttrs(*args)
-
-        self.split(monkeypatch, 2)
-        monkeypatch.setattr(dynamics, "zgttrs", failing)
-        with pytest.raises(RuntimeError, match="solve failed"):
-            stepper.apply(np.ones((g.n_points, 2), complex), 50)
-        assert threading.active_count() == baseline
 
     def test_an_exception_on_this_thread_stops_the_helpers_within_one_step(self, harmonic, monkeypatch):
         """KeyboardInterrupt in this thread's group: the helper that has taken 5 steps takes no more."""
@@ -296,7 +277,7 @@ class TestSplitColumns:
         """A call of at least 512 points splits once steps x N reaches 2^14; any other never asks for
         the CPU count."""
         asked = []
-        monkeypatch.setattr(dynamics, "_cpu_count", lambda: asked.append(1) or 2)
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: asked.append(1) or 2)
         g = build_grid(-20, 20, n_points)
         stepper = CrankNicolsonStepper(build_hamiltonian(g, sample_potential(g, "infinite-box")), 1e-3)
         stepper.apply(np.ones((n_points, 2), complex), steps)

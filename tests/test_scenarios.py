@@ -14,7 +14,7 @@ from vnlw.bipartite import entanglement_entropy, position_density
 from vnlw.dynamics import BipartiteWave
 from vnlw.errors import ScenarioError
 from vnlw.lattice import build_grid
-from vnlw import dynamics, scenarios
+from vnlw import _workers, scenarios
 from vnlw.cli import main
 from vnlw.scenarios import (
     _BLOCK,
@@ -432,7 +432,7 @@ class TestThreadedWriter:
                 started.append(self)
                 super().start()
 
-        monkeypatch.setattr(dynamics, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: cpus)
         monkeypatch.setattr(threading, "Thread", Recorded)
         return started
 
@@ -462,29 +462,6 @@ class TestThreadedWriter:
         assert len(started) == 3 * (workers - 1)
         assert not any(thread.is_alive() for thread in started)
 
-    @pytest.mark.parametrize("raiser", ["helper", "main"])
-    def test_an_exception_in_a_block_is_raised(self, tmp_path, monkeypatch, raiser):
-        """A block that raises, on a helper or on the main thread, fails the write and leaves no thread."""
-        baseline = threading.active_count()
-        lookup, calls, lock = scenarios._lookup, [], threading.Lock()
-
-        def failing(values, mags):
-            on_main = threading.current_thread() is threading.main_thread()
-            with lock:
-                if on_main == (raiser == "main"):
-                    calls.append(1)
-                    if len(calls) == 3:
-                        raise RuntimeError("block failed")
-            return lookup(values, mags)
-
-        started = self.helpers(monkeypatch, 3)
-        monkeypatch.setattr(scenarios, "_lookup", failing)
-        report = ScenarioReport("t", {"schema_version": 1}, {}, {"many": self.many_blocks()})
-        with pytest.raises(RuntimeError, match="block failed"):
-            write_report(report, tmp_path / "out", fmt="csv")
-        assert len(started) == 2
-        assert threading.active_count() == baseline
-
     def test_one_block_tables_start_no_thread(self, tmp_path, monkeypatch):
         """A two-slit run at its defaults writes tables of one block each, on the main thread alone."""
         report = run_scenario({"schema_version": 1, "scenario": {"name": "two-slit"}})
@@ -495,5 +472,5 @@ class TestThreadedWriter:
     @pytest.mark.parametrize("cpus", [1, 3, 8])
     def test_write_memory_bounded_on_any_cpu_count(self, tmp_path, monkeypatch, cpus):
         """The helpers' blocks share one block's rows, so the write peak does not grow with the CPU count."""
-        monkeypatch.setattr(dynamics, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: cpus)
         TestWriteReportFormats().test_write_memory_bounded(tmp_path)
