@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionError, NonHermitianOperatorError
-from .dynamics import BipartiteWave, WaveFunction, _check_grids, _check_normalized, bipartite_norm
+from .dynamics import BipartiteWave, WaveFunction, _check_grids, _check_normalized, _real_times, bipartite_norm
 from .spectra import EigenSystem
 
 
@@ -105,25 +105,21 @@ def distance(X: BipartiteWave, Y: BipartiteWave) -> float:
 
 
 def schmidt(Psi: BipartiteWave, tol: float = 1e-12) -> SchmidtDecomposition:
-    """Singular value decomposition of the core, mapped through the factors.
-
-    Coefficients below tol * mu_0 are dropped into the residual.
-    """
-    if tol < 0:
-        raise DecompositionError(f"tol must be >= 0, got {tol}")
+    """SVD of the core, mapped through the factors; coefficients below tol * mu_0 go into the residual."""
     try:
         u, s, vh = np.linalg.svd(Psi.core, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise DecompositionError(f"SVD failed: {exc}") from exc
-    cutoff = tol * s[0] if s.size else 0.0
-    keep = s > cutoff
-    residual = float(np.sum(s[~keep] ** 2))
-    return SchmidtDecomposition(
-        coefficients=s[keep],
-        left_states=Psi.left @ u[:, keep],
-        right_states=Psi.right @ vh[keep].conj().T,
-        residual=residual,
-    )
+    mu, residual = schmidt_coefficients(s, tol)
+    return SchmidtDecomposition(mu, Psi.left @ u[:, :len(mu)], Psi.right @ vh[:len(mu)].conj().T, residual)
+
+
+def schmidt_coefficients(s: np.ndarray, tol: float = 1e-12) -> tuple:
+    """(mu, residual): the core's descending singular values s above tol * s[0], and the squared weight of the rest."""
+    if tol < 0:
+        raise DecompositionError(f"tol must be >= 0, got {tol}")
+    mu = s[s > (tol * s[0] if s.size else 0.0)]
+    return mu, float(np.sum(s[len(mu):] ** 2))
 
 
 def entanglement_entropy(Psi: BipartiteWave) -> float:
@@ -196,10 +192,11 @@ def position_density(Psi: BipartiteWave) -> np.ndarray:
 
 
 def transition_amplitudes(Psi: BipartiteWave, eigs: EigenSystem) -> TransitionAmplitudes:
-    """Double projection c_{n,m} = <psi_n, rho_Psi psi_m> = (S^H A) C (B^H S) dx^2, O(N k r)."""
+    """Double projection c_{n,m} = <psi_n, rho_Psi psi_m> = (S^T A) C (S^T B)^H dx^2, O(N k r), for the real S of H."""
     _check_grids(Psi, eigs)
-    S = eigs.states
-    C = np.float64(Psi.grid.dx) ** 2 * ((S.conj().T @ Psi.left) @ Psi.core @ (Psi.right.conj().T @ S))
+    SA = _real_times(eigs.states.T, Psi.left)
+    SB = SA if Psi.right is Psi.left else _real_times(eigs.states.T, Psi.right)
+    C = np.float64(Psi.grid.dx) ** 2 * (SA @ Psi.core @ SB.conj().T)
     residual = float(bipartite_norm(Psi) - np.sum(np.abs(C) ** 2))
     return TransitionAmplitudes(C, eigs, residual)
 

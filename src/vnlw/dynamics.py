@@ -4,14 +4,15 @@ One-partite states evolve under i hbar dpsi/dt = H psi; bipartite kernels
 Psi(x, y) under i hbar dPsi/dt = (H(x) - H(y)) Psi, realized as
 Psi <- U Psi U^dagger.  A kernel is held factored, Psi = A C B^H, and
 H(x) - H(y) is separable, so U Psi U^dagger = (U A) C (U B)^H: U acts on the
-N x r factors (a vector is r = 1) and is never formed.  Crank-Nicolson steps
-every factor of fewer columns than grid points: L = (I + i a H)/2 is factored
-once (LAPACK gttrf), and a step is one solve of it (gttrs) less the state,
-O(N r).  Each column evolves on its own, so a long call steps groups of
-columns on every CPU the process may use, with the same bytes on any number
-of CPUs.  The eigenbasis method, and a dense kernel (r = N), use one spectral
-matrix U = S diag(f(E)) S^T of the full eigensystem, with f(E) =
-exp(-i E t / hbar) or the Cayley factor exp(-2i steps atan(dt E / 2hbar)).
+N x r factors (a vector is r = 1) and is never formed.  By `schema.stepped`,
+the rule the work budget reads too, Crank-Nicolson steps every factor of
+fewer columns than grid points: L = (I + i a H)/2 is factored once (gttrf),
+and a step is one solve of it (gttrs) less the state, O(N r).  Each column
+evolves on its own, so a long call steps groups of columns on every CPU the
+process may use, with the same bytes on any number of CPUs.  The eigenbasis
+method, and a dense kernel (r = N), use one spectral matrix
+U = S diag(f(E)) S^T of the full eigensystem, with f(E) = exp(-i E t / hbar)
+or the Cayley factor exp(-2i steps atan(dt E / 2hbar)).
 A trajectory of x-side observables reads A C, stepped, or rho_x = Psi Psi^H
 dx^2, projected on the eigenbasis once.
 """
@@ -27,7 +28,7 @@ from . import _lapack, _workers
 from ._lapack import zgttrf, zgttrs
 from .errors import GridMismatchError, SimulationError, UnnormalizedStateError
 from .lattice import Grid1D, HamiltonianMatrix
-from .schema import METHODS
+from .schema import METHODS, stepped
 from .spectra import eigensystem
 
 NORM_TOL = 1e-6
@@ -217,7 +218,7 @@ def _real_times(S: np.ndarray, X: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(S) or not np.iscomplexobj(X):
         return S @ X
     X = np.ascontiguousarray(X, dtype=complex)
-    return (S @ X.view(np.float64).reshape(X.shape[0], -1)).view(complex).reshape(X.shape)
+    return (S @ X.view(np.float64).reshape(X.shape[0], -1)).view(complex).reshape((S.shape[0],) + X.shape[1:])
 
 
 class SpectralPropagator:
@@ -312,16 +313,11 @@ def propagate_schrodinger(psi: WaveFunction, H: HamiltonianMatrix, cfg: Propagat
     return WaveFunction(propagate_amplitudes(psi.amplitudes, H, cfg), psi.grid)
 
 
-def _stepped(method: str, columns: int, n: int) -> bool:
-    """Whether `columns` columns on n points take Crank-Nicolson steps, O(n) each, rather than one eigensolve."""
-    return method == "crank-nicolson" and columns < n
-
-
 def propagate_amplitudes(v: np.ndarray, H: HamiltonianMatrix, cfg: PropagatorConfig) -> np.ndarray:
     """cfg.steps steps of cfg.method applied to the vector v, or to each column of the N x r array v."""
     if cfg.steps == 0:
         return v
-    if _stepped(cfg.method, v.size // len(v), len(v)):
+    if stepped(cfg.method, v.size // len(v), len(v)):
         return CrankNicolsonStepper(H, cfg.dt).apply(v, cfg.steps)
     return SpectralPropagator(H, cfg.dt, cfg.method).apply(v, cfg.steps)
 
@@ -330,8 +326,6 @@ def propagate_vnl(Psi: BipartiteWave, H: HamiltonianMatrix, cfg: PropagatorConfi
     """Evolve a kernel under i hbar dPsi/dt = (H(x) - H(y)) Psi: one propagation of [A B], or of A if B is A."""
     _check_grids(Psi, H)
     _check_normalized(bipartite_norm(Psi), "bipartite wave")
-    if cfg.steps == 0:
-        return Psi
     shared, r = Psi.right is Psi.left, Psi.left.shape[1]
     F = propagate_amplitudes(Psi.left if shared else np.hstack([Psi.left, Psi.right]), H, cfg)
     left, right = (F, F) if shared else (F[:, :r], F[:, r:])
@@ -346,13 +340,13 @@ def trajectory(
     norm is the total probability of the evolved state, sum |psi|^2 dx for a
     vector and sum |Psi|^2 dx^2 for a kernel, so it watches the propagation;
     x_mean is the mean position.  A C is stepped (`_stepped_trajectory`), or the
-    state read in the eigenbasis of one eigensolve, as `_stepped` decides.
+    state read in the eigenbasis of one eigensolve, as `schema.stepped` decides.
     """
     _check_grids(state, H)
     one_partite = isinstance(state, WaveFunction)
     _check_normalized(state.norm() ** 2 if one_partite else bipartite_norm(state), "initial state")
     counts = list(range(0, cfg.steps, stride)) + [cfg.steps]
-    if _stepped(cfg.method, 1 if one_partite else state.core.shape[1], state.grid.n_points):
+    if stepped(cfg.method, 1 if one_partite else state.core.shape[1], state.grid.n_points):
         F = state.amplitudes[:, None] if one_partite else state.left @ state.core
         values = _stepped_trajectory(F, state.grid, CrankNicolsonStepper(H, cfg.dt), counts)
     else:

@@ -46,7 +46,7 @@ from .bipartite import (
     entropy_from_reduced,
     from_product,
     position_density,
-    schmidt,
+    schmidt_coefficients,
     transition_amplitudes,
     collapse_statistics,
 )
@@ -319,10 +319,9 @@ def _run_evolve(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
 
 
 def _run_schmidt(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
-    dec = schmidt(build_state(c, grid, H), c.state.tol)
-    summary = {"rank": dec.rank, "residual": dec.residual}
-    record = {"coefficients": dec.coefficients.tolist(), "rank": dec.rank, "residual": dec.residual}
-    return ScenarioReport("schmidt", c.given, summary, records={"schmidt": record})
+    mu, residual = schmidt_coefficients(np.linalg.svd(build_state(c, grid, H).core, compute_uv=False), c.state.tol)
+    summary = {"rank": len(mu), "residual": residual}
+    return ScenarioReport("schmidt", c.given, summary, records={"schmidt": {"coefficients": mu.tolist(), **summary}})
 
 
 def _run_entropy(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:

@@ -24,6 +24,7 @@ SCENARIOS = ("two-slit", "collapse", "gap-spectroscopy", "product-equivalence")
 # Bipartite state types, then the one-partite ones that only `evolve` accepts.
 STATE_TYPES = ("gaussian-product", "eigen-product", "two-slit", "random", "gaussian", "eigen")
 ONE_PARTITE = ("gaussian", "eigen")
+BUILDS_STATE = ("evolve", "schmidt", "entropy", "collapse")  # the runs that build the state group's state
 
 # Subcommand -> the run it performs; `run` performs the scenario named by scenario.name.
 COMMANDS = {"run": None, "spectrum": "spectrum", "gaps": "gap-spectroscopy", "evolve": "evolve",
@@ -31,10 +32,8 @@ COMMANDS = {"run": None, "spectrum": "spectrum", "gaps": "gap-spectroscopy", "ev
 
 # The work budget.  A resolved config over it is refused like any other bad
 # value, before anything is allocated: a run killed for lack of memory, or
-# one that never ends, cannot remove its staging directory.  MAX_ARRAY_BYTES
-# bounds the largest dense array of a run, e.g. an N x N complex kernel
-# (N <= 4096), and the vectors a Crank-Nicolson run holds together.
-MAX_ARRAY_BYTES = 2**28
+# one that never ends, cannot remove its staging directory.
+MAX_ARRAY_BYTES = 2**28  # the largest array of a run, as `_charge` counts it
 MAX_STEPS = 10**7  # time steps: dynamics.steps, or evolve_time / dt for two-slit
 MAX_ROWS = 10**6  # rows of an evolve trajectory or of a two-slit sweep
 
@@ -274,39 +273,49 @@ def _check_resolved(run, c) -> None:
     sweep = c["scenario"]["sweep_points"]
     if run == "two-slit" and sweep > MAX_ROWS:
         raise ConfigError(f"scenario.sweep_points: {sweep} sweep rows, over MAX_ROWS={MAX_ROWS}")
-    builds_state = run in ("evolve", "schmidt", "entropy", "collapse")
-    arrays = [(16 * n, "grid.n_points complex vector")]
-    if builds_state and kind in ("eigen-product", "eigen"):
-        arrays.append((8 * n * len(coefficients), "grid.n_points x state.coefficients eigenvectors"))
-    if builds_state and kind == "two-slit":
-        arrays.append((32 * n, "grid.n_points x 2 slit-mode factor"))
-    if run in ("spectrum", "collapse"):
-        arrays.append((8 * n * k, "grid.n_points x spectra.k eigenvectors"))
-    if run == "gap-spectroscopy":
-        arrays.append((24 * k * k, "spectra.k^2 rows of the gap table"))
-    # A Crank-Nicolson run stepping r columns (1 for a product or one-partite state, 2 for two slits)
-    # holds about 10 + 3 r complex N-vectors at once.  While `dynamics.CrankNicolsonStepper` factors
-    # L in place: a·d, a·e and a copy of it, gttrf's second superdiagonal and int32 pivots, 4.25; H's
-    # real diagonals, 1; the state's factor, the factor stepped and each step's solve, 3 r.  A call
-    # that steps its columns on several CPUs holds the same: the state's factor, r; each group's
-    # copy (its first solve) and each step's solve, whose groups together have r columns, 2 r; at
-    # the end, the groups' last solves and the one array they are assembled into, 2 r.
-    # `bipartite.distance` holds two stacked factors and QR's copy of them, 4, beside its states.
-    if dyn["method"] == "crank-nicolson" and (
-            run in ("two-slit", "product-equivalence") or (run == "evolve" and kind != "random")):
-        r = 2 if run == "two-slit" or (run == "evolve" and kind == "two-slit") else 1
-        arrays.append((16 * n * (10 + 3 * r), "grid.n_points vectors of a Crank-Nicolson run"))
-    # A random kernel, or the full eigenvectors of H for the eigenbasis method; Crank-Nicolson steps the factors.
-    eigenbasis = run in ("evolve", "two-slit", "product-equivalence") and dyn["method"] == "eigenbasis"
-    if (builds_state and kind == "random") or eigenbasis:
-        arrays.append((16 * n * n, "grid.n_points^2 kernel"))
-    largest, what = max(arrays)
+    largest, what = _charge(run, c)
     if largest > MAX_ARRAY_BYTES:
         raise ConfigError(f"{what}: a {largest:.3g}-byte array, over MAX_ARRAY_BYTES={MAX_ARRAY_BYTES}")
     if run == "two-slit":
         lo, hi = window_indices(grid, c["scenario"]["window"])
         if hi - lo < 3:
             raise ConfigError(f"scenario.window: holds {hi - lo} grid points, at least 3 required")
+
+
+def stepped(method: str, columns: int, n: int) -> bool:
+    """Whether `columns` columns on n points take Crank-Nicolson steps, O(n) each, rather than one eigensolve."""
+    return method == "crank-nicolson" and columns < n
+
+
+def _columns(run: str, kind: str, n: int) -> int:
+    """The column count r of the factor that run holds its state in: n for a random kernel, 2 for two slits, else 1."""
+    return {"random": n, "two-slit": 2}.get(kind if run in BUILDS_STATE else run, 1)
+
+
+def _charge(run: str, c: dict) -> tuple:
+    """(bytes, what) of the largest array that run holds, from the rank r of its state and the route `stepped` picks."""
+    n, k, kind = c["grid"]["n_points"], c["spectra"]["k"], c["state"]["type"]
+    r = _columns(run, kind, n)
+    factors = {1: "grid.n_points complex vector", 2: "grid.n_points x 2 slit-mode factor", n: "grid.n_points^2 kernel"}
+    arrays = [(16 * n * r, factors[r])]
+    if run in BUILDS_STATE and kind in ("eigen-product", "eigen"):
+        arrays.append((8 * n * len(c["state"]["coefficients"]), "grid.n_points x state.coefficients eigenvectors"))
+    if run in ("spectrum", "collapse"):
+        arrays.append((8 * n * k, "grid.n_points x spectra.k eigenvectors"))
+    if run == "gap-spectroscopy":
+        arrays.append((24 * k * k, "spectra.k^2 rows of the gap table"))
+    # A Crank-Nicolson run stepping r columns holds about 10 + 3 r complex N-vectors at once.  While
+    # `dynamics.CrankNicolsonStepper` factors L in place: a·d, a·e and a copy of it, gttrf's second superdiagonal
+    # and int32 pivots, 4.25; H's real diagonals, 1; the state's factor, the factor stepped and each step's solve,
+    # 3 r.  A call that steps its columns on several CPUs holds the same: the state's factor, r; each group's copy
+    # (its first solve) and each step's solve, whose groups have r columns in all, 2 r; at the end, the groups' last
+    # solves and the one array they are assembled into, 2 r.  `bipartite.distance` holds two stacked factors and
+    # QR's copy of them, 4, beside its states.  Any other propagation holds the N eigenvectors of H, as a kernel does.
+    if run in ("evolve", "two-slit", "product-equivalence"):
+        cn = stepped(c["dynamics"]["method"], r, n)
+        arrays.append((16 * n * (10 + 3 * r), "grid.n_points vectors of a Crank-Nicolson run") if cn
+                      else (16 * n * n, factors[n]))
+    return max(arrays)
 
 
 def window_indices(grid: dict, window) -> tuple:

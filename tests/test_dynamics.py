@@ -99,6 +99,27 @@ class TestSpectralPropagator:
         assert np.max(np.abs(spectral.apply(v, 37) - dense_propagator(H, 1e-2, 37, method) @ v)) <= 1e-12
 
 
+class TestRealTimes:
+    @pytest.mark.parametrize("columns", [(), (1,), (3,), (40,)])
+    def test_wide_transpose_matches_matmul(self, columns):
+        """A k x N S^T times an N x r complex X gives a k x r product, to round-off, for k < N."""
+        rng = np.random.default_rng(11)
+        S = np.linalg.qr(rng.standard_normal((40, 7)))[0]
+        X = rng.standard_normal((40,) + columns) + 1j * rng.standard_normal((40,) + columns)
+        out = dynamics._real_times(S.T, X)
+        assert out.shape == (7,) + columns
+        assert np.max(np.abs(out - S.T @ X)) <= 1e-14 * np.max(np.abs(X))
+
+    def test_square_bytes_unchanged(self):
+        """A square S gives the bytes of one real product of the interleaved parts, as before its shape rule."""
+        rng = np.random.default_rng(12)
+        S = rng.standard_normal((30, 30))
+        X = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+        expected = (S @ X.view(np.float64).reshape(30, -1)).view(complex).reshape(X.shape)
+        assert np.array_equal(dynamics._real_times(S, X), expected)
+        assert np.array_equal(dynamics._real_times(S.T, X), (S.T @ X.view(np.float64)).view(complex))
+
+
 class TestCrankNicolsonStepper:
     # Barriers up to 1e20 make H stiff: its Cayley factor is about -1 on the barrier. The dense
     # oracle keeps its accuracy there; in 400 draws it differed from apply() by at most 9e-15 max|v|.
