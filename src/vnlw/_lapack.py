@@ -13,7 +13,7 @@ would, so a later `import scipy.linalg` reuses it: the routines bound here are
 the very objects `scipy.linalg.lapack` and `.blas` hand out.
 
 `_flapack` loads with this module.  `_fblas` (about 1.3 MB resident) loads on
-the first access to `zgemm`, which only the reduced-operator order of
+the first access to `zherk`, which only the reduced-operator order of
 `SpectralPropagator.trajectory` calls, so no other run maps it.
 """
 
@@ -56,9 +56,9 @@ zgttrs = _flapack.zgttrs
 
 
 def __getattr__(name: str):
-    """`zgemm`, bound from `_fblas` on its first access and kept as a module global."""
-    if name != "zgemm":
+    """`zherk`, bound from `_fblas` on its first access and kept as a module global."""
+    if name != "zherk":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    global zgemm
-    zgemm = _extension("_fblas").zgemm
-    return zgemm
+    global zherk
+    zherk = _extension("_fblas").zherk
+    return zherk

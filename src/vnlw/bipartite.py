@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionError, NonHermitianOperatorError
-from .dynamics import BipartiteWave, WaveFunction, _check_grids, _check_normalized, _real_times, bipartite_norm
+from .dynamics import BipartiteWave, WaveFunction, _check_grids, _check_normalized, _times, bipartite_norm
 from .spectra import EigenSystem
 
 
@@ -111,7 +111,8 @@ def schmidt(Psi: BipartiteWave, tol: float = 1e-12) -> SchmidtDecomposition:
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise DecompositionError(f"SVD failed: {exc}") from exc
     mu, residual = schmidt_coefficients(s, tol)
-    return SchmidtDecomposition(mu, Psi.left @ u[:, :len(mu)], Psi.right @ vh[:len(mu)].conj().T, residual)
+    return SchmidtDecomposition(mu, _times(Psi.left, u[:, :len(mu)]), _times(Psi.right, vh[:len(mu)].conj().T),
+                                residual)
 
 
 def schmidt_coefficients(s: np.ndarray, tol: float = 1e-12) -> tuple:
@@ -143,7 +144,7 @@ def entropy_from_reduced(Psi: BipartiteWave, side: str = "x") -> float:
     if side not in ("x", "y"):
         raise ValueError(f"side must be 'x' or 'y', got {side!r}")
     _check_normalized(bipartite_norm(Psi), "bipartite state")
-    F = Psi.left @ Psi.core if side == "x" else Psi.right @ Psi.core.conj().T
+    F = _times(Psi.left, Psi.core) if side == "x" else _times(Psi.right, Psi.core.conj().T)
     w = np.linalg.eigvalsh(F.conj().T @ F * Psi.grid.dx)
     w = w[w > 1e-300]
     return float(-np.sum(w * np.log(w)) + 0.0)  # + 0.0: a pure state's -0.0 reads 0.0
@@ -194,9 +195,9 @@ def position_density(Psi: BipartiteWave) -> np.ndarray:
 def transition_amplitudes(Psi: BipartiteWave, eigs: EigenSystem) -> TransitionAmplitudes:
     """Double projection c_{n,m} = <psi_n, rho_Psi psi_m> = (S^T A) C (S^T B)^H dx^2, O(N k r), for the real S of H."""
     _check_grids(Psi, eigs)
-    SA = _real_times(eigs.states.T, Psi.left)
-    SB = SA if Psi.right is Psi.left else _real_times(eigs.states.T, Psi.right)
-    C = np.float64(Psi.grid.dx) ** 2 * (SA @ Psi.core @ SB.conj().T)
+    SA = _times(eigs.states.T, Psi.left)
+    SB = SA if Psi.right is Psi.left else _times(eigs.states.T, Psi.right)
+    C = np.float64(Psi.grid.dx) ** 2 * (_times(SA, Psi.core) @ SB.conj().T)
     residual = float(bipartite_norm(Psi) - np.sum(np.abs(C) ** 2))
     return TransitionAmplitudes(C, eigs, residual)
 

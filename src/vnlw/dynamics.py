@@ -14,12 +14,19 @@ method, and a dense kernel (r = N), use one spectral matrix
 U = S diag(f(E)) S^T of the full eigensystem, with f(E) = exp(-i E t / hbar)
 or the Cayley factor exp(-2i steps atan(dt E / 2hbar)).
 A trajectory of x-side observables reads A C, stepped, or rho_x = Psi Psi^H
-dx^2, projected on the eigenbasis once.
+dx^2, projected on the eigenbasis once; for a rank-N state that is level-3
+BLAS throughout: one triangle of rho_x by zherk, and the rows of a block of
+step counts in one matrix product.  The identity factor of a dense kernel
+(`BipartiteWave.from_kernel`) is read as a scale by `_times`, the product
+that the propagators, the trajectory, `transition_amplitudes`,
+`entropy_from_reduced` and `schmidt` form with a factor, so none of them
+multiplies it.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,8 +83,15 @@ class BipartiteWave:
 
     @classmethod
     def from_kernel(cls, K, grid: Grid1D) -> "BipartiteWave":
-        """A dense N x N kernel K as the rank-N state A = B = I / sqrt(dx), C = K dx."""
+        """A dense N x N kernel K as the rank-N state A = B = I / sqrt(dx), C = K dx.
+
+        The identity factor is read-only and known to `_times`, which reads it
+        as a scale: the eigenbasis projection S^T A is S^T / sqrt(dx) and A C
+        is C / sqrt(dx), with no N^3 product.
+        """
         eye = np.eye(grid.n_points) / np.sqrt(grid.dx)
+        eye.flags.writeable = False
+        _IDENTITIES[id(eye)] = eye
         return cls(eye, np.asarray(K) * grid.dx, eye, grid)
 
 
@@ -209,16 +223,27 @@ def _check_normalized(norm_sq: float, what: str) -> None:
         raise UnnormalizedStateError(f"{what} is not normalized: |psi|^2 = {norm_sq}")
 
 
-def _real_times(S: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """S @ X; for a real S and a complex X, X is multiplied as its interleaved real and imaginary parts.
+# The factor I / sqrt(dx) of each live `from_kernel` state, by id, so that `_times` knows it in O(1).
+_IDENTITIES = weakref.WeakValueDictionary()
 
-    One real product, so S is never copied to complex and the cost is half
+
+def _times(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """P @ Q, the one product of a state's factor or an eigenbasis with another array.
+
+    A `from_kernel` factor I / sqrt(dx), on either side, is read as that
+    scale, so no product with the identity is formed.  For a real P and a
+    complex Q, Q is multiplied as its interleaved real and imaginary parts:
+    one real product, so P is never copied to complex and the cost is half
     that of a complex product.
     """
-    if np.iscomplexobj(S) or not np.iscomplexobj(X):
-        return S @ X
-    X = np.ascontiguousarray(X, dtype=complex)
-    return (S @ X.view(np.float64).reshape(X.shape[0], -1)).view(complex).reshape((S.shape[0],) + X.shape[1:])
+    if _IDENTITIES.get(id(P)) is P:
+        return Q * P[0, 0]
+    if _IDENTITIES.get(id(Q)) is Q:
+        return P * Q[0, 0]
+    if np.iscomplexobj(P) or not np.iscomplexobj(Q):
+        return P @ Q
+    Q = np.ascontiguousarray(Q, dtype=complex)
+    return (P @ Q.view(np.float64).reshape(Q.shape[0], -1)).view(complex).reshape((P.shape[0],) + Q.shape[1:])
 
 
 class SpectralPropagator:
@@ -239,21 +264,30 @@ class SpectralPropagator:
         self._E = eigs.energies
         self._dt, self._method, self._hbar = dt, method, H.hbar
 
-    def _factor(self, steps: int) -> np.ndarray:
+    def _factor(self, steps) -> np.ndarray:
+        """The method's f(E) for a step count (N), or for each of a 1-D array of counts (counts x N, a row each).
+
+        The first count whose factor is not finite raises SimulationError.
+        """
+        steps = np.asarray(steps)
+        if steps.ndim:
+            steps = steps[:, None]
         with np.errstate(over="ignore", invalid="ignore"):  # atan(inf) is finite; the rest is checked
             if self._method == "eigenbasis":
                 f = np.exp(-1j * self._E * (steps * self._dt) / self._hbar)
             else:
                 f = np.exp(-2j * steps * np.arctan(0.5 * self._dt * self._E / self._hbar))
-        if not np.isfinite(f).all():
-            raise SimulationError(f"{self._method} factor is not finite at dt={self._dt}, steps={steps}")
+        finite = np.isfinite(f).all(axis=-1)
+        if not finite.all():
+            first = steps[~finite][0, 0] if steps.ndim else steps
+            raise SimulationError(f"{self._method} factor is not finite at dt={self._dt}, steps={first}")
         return f
 
     def apply(self, v: np.ndarray, steps: int) -> np.ndarray:
         """`steps` steps applied to the vector v, or to each column of v, O(N^2) per column."""
-        projected = _real_times(self._S.T, v)
+        projected = _times(self._S.T, v)
         f = self._factor(steps)
-        return _real_times(self._S, f.reshape(f.shape + (1,) * (projected.ndim - 1)) * projected)
+        return _times(self._S, f.reshape(f.shape + (1,) * (projected.ndim - 1)) * projected)
 
     def trajectory(self, state: WaveFunction | BipartiteWave, counts) -> np.ndarray:
         """Rows (norm, x_mean) of state after each step count in counts.
@@ -261,35 +295,51 @@ class SpectralPropagator:
         Both are x-side observables, so they read the state only through
         rho_x, which in the eigenbasis is R~ = G G^H with G = S^T (A C) sqrt(dx)
         (N x r; G = S^T psi sqrt(dx) for a vector, the r = 1 case), projected
-        once.  `steps` steps take G to f * G.  The rows are read in whichever
-        order costs fewer operations (`_reduced_order_pays`):
+        once; for a `from_kernel` state that is S^T C, with no identity
+        product (`_times`).  `steps` steps take G to f * G.  The rows are read
+        in whichever order costs fewer operations (`_reduced_order_pays`):
         - factor order: Y = S (f * G), norm = sum |Y|^2 and x_mean =
           sum x |Y|^2, O(N^2 r) per row;
-        - reduced-operator order: M = X~ o conj(R~) once, with
-          X~ = S^T diag(x) S, then x_mean = Re f^H M f and
-          norm = sum |f|^2 diag(R~), O(N^2) per row.
+        - reduced-operator order: conj(R~) by BLAS zherk, one triangle, and
+          M = X~ o conj(R~) once, with X~ = S^T diag(x) S.  M is Hermitian,
+          so f^H M f = f^H D f + 2 Re f^H L f and only 2 L + D is kept.  The
+          factors of a block of rows are one array F: x_mean = Re f^H M f of
+          every row of the block takes one product M F, and norm =
+          sum |f|^2 diag(R~) one product with diag(R~), O(N^2) per row.
         """
         grid, S = state.grid, self._S
-        x = grid.points
+        n, x = grid.n_points, grid.points
         if isinstance(state, WaveFunction):
-            G = _real_times(S.T, state.amplitudes[:, None])
+            G = _times(S.T, state.amplitudes[:, None])
         else:
-            G = _real_times(_real_times(S.T, state.left), state.core)
+            G = _times(_times(S.T, state.left), state.core)
         G *= np.sqrt(grid.dx)
         rows = np.empty((len(counts), 2))
         if _reduced_order_pays(*G.shape, len(counts)):
-            M = _lapack.zgemm(1.0, G.T, G.T, trans_a=2)  # conj(R~) = conj(G) G^T, with no conjugated copy of G
+            # the lower triangle of conj(R~) = conj(G) G^T, with no conjugated copy of G; the upper stays 0
+            M = _lapack.zherk(1.0, G.T, trans=2, lower=1, c=np.zeros((n, n), complex, order="F"), overwrite_c=1)
             del G
             weights = M.diagonal().real.copy()
-            X = (S.T * x) @ S
-            M *= X
+            # M = X~ o conj(R~) is Hermitian, so f^H M f = f^H D f + 2 Re f^H L f: M is kept as 2 L + D, from X~
+            # doubled off its diagonal, which is exact.  X~ is symmetric; its transpose is in M's Fortran order.
+            X = (S.T * (2.0 * x)) @ S
+            X[np.diag_indices(n)] *= 0.5
+            M *= X.T
             del X
-            for i, steps in enumerate(counts):
-                f = self._factor(steps)
-                rows[i] = np.abs(f) ** 2 @ weights, np.vdot(f, _real_times(M, f)).real
+            # F and M F of a block take 2 x 16 N b bytes, half of the 16 N^2 the budget charges.
+            block = max(1, n // 4)
+            for start in range(0, len(counts), block):
+                F = self._factor(counts[start:start + block])  # a row f per count, so each sum runs along a row
+                part = rows[start:start + len(F)]
+                density = np.abs(F)
+                density *= density
+                part[:, 0] = density @ weights
+                products = (F @ M.T).view(np.float64)  # (M f)^T of each row, as interleaved real and imaginary parts
+                products *= F.view(np.float64)
+                part[:, 1] = products.sum(axis=1)  # Re f^H M f
         else:
             for i, steps in enumerate(counts):
-                density = np.sum(np.abs(_real_times(S, self._factor(steps)[:, None] * G)) ** 2, axis=1)
+                density = np.sum(np.abs(_times(S, self._factor(steps)[:, None] * G)) ** 2, axis=1)
                 rows[i] = np.sum(density), x @ density
         return rows
 
@@ -299,9 +349,10 @@ def _reduced_order_pays(n: int, r: int, rows: int) -> bool:
 
     Counted in real multiply-adds: the factor order costs 2 n^2 r per row
     (the real S times the complex n x r f * G); the reduced-operator order
-    costs n^3 for X~, 4 n^2 r for R~ = G G^H, then 4 n^2 per row.
+    costs n^3 for X~, 2 n^2 r for one triangle of R~ = G G^H (zherk), then
+    4 n^2 per row (M F).
     """
-    return n + 4 * r + 4 * rows < 2 * rows * r
+    return n + 2 * r + 4 * rows < 2 * rows * r
 
 
 def propagate_schrodinger(psi: WaveFunction, H: HamiltonianMatrix, cfg: PropagatorConfig) -> WaveFunction:

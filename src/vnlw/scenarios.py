@@ -29,7 +29,7 @@ from .lattice import (
     build_hamiltonian,
     sample_potential,
 )
-from .spectra import distinct_gaps, eigensystem, eigenvalues, gap_spectrum
+from .spectra import EigenSystem, distinct_gaps, eigensystem, eigenvalues, gap_spectrum
 from .dynamics import (
     BipartiteWave,
     PropagatorConfig,
@@ -143,11 +143,14 @@ def hamiltonian_from_config(c, grid: Grid1D) -> HamiltonianMatrix:
     return build_hamiltonian(grid, potential, hbar=c.constants.hbar, mass=c.constants.mass)
 
 
-def build_state(c, grid: Grid1D, H: HamiltonianMatrix) -> WaveFunction | BipartiteWave:
+def build_state(c, grid: Grid1D, H: HamiltonianMatrix, eigs: EigenSystem | None = None) -> WaveFunction | BipartiteWave:
     """The initial state of the `state` group.
 
     A one-partite type gives the wave function psi; its bipartite
-    counterpart gives the product kernel psi(x) psi^*(y).
+    counterpart gives the product kernel psi(x) psi^*(y).  An eigen state of
+    m coefficients takes the lowest m levels of eigs, an eigensystem of H
+    with at least m levels that the run has solved already, or solves for
+    them when eigs is None.
     """
     st = c.state
     if st.type == "random":
@@ -164,7 +167,8 @@ def build_state(c, grid: Grid1D, H: HamiltonianMatrix) -> WaveFunction | Biparti
         a = np.array(amplitudes(st.coefficients))
         a = a / np.abs(a).max()  # so that |a|^2 cannot overflow: the schema admits any finite amplitudes
         a = a / np.linalg.norm(a)
-        psi = WaveFunction(eigensystem(H, len(a)).states @ a, grid)
+        states = (eigs or eigensystem(H, len(a))).states
+        psi = WaveFunction(states[:, :len(a)] @ a, grid)
     return psi if st.type in ONE_PARTITE else from_product(psi, psi)
 
 
@@ -223,8 +227,11 @@ def _run_gap_spectroscopy(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioRepo
 
 def _run_collapse(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
     k = c.spectra.k
-    eigs = eigensystem(H, k)
-    Psi = build_state(c, grid, H)
+    levels = len(c.state.coefficients) if c.state.type in ("eigen", "eigen-product") else 0
+    eigs = eigensystem(H, max(k, levels))  # one solve, for the amplitudes and an eigen state alike
+    Psi = build_state(c, grid, H, eigs)
+    if levels > k:
+        eigs = EigenSystem(eigs.energies[:k], eigs.states[:, :k], grid)
     amps = transition_amplitudes(Psi, eigs)
     stats = collapse_statistics(amps)
     tables = {"collapse": {"m": np.arange(k), "energy": eigs.energies, "p": stats.p, "delta_E": stats.delta_E,

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from vnlw import _workers, dynamics, scenarios, spectra
-from vnlw.bipartite import from_product, position_density, transition_amplitudes
+from vnlw.bipartite import collapse_statistics, from_product, position_density, transition_amplitudes
 from vnlw.dynamics import (
     METHODS,
     BipartiteWave,
@@ -21,6 +21,7 @@ from vnlw.dynamics import (
     gaussian_packet,
     propagate_schrodinger,
     propagate_vnl,
+    trajectory,
 )
 from vnlw.errors import GridMismatchError, SimulationError, UnnormalizedStateError
 from vnlw.lattice import HamiltonianMatrix, build_grid, build_hamiltonian, sample_potential
@@ -98,6 +99,44 @@ class TestSpectralPropagator:
         spectral = SpectralPropagator(H, 1e-2, method)
         assert np.max(np.abs(spectral.apply(v, 37) - dense_propagator(H, 1e-2, 37, method) @ v)) <= 1e-12
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_factor_of_many_counts_is_each_counts_factor(self, harmonic, method):
+        """The factors of an array of step counts, a row each, are bit for bit the factor of each count alone,
+        as the closed form exp(-i E steps dt / hbar) or exp(-2i steps atan(dt E / 2 hbar)) gives it."""
+        g, H, _ = harmonic
+        dt, counts = -3e-3, [0, 1, 7, 10, 999, 1000, 123456]
+        E = eigensystem(H, g.n_points).energies
+        spectral = SpectralPropagator(H, dt, method)
+        rows = spectral._factor(np.array(counts))
+        assert rows.shape == (len(counts), g.n_points)
+        for row, steps in zip(rows, counts):
+            if method == "eigenbasis":
+                expected = np.exp(-1j * E * (steps * dt) / H.hbar)
+            else:
+                expected = np.exp(-2j * steps * np.arctan(0.5 * dt * E / H.hbar))
+            assert np.array_equal(row, expected)
+            assert np.array_equal(row, spectral._factor(steps))
+
+    def test_factor_not_finite_in_a_later_block_raises(self):
+        """A rank-N trajectory reads its rows in blocks of N / 4 = 4.  At dt = 7e305 the factor overflows
+        only from a count inside a later block, past its start, and the error names the method, dt and
+        that count."""
+        g = build_grid(-5, 5, 16)
+        H = build_hamiltonian(g, sample_potential(g, "harmonic", omega=1.0))
+        dt = 7e305
+        spectral = SpectralPropagator(H, dt, "eigenbasis")
+        first = 0
+        while True:  # the first count whose factor alone is refused
+            try:
+                spectral._factor(first)
+            except SimulationError:
+                break
+            first += 1
+        assert 4 < first < 30 and first % 4
+        with pytest.raises(SimulationError) as error:
+            trajectory(random_kernel(g, seed=1), H, PropagatorConfig(dt, 30, "eigenbasis"), 1)
+        assert str(error.value) == f"eigenbasis factor is not finite at dt={dt}, steps={first}"
+
 
 class TestRealTimes:
     @pytest.mark.parametrize("columns", [(), (1,), (3,), (40,)])
@@ -106,7 +145,7 @@ class TestRealTimes:
         rng = np.random.default_rng(11)
         S = np.linalg.qr(rng.standard_normal((40, 7)))[0]
         X = rng.standard_normal((40,) + columns) + 1j * rng.standard_normal((40,) + columns)
-        out = dynamics._real_times(S.T, X)
+        out = dynamics._times(S.T, X)
         assert out.shape == (7,) + columns
         assert np.max(np.abs(out - S.T @ X)) <= 1e-14 * np.max(np.abs(X))
 
@@ -116,8 +155,8 @@ class TestRealTimes:
         S = rng.standard_normal((30, 30))
         X = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
         expected = (S @ X.view(np.float64).reshape(30, -1)).view(complex).reshape(X.shape)
-        assert np.array_equal(dynamics._real_times(S, X), expected)
-        assert np.array_equal(dynamics._real_times(S.T, X), (S.T @ X.view(np.float64)).view(complex))
+        assert np.array_equal(dynamics._times(S, X), expected)
+        assert np.array_equal(dynamics._times(S.T, X), (S.T @ X.view(np.float64)).view(complex))
 
 
 class TestCrankNicolsonStepper:
@@ -445,6 +484,32 @@ class TestVnl:
         end = propagate_vnl(random_kernel(g, seed=3), H, PropagatorConfig(1e-3, 1000, "eigenbasis"))
         x_mean = float(np.sum(g.points * position_density(end)) * g.dx)
         assert table["x_mean"][-1] == pytest.approx(x_mean, abs=1e-12)
+
+    @pytest.mark.parametrize("state, k", [
+        ({"type": "eigen-product", "coefficients": [1.0, 0.5, [0.0, 0.25], -0.125, 0.5, 1.0]}, 3),
+        ({"type": "eigen-product", "coefficients": [1.0, [0.5, -0.5]]}, 5),
+        ({"type": "random", "seed": 3}, 4),
+        ({"type": "gaussian-product", "center": 0.5}, 4),
+    ], ids=["m>k", "m<k", "random", "gaussian"])
+    def test_collapse_solves_once(self, monkeypatch, state, k):
+        """One eigensolve, for max(k, m) levels, serves the amplitudes and an eigen state of m coefficients.
+        p and delta_E agree to 1e-13 with a solve for k levels and another for the state's own m."""
+        config = {
+            "schema_version": 1,
+            "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 101},
+            "potential": {"kind": "harmonic", "omega": 1.0},
+            "spectra": {"k": k},
+            "state": state,
+        }
+        calls = count_eigensolves(monkeypatch)
+        summary = scenarios.run_scenario(config, "collapse").summary
+        assert calls == [max(k, len(state.get("coefficients", ())))]
+        c = resolve(config, "collapse")
+        g = scenarios.grid_from_config(c)
+        H = scenarios.hamiltonian_from_config(c, g)
+        stats = collapse_statistics(transition_amplitudes(scenarios.build_state(c, g, H), eigensystem(H, k)))
+        assert np.max(np.abs(np.array(summary["p"]) - stats.p)) <= 1e-13
+        assert np.max(np.abs(np.array(summary["delta_E"]) - stats.delta_E)) <= 1e-13
 
     def test_evolve_one_partite_eigenbasis_solves_once(self, monkeypatch):
         calls = count_eigensolves(monkeypatch)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg.lapack import zgttrf
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vnlw.bipartite import (
     apply_rho,
@@ -201,6 +201,11 @@ class TestTrajectory:
            seed=st.integers(0, 2**32 - 1), method=st.sampled_from(METHODS),
            dt=st.floats(-1.0, 1.0).filter(lambda v: v != 0.0), steps=st.integers(0, 30),
            stride=st.integers(1, 10), reduced=st.sampled_from([None, False, True]))
+    # a rank-N kernel whose 31 rows span eight blocks of N / 4 = 4 rows, the last one short
+    @example(n_points=16, rank=None, shared=True, seed=3, method="eigenbasis", dt=0.3, steps=30, stride=1,
+             reduced=None)
+    @example(n_points=16, rank=None, shared=True, seed=3, method="crank-nicolson", dt=-0.7, steps=30, stride=1,
+             reduced=True)
     def test_rows_match_the_dense_oracle(self, n_points, rank, shared, seed, method, dt, steps, stride, reduced):
         g, H, state = _problem(n_points, 1 if rank == "vector" else rank, shared, seed)
         if rank == "vector":
@@ -219,6 +224,8 @@ class TestTrajectory:
         (401, 401, 101, True),   # evolve-random: a full-rank kernel
         (24, 24, 11, True),
         (24, 24, 1, False),      # one row does not repay X~
+        (100, 10, 8, True),      # either side of the crossover: R~ by zherk, 2 n^2 r
+        (100, 10, 7, False),
         (4096, 1, 101, False),   # a vector or a product
         (801, 2, 1001, False),   # a two-slit state
     ])

@@ -277,13 +277,13 @@ class TestResolve:
         ("two-slit", None): 1.05, ("product-equivalence", None): 1.05,
         ("spectrum", None): 2.1, ("gap-spectroscopy", None): 1.45,
         ("evolve", "gaussian-product"): 1.05, ("evolve", "eigen-product"): 1.05, ("evolve", "two-slit"): 1.1,
-        ("evolve", "random"): 4.1, ("evolve", "gaussian"): 1.05, ("evolve", "eigen"): 1.05,
+        ("evolve", "random"): 4.05, ("evolve", "gaussian"): 1.05, ("evolve", "eigen"): 1.05,
         ("collapse", "gaussian-product"): 2.25, ("collapse", "eigen-product"): 2.25,
-        ("collapse", "two-slit"): 2.25, ("collapse", "random"): 2.7,
+        ("collapse", "two-slit"): 2.25, ("collapse", "random"): 2.65,
         ("schmidt", "gaussian-product"): 5.65, ("schmidt", "eigen-product"): 6.25,
-        ("schmidt", "two-slit"): 4.95, ("schmidt", "random"): 2.6,
+        ("schmidt", "two-slit"): 4.95, ("schmidt", "random"): 2.55,
         ("entropy", "gaussian-product"): 5.65, ("entropy", "eigen-product"): 6.25,
-        ("entropy", "two-slit"): 4.95, ("entropy", "random"): 4.6,
+        ("entropy", "two-slit"): 4.95, ("entropy", "random"): 4.55,
     }
     # Crank-Nicolson runs at N = 10^5 over their charge 16 N (10 + 3 r).  Measured: 0.70 (two-slit) to
     # 1.02 (evolve of a two-slit state).
@@ -410,7 +410,7 @@ def test_numeric_runs_load_no_scipy_package(tmp_path, args, config):
     """The LAPACK and BLAS routines come from scipy's extension modules, loaded by file,
     so no run imports the scipy package or scipy.linalg.  Nor does any load numpy.ma
     (which np.unique imports, 10-20 ms), fractions or decimal: each cost the short runs
-    a share of their time.  The BLAS module (_fblas) loads only for zgemm, which only
+    a share of their time.  The BLAS module (_fblas) loads only for zherk, which only
     evolve-random's reduced-operator trajectory calls."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema_version": 1, "grid": {"n_points": 101}, **config}))
