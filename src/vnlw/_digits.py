@@ -1,9 +1,12 @@
-"""The decimal strings of float64 magnitudes, formatted by numpy.
+"""The bytes of a report's table cells, formatted by numpy.
 
-`magnitude_strings` gives, for an array of magnitudes, one NUL-padded byte
-row per value: the bytes of `'%.17g' % x` for a float64 x >= 0.  CPython
-formats one value per call, and 17 significant digits always take its bignum
-path; here a block of values takes a few dozen numpy operations.
+`_write_cells` lays out a table's rows, one slot per column: the literal
+before it, a sign byte and its magnitude's string, a NUL-padded record of
+`_distinct_cells`, which formats each distinct magnitude of a report once.
+A float's record in csv and gnuplot, from `magnitude_strings`, holds the
+bytes of `'%.17g' % x` for a float64 x >= 0.  CPython formats one value per
+call, and 17 significant digits always take its bignum path; here a block
+of values takes a few dozen numpy operations.
 
 A float x = m 2^e is printed in the manner of Adams's Ryu-printf (PLDI 2019):
 with X = floor(log10 x), y = x 10^(16 - X) lies in [10^16, 10^17), and its
@@ -22,7 +25,11 @@ columns.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
+
+from . import _workers
 
 WIDTH = 23  # the longest string: '2.2250738585072014e-308'
 _TIE = 1e-6  # a y this close to a tie or to 10^16 or 10^17 is formatted exactly
@@ -42,7 +49,7 @@ _DIGIT = [16, *range(16)]
 _POINT, _SUFFIX, _ZERO, _NUL = 17, 24, 24, 31
 
 
-def _layout(key: int) -> list:
+def _source_columns(key: int) -> list:
     """Source columns of the '%.17g' string of layout key: X for -4 <= X <= 16, 17 for the e notation."""
     if key < 0:  # 0.000ddd
         cols = [_ZERO, _POINT] + [_ZERO] * (-key - 1) + _DIGIT
@@ -53,7 +60,7 @@ def _layout(key: int) -> list:
     return cols + [_NUL] * (WIDTH - len(cols))
 
 
-_LAYOUTS = np.array([_layout(key) for key in range(-4, 18)])
+_LAYOUTS = np.array([_source_columns(key) for key in range(-4, 18)])
 
 # _MASKS[k] keeps the first k bytes of a uint32 of four digits, and zeros the rest.
 _MASKS = np.array([[255] * k + [0] * (4 - k) for k in range(5)], dtype=np.uint8).view(np.uint32).ravel()
@@ -187,3 +194,148 @@ def _gather(source: np.ndarray, keys: np.ndarray) -> np.ndarray:
     for start, stop in zip(starts, starts[1:] + [len(source)]):
         rows[start:stop] = source[start:stop, _LAYOUTS[keys[start]]]
     return rows
+
+
+_BLOCK = 1 << 14  # cells formatted, or laid out in rows, per step
+# Magnitudes of a float column are its float64 |x|, of an int column its
+# int64 |n| read as uint64, which is exact for every int64 and uint32 (-2**63
+# included).
+_MAGNITUDE = {"f": np.float64, "i": np.uint64}
+
+
+def _layout(fmt: str, names: list, has_rows: bool):
+    """Header, row layout (before the first cell, between cells, after the last) and tail.
+
+    csv rows end in \r\n as csv.writer wrote them.  json tables reproduce
+    json.dump(indent=2, sort_keys=True) byte for byte: every row starts
+    with the comma that separates it from the row before, dropped from the
+    first row.
+    """
+    if fmt == "json":
+        empty = json.dumps({"columns": names, "rows": []}, indent=2, sort_keys=True)
+        head = empty[:-len("]\n}")]
+        return head, (b",\n    [\n      ", b",\n      ", b"\n    ]"), "\n  ]\n}\n" if has_rows else "]\n}\n"
+    if fmt == "gnuplot":
+        return "# " + " ".join(names) + "\n", (b"", b" ", b"\n"), ""
+    return ",".join(names) + "\r\n", (b"", b",", b"\r\n"), ""
+
+
+def _kind(column: np.ndarray) -> str:
+    return "i" if column.dtype.kind in "iu" else "f"
+
+
+def _magnitudes(values: np.ndarray, out=None) -> np.ndarray:
+    """|values| as _MAGNITUDE of their kind, into out when given."""
+    if _kind(values) == "f":
+        return np.abs(values, out=out, dtype=np.float64)
+    return np.abs(values, out=None if out is None else out.view(np.int64), dtype=np.int64).view(np.uint64)
+
+
+def _negative(values: np.ndarray) -> np.ndarray:
+    """Where a cell takes a minus sign: below 0, or a float -0.0 (not a NaN)."""
+    if _kind(values) == "i":
+        return values < 0
+    negative = np.signbit(values)
+    negative &= ~np.isnan(values)
+    return negative
+
+
+def _distinct_cells(columns: list, fmt: str):
+    """The sorted distinct magnitudes of columns of one kind, and each one's string.
+
+    The strings are one 1-D array of V{used} records, NUL-padded to the
+    longest: '%.17g' from `magnitude_strings` for a float in csv and
+    gnuplot, and otherwise json's own, a block at a time: repr, NaN and
+    Infinity for a float in json, and str for an int, whose few distinct
+    values are level indices.  The rows are then compacted in place.
+    """
+    if not columns:
+        return None
+    kind = _kind(columns[0])
+    mags = np.empty(sum(len(c) for c in columns), dtype=_MAGNITUDE[kind])
+    start = 0
+    for c in columns:
+        _magnitudes(c, out=mags[start:start + len(c)])
+        start += len(c)
+    mags.sort()
+    keep = np.empty(len(mags), dtype=bool)
+    keep[:1] = True
+    np.not_equal(mags[1:], mags[:-1], out=keep[1:])
+    values = mags[keep]
+    del mags, keep
+    count, width = len(values), WIDTH  # json's strings fit the width of '%.17g', str(2**64 - 1) too
+    rows = np.empty((count, width), dtype=np.uint8)
+    for i in range(0, count, _BLOCK):
+        part = values[i:i + _BLOCK]
+        if fmt != "json" and kind == "f":
+            rows[i:i + len(part)] = magnitude_strings(part)
+        else:
+            rows[i:i + len(part)].view(f"S{width}")[:, 0] = json.dumps(part.tolist())[1:-1].split(", ")
+    flat = rows.reshape(-1)
+    used = width
+    while used > 1 and not rows[:, used - 1].any():
+        used -= 1
+    for i in range(0, count, _BLOCK):  # forward: a block lands on moved bytes or on its own, which numpy copies first
+        n = min(_BLOCK, count - i)
+        flat[i * used:(i + n) * used].reshape(n, used)[:] = rows[i:i + n, :used]
+    return values, flat[:count * used].view(f"V{used}")
+
+
+def _lookup(values: np.ndarray, mags: np.ndarray) -> np.ndarray:
+    """The index of each of mags in the sorted distinct values, which hold every one."""
+    if values.dtype.kind == "u" and values[-1] - values[0] == len(values) - 1:  # consecutive, as indices are
+        return (mags - values[0]).view(np.intp)
+    order = np.argsort(mags)  # sorted keys keep the binary search in cache
+    found = np.empty(len(mags), dtype=np.intp)
+    found[order] = np.searchsorted(values, mags[order])
+    return found
+
+
+def _write_cells(fh, columns: list, cells: dict, layout) -> None:
+    """Write the rows of columns in blocks, each laid out as one byte array, on every CPU the process may use.
+
+    Each column takes one slot of a row: the literal before it, a sign byte
+    and its magnitude's string from the records of its kind in cells,
+    found by `_lookup` and read with one take per block.  The NUL padding
+    of the records is dropped before the block is written.
+
+    The blocks are laid out by the w workers of `_workers.ordered_map`, one
+    per CPU up to the block count.  Its w - 1 helpers' blocks together hold
+    one block's rows, so the bytes in flight do not grow with the number of
+    CPUs.  The layout is numpy calls that release the GIL, so the threads
+    overlap.  A helper drops the NULs with a mask, which releases it too;
+    this thread with bytes.translate, which holds it but is faster alone.
+    """
+    if not columns:
+        return
+    lead, sep, end = layout
+    slots, width = [], 0  # (column, its kind's values and strings, the literal before it, offset in a row)
+    for j, column in enumerate(columns):
+        before = np.frombuffer(sep if j else lead, dtype=np.uint8)
+        values, text = cells[_kind(column)]
+        slots.append((column, values, text, before, width))
+        width += len(before) + 1 + text.itemsize
+    rows = len(columns[0])
+    block = max(1, _BLOCK // len(columns))
+    workers = min(-(-rows // block), _workers._cpu_count())
+    if workers > 1:
+        block = max(1, block // (workers - 1))
+
+    def lay_out(start: int, stop) -> np.ndarray | bytes:
+        """The rows of the block from start, NUL padding dropped: a uint8 array on a helper, bytes here."""
+        n = min(block, rows - start)
+        out = np.empty((n, width + len(end)), dtype=np.uint8)
+        for column, values, text, before, offset in slots:
+            part = column[start:start + n]
+            sign = offset + len(before)
+            out[:, offset:sign] = before
+            np.multiply(_negative(part).view(np.uint8), ord("-"), out=out[:, sign])
+            found = _lookup(values, _magnitudes(part))
+            out[:, sign + 1:sign + 1 + text.itemsize].view(text.dtype)[:, 0] = text.take(found)
+        out[:, width:] = np.frombuffer(end, dtype=np.uint8)
+        if start == 0 and lead.startswith(b","):
+            out[0, 0] = 0  # no row before the first to separate it from
+        flat = out.reshape(-1)
+        return flat.tobytes().translate(None, b"\0") if stop is None else flat[flat != 0]
+
+    _workers.ordered_map(lay_out, range(0, rows, block), workers, fh.write)

@@ -13,8 +13,8 @@ would, so a later `import scipy.linalg` reuses it: the routines bound here are
 the very objects `scipy.linalg.lapack` and `.blas` hand out.
 
 `_flapack` loads with this module.  `_fblas` (about 1.3 MB resident) loads on
-the first access to `zherk`, which only the reduced-operator order of
-`SpectralPropagator.trajectory` calls, so no other run maps it.
+the first access to `zherk`, which only the reduced-operator trajectory and
+`entropy_from_reduced` call, so no other run maps it.
 """
 
 import importlib.util

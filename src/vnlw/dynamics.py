@@ -18,9 +18,8 @@ dx^2, projected on the eigenbasis once; for a rank-N state that is level-3
 BLAS throughout: one triangle of rho_x by zherk, and the rows of a block of
 step counts in one matrix product.  The identity factor of a dense kernel
 (`BipartiteWave.from_kernel`) is read as a scale by `_times`, the product
-that the propagators, the trajectory, `transition_amplitudes`,
-`entropy_from_reduced` and `schmidt` form with a factor, so none of them
-multiplies it.
+of a factor in the propagators, the trajectory, `schmidt`, `position_density`,
+`transition_amplitudes` and `entropy_from_reduced`, so none multiplies it.
 """
 
 from __future__ import annotations
@@ -398,7 +397,7 @@ def trajectory(
     _check_normalized(state.norm() ** 2 if one_partite else bipartite_norm(state), "initial state")
     counts = list(range(0, cfg.steps, stride)) + [cfg.steps]
     if stepped(cfg.method, 1 if one_partite else state.core.shape[1], state.grid.n_points):
-        F = state.amplitudes[:, None] if one_partite else state.left @ state.core
+        F = state.amplitudes[:, None] if one_partite else _times(state.left, state.core)
         values = _stepped_trajectory(F, state.grid, CrankNicolsonStepper(H, cfg.dt), counts)
     else:
         values = SpectralPropagator(H, cfg.dt, cfg.method).trajectory(state, counts)

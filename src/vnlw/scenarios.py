@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
-from . import _workers
-from ._digits import WIDTH, magnitude_strings
+from ._digits import _distinct_cells, _kind, _layout, _write_cells
 from .errors import ScenarioError
 from .schema import ONE_PARTITE, TWO_SLIT, amplitudes, resolve, two_slit_amplitudes, window_indices
 from .lattice import (
@@ -392,157 +390,6 @@ def write_report(report: ScenarioReport, outdir, fmt: str = "csv") -> None:
 
 
 _SUFFIX = {"csv": ".csv", "gnuplot": ".dat", "json": ".json"}
-_BLOCK = 1 << 14  # cells formatted, or laid out in rows, per step
-# Magnitudes of a float column are its float64 |x|, of an int column its
-# int64 |n| read as uint64, which is exact for every int64 and uint32 (-2**63
-# included).
-_MAGNITUDE = {"f": np.float64, "i": np.uint64}
-
-
-def _layout(fmt: str, names: list, has_rows: bool):
-    """Header, row layout (before the first cell, between cells, after the last) and tail.
-
-    csv rows end in \r\n as csv.writer wrote them.  json tables reproduce
-    json.dump(indent=2, sort_keys=True) byte for byte: every row starts
-    with the comma that separates it from the row before, dropped from the
-    first row.
-    """
-    if fmt == "json":
-        empty = json.dumps({"columns": names, "rows": []}, indent=2, sort_keys=True)
-        head = empty[:-len("]\n}")]
-        return head, (b",\n    [\n      ", b",\n      ", b"\n    ]"), "\n  ]\n}\n" if has_rows else "]\n}\n"
-    if fmt == "gnuplot":
-        return "# " + " ".join(names) + "\n", (b"", b" ", b"\n"), ""
-    return ",".join(names) + "\r\n", (b"", b",", b"\r\n"), ""
-
-
-def _kind(column: np.ndarray) -> str:
-    return "i" if column.dtype.kind in "iu" else "f"
-
-
-def _magnitudes(values: np.ndarray, out=None) -> np.ndarray:
-    """|values| as _MAGNITUDE of their kind, into out when given."""
-    if _kind(values) == "f":
-        return np.abs(values, out=out, dtype=np.float64)
-    return np.abs(values, out=None if out is None else out.view(np.int64), dtype=np.int64).view(np.uint64)
-
-
-def _negative(values: np.ndarray) -> np.ndarray:
-    """Where a cell takes a minus sign: below 0, or a float -0.0 (not a NaN)."""
-    if _kind(values) == "i":
-        return values < 0
-    negative = np.signbit(values)
-    negative &= ~np.isnan(values)
-    return negative
-
-
-def _distinct_cells(columns: list, fmt: str):
-    """The sorted distinct magnitudes of columns of one kind, and each one's string.
-
-    The strings are one 1-D array of V{used} records, NUL-padded to the
-    longest: '%.17g' from `_digits.magnitude_strings` for a float in csv and
-    gnuplot, and otherwise json's own, a block at a time: repr, NaN and
-    Infinity for a float in json, and str for an int, whose few distinct
-    values are level indices.  The rows are then compacted in place.
-    """
-    if not columns:
-        return None
-    kind = _kind(columns[0])
-    mags = np.empty(sum(len(c) for c in columns), dtype=_MAGNITUDE[kind])
-    start = 0
-    for c in columns:
-        _magnitudes(c, out=mags[start:start + len(c)])
-        start += len(c)
-    mags.sort()
-    keep = np.empty(len(mags), dtype=bool)
-    keep[:1] = True
-    np.not_equal(mags[1:], mags[:-1], out=keep[1:])
-    values = mags[keep]
-    del mags, keep
-    count, width = len(values), WIDTH  # json's strings fit the width of '%.17g', str(2**64 - 1) too
-    rows = np.empty((count, width), dtype=np.uint8)
-    for i in range(0, count, _BLOCK):
-        part = values[i:i + _BLOCK]
-        if fmt != "json" and kind == "f":
-            rows[i:i + len(part)] = magnitude_strings(part)
-        else:
-            rows[i:i + len(part)].view(f"S{width}")[:, 0] = json.dumps(part.tolist())[1:-1].split(", ")
-    flat = rows.reshape(-1)
-    used = width
-    while used > 1 and not rows[:, used - 1].any():
-        used -= 1
-    for i in range(0, count, _BLOCK):  # forward: a block lands on moved bytes or on its own, which numpy copies first
-        n = min(_BLOCK, count - i)
-        flat[i * used:(i + n) * used].reshape(n, used)[:] = rows[i:i + n, :used]
-    return values, flat[:count * used].view(f"V{used}")
-
-
-def _lookup(values: np.ndarray, mags: np.ndarray) -> np.ndarray:
-    """The index of each of mags in the sorted distinct values, which hold every one."""
-    if values.dtype.kind == "u" and values[-1] - values[0] == len(values) - 1:  # consecutive, as indices are
-        return (mags - values[0]).view(np.intp)
-    order = np.argsort(mags)  # sorted keys keep the binary search in cache
-    found = np.empty(len(mags), dtype=np.intp)
-    found[order] = np.searchsorted(values, mags[order])
-    return found
-
-
-def _write_cells(fh, columns: list, cells: dict, layout) -> None:
-    """Write the rows of columns in blocks, each laid out as one byte array, on every CPU the process may use.
-
-    Adjacent columns of one kind form a run, whose cells are filled at once:
-    each takes a slot of the literal before it, a sign byte and its
-    magnitude's string from cells (`_lookup`, then one take of the run's
-    records), all NUL-padded to the run's slot width.  The NUL padding is
-    dropped before the block is written.
-
-    The blocks are laid out by the w workers of `_workers.ordered_map`, one
-    per CPU up to the block count.  Its w - 1 helpers' blocks together hold
-    one block's rows, so the bytes in flight do not grow with the number of
-    CPUs.  The layout is numpy calls that release the GIL, so the threads
-    overlap.  A helper drops the NULs with a mask, which releases it too;
-    this thread with bytes.translate, which holds it but is faster alone.
-    """
-    if not columns:
-        return
-    lead, sep, end = layout
-    literals = [lead] + [sep] * (len(columns) - 1)
-    runs, width = [], 0  # (columns, cells, the literals before them, offset in a row)
-    for kind, run in groupby(columns, _kind):
-        run = list(run)
-        before = literals[:len(run)]
-        del literals[:len(run)]
-        pad = max(map(len, before))
-        before = np.array([list(b.ljust(pad, b"\0")) for b in before], dtype=np.uint8).reshape(len(run), pad)
-        runs.append((run, cells[kind], before, width))
-        width += len(run) * (pad + 1 + cells[kind][1].itemsize)
-    rows = len(columns[0])
-    block = max(1, _BLOCK // len(columns))
-    workers = min(-(-rows // block), _workers._cpu_count())
-    if workers > 1:
-        block = max(1, block // (workers - 1))
-
-    def lay_out(start: int, stop) -> np.ndarray | bytes:
-        """The rows of the block from start, NUL padding dropped: a uint8 array on a helper, bytes here."""
-        n = min(block, rows - start)
-        out = np.empty((n, width + len(end)), dtype=np.uint8)
-        for run, (values, text), before, offset in runs:
-            pad, used = before.shape[1], text.itemsize
-            slot = pad + 1 + used
-            cell = np.lib.stride_tricks.as_strided(
-                out[:, offset:], (n, len(run), slot), (out.strides[0], slot, 1))
-            cell[:, :, :pad] = before
-            part = np.stack([column[start:start + n] for column in run], axis=1)
-            np.multiply(_negative(part).view(np.uint8), ord("-"), out=cell[:, :, pad])
-            found = _lookup(values, _magnitudes(part).reshape(-1))
-            cell[:, :, pad + 1:].view(text.dtype)[:, :, 0] = text.take(found).reshape(part.shape)
-        out[:, width:] = np.frombuffer(end, dtype=np.uint8)
-        if start == 0 and lead.startswith(b","):
-            out[0, 0] = 0  # no row before the first to separate it from
-        flat = out.reshape(-1)
-        return flat.tobytes().translate(None, b"\0") if stop is None else flat[flat != 0]
-
-    _workers.ordered_map(lay_out, range(0, rows, block), workers, fh.write)
 
 
 def _write_json(obj, path: Path) -> None:

@@ -15,9 +15,9 @@ from vnlw.dynamics import BipartiteWave
 from vnlw.errors import ScenarioError
 from vnlw.lattice import build_grid
 from vnlw import _workers, scenarios
+from vnlw._digits import _BLOCK
 from vnlw.cli import main
 from vnlw.scenarios import (
-    _BLOCK,
     RUNNERS,
     ScenarioReport,
     fringe_visibility,
@@ -392,10 +392,11 @@ class TestWriteReportFormats:
     # Peak of write_report's own allocations over the bytes of the report's
     # table arrays, for a gap report of 409600 rows in json and in csv, whose
     # floats `_digits.magnitude_strings` formats a block at a time.  Measured:
-    # 0.92 in json and 0.94 in csv on one CPU, most of it the sorted
-    # magnitudes; 1.08 and 0.96 with one helper thread laying out blocks, and
-    # at most that on more CPUs, whose helpers share one block's rows.  A
-    # full-length index of every cell into the distinct strings would add 0.67.
+    # 0.93 in json and 0.94 in csv on one CPU, most of it the sorted
+    # magnitudes; 1.05-1.14 (as the threads interleave) and 0.93 with one
+    # helper thread laying out blocks, and at most that on more CPUs, whose
+    # helpers share one block's rows.  A full-length index of every cell into
+    # the distinct strings would add 0.67.
     WRITE_PEAK_SLACK = 1.25
 
     def test_write_memory_bounded(self, tmp_path):

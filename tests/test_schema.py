@@ -269,7 +269,7 @@ class TestResolve:
     # Peak of run_scenario's own allocations over its charge, the largest array the budget counts, for
     # every run x state type x method at N = 512, spectra.k = N (N / 4 for collapse): the factors the
     # budget does not see.  Measured, the larger of the two methods: 1.02 for an eigenbasis run, 1.08
-    # for evolve of a two-slit state, 2.02 spectrum, 1.38 gaps, 4.01 / 2.63 / 2.50 / 4.50 for evolve /
+    # for evolve of a two-slit state, 2.02 spectrum, 1.38 gaps, 4.01 / 2.63 / 2.50 / 3.50 for evolve /
     # collapse / schmidt / entropy of a random kernel, 2.19 for collapse of a factored state.  schmidt
     # and entropy of a factored state, 4.77 to 6.15, hold the grid, H and the packet's temporaries
     # beside the one N-vector or N x 2 factor they are charged.
@@ -283,7 +283,7 @@ class TestResolve:
         ("schmidt", "gaussian-product"): 5.65, ("schmidt", "eigen-product"): 6.25,
         ("schmidt", "two-slit"): 4.95, ("schmidt", "random"): 2.55,
         ("entropy", "gaussian-product"): 5.65, ("entropy", "eigen-product"): 6.25,
-        ("entropy", "two-slit"): 4.95, ("entropy", "random"): 4.55,
+        ("entropy", "two-slit"): 4.95, ("entropy", "random"): 3.55,
     }
     # Crank-Nicolson runs at N = 10^5 over their charge 16 N (10 + 3 r).  Measured: 0.70 (two-slit) to
     # 1.02 (evolve of a two-slit state).
@@ -411,7 +411,7 @@ def test_numeric_runs_load_no_scipy_package(tmp_path, args, config):
     so no run imports the scipy package or scipy.linalg.  Nor does any load numpy.ma
     (which np.unique imports, 10-20 ms), fractions or decimal: each cost the short runs
     a share of their time.  The BLAS module (_fblas) loads only for zherk, which only
-    evolve-random's reduced-operator trajectory calls."""
+    evolve-random's reduced-operator trajectory and the entropy run's reduced route call."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema_version": 1, "grid": {"n_points": 101}, **config}))
     script = (

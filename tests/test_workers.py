@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import vnlw
 from vnlw import _workers
-from vnlw.scenarios import _distinct_cells, _kind, _layout, _write_cells
+from vnlw._digits import _distinct_cells, _kind, _layout, _write_cells
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(count=st.integers(0, 40))
@@ -152,19 +152,29 @@ def test_a_write_failing_partway_through_a_table_stops_the_writers_helpers(monke
 CONSTRUCTORS = {"Thread", "ThreadPoolExecutor", "Queue", "SimpleQueue", "LifoQueue", "PriorityQueue"}
 
 
-def constructed(path: Path) -> set:
-    """The names of CONSTRUCTORS that the module at path calls, by plain or dotted name."""
-    called = set()
+def called(path: Path, names: set) -> set:
+    """The names among names that the module at path calls, by plain or dotted name."""
+    found = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "attr", getattr(node.func, "id", None))
-            if name in CONSTRUCTORS:
-                called.add(name)
-    return called
+            if name in names:
+                found.add(name)
+    return found
 
 
 def test_only_the_pool_starts_threads():
     """A threaded stage reuses `ordered_map`: no other module of the package makes a thread or a queue."""
-    modules = {path.name: constructed(path) for path in sorted(Path(vnlw.__file__).parent.glob("*.py"))}
+    modules = {path.name: called(path, CONSTRUCTORS) for path in sorted(Path(vnlw.__file__).parent.glob("*.py"))}
     assert modules.pop("_workers.py") == {"Thread", "Queue"}
     assert {name: called for name, called in modules.items() if called} == {}
+
+
+VIEWS = {"as_strided", "sliding_window_view"}
+
+
+def test_no_module_makes_a_strided_view():
+    """A hand-strided view aliases memory, and one of a wrong shape reads or writes outside its array with no
+    error: no module of the package makes one."""
+    modules = {path.name: called(path, VIEWS) for path in sorted(Path(vnlw.__file__).parent.glob("*.py"))}
+    assert {name: names for name, names in modules.items() if names} == {}
