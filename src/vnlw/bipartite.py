@@ -132,30 +132,28 @@ def entanglement_entropy(Psi: BipartiteWave) -> float:
     return float(-np.sum(mu2 * np.log(mu2)) + 0.0)  # + 0.0: a pure state's -0.0 reads 0.0
 
 
-def entropy_from_reduced(Psi: BipartiteWave, side: str = "x") -> float:
-    """Entropy of the eigenvalues of the reduced density matrix (cross-check route).
+def entropy_from_reduced(Psi: BipartiteWave) -> float:
+    """Entropy of the eigenvalues of the x-side reduced density matrix (cross-check route).
 
-    The reduced density matrix is rho = F F^H dx, with F = A C on x and
-    F = B C^H on y; its nonzero eigenvalues are those of the r x r Gram
-    matrix F^H F dx, whose conjugate (one triangle, by BLAS zherk on F^T)
-    is diagonalized instead, in O(N r^2).  It does not assume that the
-    factor is orthonormal, so it still checks the factors against the
-    core's singular values that entanglement_entropy reads.
+    The reduced density matrix is rho = F F^H dx with F = A C; its nonzero
+    eigenvalues are those of the r x r Gram matrix F^H F dx, whose conjugate
+    (one triangle, by BLAS zherk on F^T) is diagonalized instead, in
+    O(N r^2).  It does not assume that the factor is orthonormal, so it
+    still checks the factors against the core's singular values that
+    entanglement_entropy reads.
     """
-    if side not in ("x", "y"):
-        raise ValueError(f"side must be 'x' or 'y', got {side!r}")
     _check_normalized(bipartite_norm(Psi), "bipartite state")
-    F = _times(Psi.left, Psi.core) if side == "x" else _times(Psi.right, Psi.core.conj().T)
+    F = _times(Psi.left, Psi.core)
     w = np.linalg.eigvalsh(_lapack.zherk(Psi.grid.dx, F.T, trans=0, lower=1), UPLO="L")
     w = w[w > 1e-300]
     return float(-np.sum(w * np.log(w)) + 0.0)  # + 0.0: a pure state's -0.0 reads 0.0
 
 
 def apply_rho(Psi: BipartiteWave, phi: WaveFunction) -> WaveFunction:
-    """Action of the kernel operator: (rho phi)_i = sum_j Psi_ij phi_j dx = A C (B^H phi) dx."""
+    """Action of the kernel operator: (rho phi)_i = sum_j Psi_ij phi_j dx = A C conj(phi^H B) dx, O(N r)."""
     _check_grids(Psi, phi)
-    amp = Psi.left @ (Psi.core @ (Psi.right.conj().T @ phi.amplitudes)) * Psi.grid.dx
-    return WaveFunction(amp, Psi.grid)
+    projected = _times(phi.amplitudes.conj(), Psi.right).conj()
+    return WaveFunction(_times(Psi.left, Psi.core @ projected) * Psi.grid.dx, Psi.grid)
 
 
 def projector(phi: WaveFunction) -> np.ndarray:
@@ -164,15 +162,15 @@ def projector(phi: WaveFunction) -> np.ndarray:
 
 
 def expectation(Psi: BipartiteWave, O: np.ndarray, imag_tol: float = 1e-10) -> float:
-    """Measurement functional Tr[rho_Psi O rho_Psi^dagger] = Tr[C (B^H O B) C^H] dx.
+    """Measurement functional Tr[rho_Psi O rho_Psi^dagger] = Tr[C (B^H O B) C^H] dx = Tr[F^H O F] dx, F = B C^H.
 
     O is the Euclidean matrix of a Hermitian operator on the grid (e.g. the
     dense Hamiltonian, or projector()); for product states this reduces to
-    the usual <psi|O|psi>.
+    the usual <psi|O|psi>.  F and O F are `_times` products.
     """
     _check_normalized(bipartite_norm(Psi), "bipartite state")
-    B, C = Psi.right, Psi.core
-    value = complex(np.sum((C @ (B.conj().T @ (np.asarray(O) @ B))) * C.conj()) * Psi.grid.dx)
+    F = _times(Psi.right, np.ascontiguousarray(Psi.core.conj().T))  # in the memory order of O F, so vdot copies neither
+    value = complex(np.vdot(F, _times(np.asarray(O), F)) * Psi.grid.dx)
     if abs(value.imag) > imag_tol * max(1.0, abs(value.real)):
         raise NonHermitianOperatorError(
             f"imaginary residue {value.imag} exceeds tolerance; operator not Hermitian?"

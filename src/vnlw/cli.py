@@ -21,6 +21,15 @@ stderr, and the published directory stays.  Under a profiler, tracer or
 coverage tool the process ends with `sys.exit` instead, so the tool's own
 exit work, such as cProfile's table, still runs.  `main` only returns its
 code, for callers in process.
+
+`console_main` also turns SIGTERM and SIGHUP into `_Stopped`, raised on the
+main thread, so a stopped run cleans up as it does for KeyboardInterrupt:
+`execute` removes its staging directory and the directories it made, and
+`_workers.ordered_map` stops its helpers.  The process then exits with
+128 + the signal number.  A signal that the process inherited as ignored,
+as under nohup, stays ignored, and once one has arrived both are ignored,
+so a second cannot cut the cleanup short.  A run stopped after it has
+published its output keeps it.  `main` installs no handler.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import sys
 import tempfile
 import time
@@ -226,13 +236,31 @@ def _observed() -> bool:
             or (monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))))
 
 
+_STOPS = (signal.SIGTERM, signal.SIGHUP)
+
+
+class _Stopped(BaseException):
+    """SIGTERM or SIGHUP, whose number is args[0]; a BaseException, as KeyboardInterrupt is, so no handler keeps it."""
+
+
+def _stop(signum, frame) -> NoReturn:
+    for other in _STOPS:  # a second signal must not break into the cleanup that this one starts
+        signal.signal(other, signal.SIG_IGN)
+    raise _Stopped(signum)
+
+
 def console_main() -> NoReturn:
     """Run main() as the whole process: flush stdout and stderr, then exit without teardown."""
+    for signum in _STOPS:
+        if signal.getsignal(signum) is signal.SIG_DFL:  # a signal ignored by the launcher, as under nohup, stays so
+            signal.signal(signum, _stop)
     try:
         code = main()
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:  # None in a process started without that file descriptor
                 stream.flush()
+    except _Stopped as exc:  # execute has removed what the run staged and made, unless it had published
+        code = 128 + exc.args[0]
     except OSError as exc:  # the summary line met a closed pipe; any run output is already published
         code = 2
         try:

@@ -18,8 +18,10 @@ dx^2, projected on the eigenbasis once; for a rank-N state that is level-3
 BLAS throughout: one triangle of rho_x by zherk, and the rows of a block of
 step counts in one matrix product.  The identity factor of a dense kernel
 (`BipartiteWave.from_kernel`) is read as a scale by `_times`, the product
-of a factor in the propagators, the trajectory, `schmidt`, `position_density`,
-`transition_amplitudes` and `entropy_from_reduced`, so none multiplies it.
+of a factor or an eigenbasis in the propagators, the trajectory,
+`scenarios.build_state`, `schmidt`, `apply_rho`, `expectation`,
+`position_density`, `transition_amplitudes` and `entropy_from_reduced`, so
+none multiplies it, and none casts a real factor or eigenbasis to complex.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from . import _lapack, _workers
 from ._lapack import zgttrf, zgttrs
 from .errors import GridMismatchError, SimulationError, UnnormalizedStateError
 from .lattice import Grid1D, HamiltonianMatrix
-from .schema import METHODS, stepped
+from .schema import METHODS, sampled_steps, stepped
 from .spectra import eigensystem
 
 NORM_TOL = 1e-6
@@ -229,20 +231,28 @@ _IDENTITIES = weakref.WeakValueDictionary()
 def _times(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """P @ Q, the one product of a state's factor or an eigenbasis with another array.
 
+    Its callers are the propagators and the trajectory here, `build_state`'s
+    eigen states, and in `bipartite` `schmidt`, `apply_rho`, `expectation`,
+    `position_density`, `transition_amplitudes` and `entropy_from_reduced`.
     A `from_kernel` factor I / sqrt(dx), on either side, is read as that
-    scale, so no product with the identity is formed.  For a real P and a
-    complex Q, Q is multiplied as its interleaved real and imaginary parts:
-    one real product, so P is never copied to complex and the cost is half
-    that of a complex product.
+    scale, so no product with the identity is formed; it is known by object,
+    so a caller passes the factor itself, never a view of it such as its
+    transpose.  For a real P and a complex Q, Q is multiplied as its
+    interleaved real and imaginary parts: one real product, so P is never
+    copied to complex and the cost is half that of a complex product; a
+    complex P and a real Q are multiplied the same way, transposed.  Either
+    operand may be a vector.
     """
     if _IDENTITIES.get(id(P)) is P:
         return Q * P[0, 0]
     if _IDENTITIES.get(id(Q)) is Q:
         return P * Q[0, 0]
-    if np.iscomplexobj(P) or not np.iscomplexobj(Q):
+    if np.iscomplexobj(P) == np.iscomplexobj(Q):
         return P @ Q
+    if np.iscomplexobj(P):  # P Q = (Q^T P^T)^T, with the real operand on the left
+        return _times(Q.T, P.T).T
     Q = np.ascontiguousarray(Q, dtype=complex)
-    return (P @ Q.view(np.float64).reshape(Q.shape[0], -1)).view(complex).reshape((P.shape[0],) + Q.shape[1:])
+    return (P @ Q.view(np.float64).reshape(Q.shape[0], -1)).view(complex).reshape(P.shape[:-1] + Q.shape[1:])
 
 
 class SpectralPropagator:
@@ -395,7 +405,7 @@ def trajectory(
     _check_grids(state, H)
     one_partite = isinstance(state, WaveFunction)
     _check_normalized(state.norm() ** 2 if one_partite else bipartite_norm(state), "initial state")
-    counts = list(range(0, cfg.steps, stride)) + [cfg.steps]
+    counts = [*sampled_steps(cfg.steps, stride), cfg.steps]
     if stepped(cfg.method, 1 if one_partite else state.core.shape[1], state.grid.n_points):
         F = state.amplitudes[:, None] if one_partite else _times(state.left, state.core)
         values = _stepped_trajectory(F, state.grid, CrankNicolsonStepper(H, cfg.dt), counts)

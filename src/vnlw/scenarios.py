@@ -18,7 +18,7 @@ import numpy as np
 
 from ._digits import _distinct_cells, _kind, _layout, _write_cells
 from .errors import ScenarioError
-from .schema import ONE_PARTITE, TWO_SLIT, amplitudes, resolve, two_slit_amplitudes, window_indices
+from .schema import ONE_PARTITE, TWO_SLIT, amplitudes, resolve, two_slit_amplitudes, two_slit_steps, window_indices
 from .lattice import (
     Grid1D,
     HamiltonianMatrix,
@@ -32,6 +32,7 @@ from .dynamics import (
     BipartiteWave,
     PropagatorConfig,
     WaveFunction,
+    _times,
     gaussian_packet,
     propagate_amplitudes,
     propagate_schrodinger,
@@ -166,7 +167,7 @@ def build_state(c, grid: Grid1D, H: HamiltonianMatrix, eigs: EigenSystem | None 
         a = a / np.abs(a).max()  # so that |a|^2 cannot overflow: the schema admits any finite amplitudes
         a = a / np.linalg.norm(a)
         states = (eigs or eigensystem(H, len(a))).states
-        psi = WaveFunction(states[:, :len(a)] @ a, grid)
+        psi = WaveFunction(_times(states[:, :len(a)], a), grid)
     return psi if st.type in ONE_PARTITE else from_product(psi, psi)
 
 
@@ -246,7 +247,7 @@ def _run_collapse(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
 
 def _run_two_slit(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
     sc = c.scenario
-    cfg = PropagatorConfig(c.dynamics.dt, int(round(sc.evolve_time / c.dynamics.dt)), c.dynamics.method)
+    cfg = PropagatorConfig(c.dynamics.dt, two_slit_steps(sc.evolve_time, c.dynamics.dt), c.dynamics.method)
     window = window_indices(vars(c.grid), sc.window)
     modes = propagate_amplitudes(make_slit_modes(grid, sc.separation, sc.sigma), H, cfg)
     evolved = two_slit_state(grid, modes, sc.coefficients)

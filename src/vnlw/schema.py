@@ -34,8 +34,8 @@ COMMANDS = {"run": None, "spectrum": "spectrum", "gaps": "gap-spectroscopy", "ev
 # value, before anything is allocated: a run killed for lack of memory, or
 # one that never ends, cannot remove its staging directory.
 MAX_ARRAY_BYTES = 2**28  # the largest array of a run, as `_charge` counts it
-MAX_STEPS = 10**7  # time steps: dynamics.steps, or evolve_time / dt for two-slit
-MAX_ROWS = 10**6  # rows of an evolve trajectory or of a two-slit sweep
+MAX_STEPS = 10**7  # time steps: dynamics.steps, or two_slit_steps for two-slit
+MAX_ROWS = 10**6  # rows of an evolve trajectory (sampled_steps, and one more) or of a two-slit sweep
 
 
 def _finite(v) -> bool:
@@ -263,12 +263,13 @@ def _check_resolved(run, c) -> None:
         raise ConfigError(f"spectra.k: at most grid.n_points={n} eigenstates, got {k}")
     if kind in ONE_PARTITE and run in ("collapse", "schmidt", "entropy"):
         raise ConfigError(f"state.type: {kind} is one-partite; {run} needs a bipartite state")
-    steps = c["scenario"]["evolve_time"] / dyn["dt"] if run == "two-slit" else dyn["steps"]
+    steps = two_slit_steps(c["scenario"]["evolve_time"], dyn["dt"]) if run == "two-slit" else dyn["steps"]
     if steps > MAX_STEPS:
         key = "scenario.evolve_time" if run == "two-slit" else "dynamics.steps"
         raise ConfigError(f"{key}: {steps:.3g} time steps, over MAX_STEPS={MAX_STEPS}")
-    rows = dyn["steps"] // dyn["stride"] + 1
-    if run == "evolve" and rows > MAX_ROWS:
+    # len() of a range past sys.maxsize raises, so only an evolve run, whose steps are at most MAX_STEPS here
+    rows = len(sampled_steps(steps, dyn["stride"])) + 1 if run == "evolve" else 0
+    if rows > MAX_ROWS:
         raise ConfigError(f"dynamics.stride: {rows} trajectory rows, over MAX_ROWS={MAX_ROWS}")
     sweep = c["scenario"]["sweep_points"]
     if run == "two-slit" and sweep > MAX_ROWS:
@@ -280,6 +281,17 @@ def _check_resolved(run, c) -> None:
         lo, hi = window_indices(grid, c["scenario"]["window"])
         if hi - lo < 3:
             raise ConfigError(f"scenario.window: holds {hi - lo} grid points, at least 3 required")
+
+
+def two_slit_steps(evolve_time: float, dt: float):
+    """The time steps a two-slit run takes, round(evolve_time / dt); inf where the quotient overflows."""
+    steps = evolve_time / dt
+    return round(steps) if steps < math.inf else steps
+
+
+def sampled_steps(steps: int, stride: int) -> range:
+    """The step counts 0, stride, 2 stride, ... below steps; an evolve trajectory has a row at each, and at steps."""
+    return range(0, steps, stride)
 
 
 def stepped(method: str, columns: int, n: int) -> bool:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import dpteqr, dstebz, dstein, dstevd
+from ._lapack import dpteqr, dstebz, dstein, dstevd, zgttrf, zgttrs
 from .errors import EigensolverError
 from .lattice import Grid1D, HamiltonianMatrix
 
@@ -92,8 +92,10 @@ def _tridiagonal_eigh(H: HamiltonianMatrix, k: int, eigvals_only: bool):
     whose error eps * |H| can leave the low levels of a potential that spans
     many orders of magnitude with a state that is no eigenvector; inverse
     iteration re-solves the columns whose residual against their energy
-    exceeds `_RESIDUAL_BOUND`.  A state still off its energy after that, as
-    behind a potential near the float limit, raises EigensolverError.
+    exceeds `_RESIDUAL_BOUND`.  A state that stein leaves off its energy takes
+    one more step of inverse iteration (`_refine`).  A state still off its
+    energy after that, as behind a potential near the float limit, raises
+    EigensolverError.
     """
     n = H.grid.n_points
     if not 1 <= k <= n:
@@ -112,6 +114,9 @@ def _tridiagonal_eigh(H: HamiltonianMatrix, k: int, eigvals_only: bool):
         if len(stale):
             vecs[:, stale] = _inverse_iteration(d, e, w[stale])
             stale = stale[_stale_columns(H, w[stale], vecs[:, stale])]
+    if len(stale):
+        _refine(d, e, w, vecs, stale)
+        stale = stale[_stale_columns(H, w[stale], vecs[:, stale])]
     if len(stale):
         raise EigensolverError(f"{len(stale)} of the {k} eigenstates of H are off their energies")
     return w, vecs
@@ -136,16 +141,55 @@ def _stale_columns(H: HamiltonianMatrix, w: np.ndarray, vecs: np.ndarray) -> np.
 def _inverse_iteration(d: np.ndarray, e: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Unit eigenvectors of the tridiagonal (d, e) for the ascending values w (stein)."""
     n = len(d)
-    # stein returns NaN for |H| from about 1e150 up, and for a subnormal H: an
-    # exact power-of-two scale brings an H outside 2^-256..2^256 to norm about 1
-    _, p = np.frexp(max(np.abs(d).max(), np.abs(e).max(initial=0.0)))
-    shift = -p if abs(p) > 256 else 0  # applied by ldexp: 2.0**-p itself overflows for a subnormal H
+    shift = _scale(d, e)
     # one block: stebz's splits, where |e_i| is below eps sqrt|d_i d_i+1|, leave
     # larger residuals than inverse iteration on the whole matrix
     vecs, info = dstein(np.ldexp(d, shift), np.ldexp(e, shift), np.ldexp(w, shift), np.ones(n, dtype=np.intc),
                         np.full(n, n, dtype=np.intc))
     _check(info, "dstein")
     return vecs
+
+
+def _scale(d: np.ndarray, e: np.ndarray) -> int:
+    """The power of two, applied by ldexp, that brings an H outside 2^-256..2^256 to norm about 1, else 0.
+
+    stein returns NaN for |H| from about 1e150 up, and for a subnormal H; 2.0**-p
+    itself overflows for a subnormal H, so the scale is applied by ldexp.
+    """
+    _, p = np.frexp(max(np.abs(d).max(), np.abs(e).max(initial=0.0)))
+    return -p if abs(p) > 256 else 0
+
+
+def _refine(d: np.ndarray, e: np.ndarray, w: np.ndarray, vecs: np.ndarray, stale: np.ndarray) -> None:
+    """One step of inverse iteration on each stale column of vecs, in place, from the pivoted LU of H - E I.
+
+    stein replaces every pivot below eps max|H| by that bound, which leaves a
+    state's residual about as large: behind a spike of 1e11, a level at E = 3.9
+    kept 3e-6.  Here only a zero pivot, which an E exact to round-off can
+    leave, is replaced, by eps (|E| + max|e|).  The LU is LAPACK's gttrf of
+    the Crank-Nicolson stepper, on complex copies.  A refined column is made
+    orthogonal to the columns of its cluster, those within 1e-3 (|E| + max|e|)
+    of its E, as stein orthogonalizes a cluster; stein's clusters span
+    1e-3 max|H|, and its other states, off their energies by up to the stale
+    bound, would carry that error into the refined one.
+    """
+    local = np.abs(e).max(initial=0.0)
+    shift = _scale(d, e)
+    scaled_d, scaled_e = np.ldexp(d, shift), np.ldexp(e, shift).astype(complex)
+    done = np.ones(vecs.shape[1], dtype=bool)
+    done[stale] = False
+    for j in stale:
+        E = np.ldexp(w[j], shift)
+        *lu, _ = zgttrf(scaled_e, (scaled_d - E).astype(complex), scaled_e)
+        lu[1][lu[1] == 0] = np.finfo(float).eps * np.ldexp(abs(w[j]) + local, shift)
+        cluster = vecs[:, done & (np.abs(w - w[j]) <= 1e-3 * (abs(w[j]) + local))]
+        with np.errstate(over="ignore", invalid="ignore"):  # a column that is not finite stays stale
+            x = zgttrs(*lu, vecs[:, j].astype(complex))[0].real
+            x /= np.linalg.norm(x)
+            x -= cluster @ (cluster.T @ x)
+            x /= np.linalg.norm(x)
+        vecs[:, j] = x
+        done[j] = True
 
 
 def _check(info: int, routine: str) -> None:

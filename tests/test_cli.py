@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -979,6 +980,72 @@ class TestProcessExit:
                        stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
         assert (out.returncode, out.stderr) == (code, err)
         assert (tmp_path / "out" / "product-equivalence" / "summary.json").is_file() == (subcommand == "run")
+
+    @staticmethod
+    def staged_run(tmp_path, **popen):
+        """A long admitted evolve (hours of steps) into an output root that does not exist yet, once it has staged."""
+        cfg = {"schema_version": 1, "grid": {"n_points": 4001}, "dynamics": {"steps": 10**7}}
+        root = tmp_path / "out" / "deep"
+        src = str(Path(vnlw.__file__).resolve().parents[1])
+        proc = subprocess.Popen([sys.executable, "-m", "vnlw.cli", "evolve", "--config", write_config(tmp_path, cfg),
+                                 "--output", str(root)], env={**os.environ, "PYTHONPATH": src},
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **popen)
+        deadline = time.monotonic() + 60
+        while not list(root.glob(".vnlw-*")):  # the run has begun
+            if proc.poll() is not None or time.monotonic() > deadline:
+                proc.kill()
+                raise AssertionError(proc.communicate())
+            time.sleep(0.01)
+        return proc
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"])
+    def test_stopped_run_leaves_nothing(self, tmp_path, signum):
+        """A run stopped by SIGTERM or SIGHUP (a closed terminal) exits 128 + the signal number, and
+        removes its staging directory and the output root and parent that it made, as Ctrl-C does."""
+        proc = self.staged_run(tmp_path)
+        try:
+            proc.send_signal(signum)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (proc.returncode, out, err) == (128 + signum, "", "")
+        assert not (tmp_path / "out").exists()
+
+    def test_ignored_hangup_stays_ignored(self, tmp_path):
+        """Under nohup, which starts the process with SIGHUP ignored, a closed terminal does not stop the run;
+        SIGTERM still does."""
+        proc = self.staged_run(tmp_path, preexec_fn=lambda: signal.signal(signal.SIGHUP, signal.SIG_IGN))
+        try:
+            proc.send_signal(signal.SIGHUP)
+            time.sleep(1.0)
+            assert proc.poll() is None and list((tmp_path / "out" / "deep").glob(".vnlw-*"))
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (proc.returncode, out, err) == (128 + signal.SIGTERM, "", "")
+        assert not (tmp_path / "out").exists()
+
+    def test_second_signal_is_ignored(self):
+        """Once a stop has begun, SIGTERM and SIGHUP are ignored, so a TERM after a hangup cannot break into
+        execute's cleanup."""
+        before = [signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGHUP)]
+        try:
+            with pytest.raises(cli._Stopped) as stopped:
+                cli._stop(signal.SIGHUP, None)
+            assert stopped.value.args == (signal.SIGHUP,)
+            assert [signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGHUP)] == [signal.SIG_IGN] * 2
+        finally:
+            for signum, handler in zip((signal.SIGTERM, signal.SIGHUP), before):
+                signal.signal(signum, handler)
+
+    def test_main_installs_no_handler(self, tmp_path):
+        """Only console_main, the whole process, takes SIGTERM and SIGHUP; a caller in process keeps its own."""
+        before = [signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGHUP)]
+        assert main(["validate-config", "--config", write_config(tmp_path, BASE)]) == 0
+        assert [signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGHUP)] == before
 
     def test_profiler_keeps_its_table(self, tmp_path):
         """Under cProfile the process tears down normally, so the profile is still printed."""

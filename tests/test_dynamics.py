@@ -159,6 +159,17 @@ class TestRealTimes:
         assert np.array_equal(dynamics._times(S.T, X), (S.T @ X.view(np.float64)).view(complex))
 
 
+    @pytest.mark.parametrize("left, right", [((7,), (7, 3)), ((7,), (7,)), ((5, 7), (7,)), ((5, 7), (7, 3))])
+    def test_either_kind_either_shape(self, left, right):
+        """A real operand times a complex one, either way round and either a vector, is P @ Q to round-off."""
+        rng = np.random.default_rng(13)
+        for P, Q in [(rng.standard_normal(left), rng.standard_normal(right) + 1j * rng.standard_normal(right)),
+                     (rng.standard_normal(left) + 1j * rng.standard_normal(left), rng.standard_normal(right))]:
+            out = dynamics._times(P, Q)
+            assert out.shape == (P @ Q).shape
+            assert np.max(np.abs(out - P @ Q)) <= 1e-14 * np.max(np.abs(P)) * np.max(np.abs(Q))
+
+
 class TestCrankNicolsonStepper:
     # Barriers up to 1e20 make H stiff: its Cayley factor is about -1 on the barrier. The dense
     # oracle keeps its accuracy there; in 400 draws it differed from apply() by at most 9e-15 max|v|.

@@ -133,6 +133,21 @@ class TestWideRangePotentials:
         assert np.max(np.abs(eigs.states.T @ eigs.states * g.dx - np.eye(k))) < 1e-12
 
 
+    def test_state_behind_a_spike_is_refined(self):
+        """A drawn potential of `TestShiftedDqds`: stein perturbs the pivots of H - E I to eps max|H| = 2e-5,
+        which left level 14, at E = 3.9 behind the spike of 1e11, a residual of 3e-6, and the solve refused it.
+        One step of inverse iteration on the unperturbed LU gives a state to round-off.  At k = 26 a state that
+        stein leaves 7e-9 |E| off its energy, inside the stale bound, is not in the refined state's cluster."""
+        g = build_grid(-10, 10, 82)
+        values = np.ones(82)
+        values[[71, 77]] = 1e11, 10**1.5
+        H = build_hamiltonian(g, sample_potential(g, "tabulated", values=values))
+        eigs = eigensystem(H, 15)
+        residual = H.apply(eigs.states) - eigs.states * eigs.energies
+        assert np.all(np.sqrt(np.sum(residual**2, axis=0) * g.dx) <= 1e-12 * np.maximum(1.0, np.abs(eigs.energies)))
+        assert np.max(np.abs(eigs.states.T @ eigs.states * g.dx - np.eye(15))) < 1e-12
+        assert np.max(np.abs(eigensystem(H, 26).states[:, 14] - eigs.states[:, 14])) <= 1e-12
+
     @pytest.mark.parametrize("k", [3, 15, 16])
     def test_states_off_their_energies_raise(self, k):
         """A spike of 1e300 scales H near underflow for inverse iteration, and stevd's states
