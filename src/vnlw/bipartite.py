@@ -88,13 +88,14 @@ def distance(X: BipartiteWave, Y: BipartiteWave) -> float:
     X - Y is [A_X A_Y] diag(C_X, -C_Y) [B_X B_Y]^H, and the QR of each
     dx-weighted stack keeps the accuracy of a small difference, which the
     Gram expansion |X|^2 + |Y|^2 - 2 Re<X, Y> would lose to sqrt(eps) noise.
-    Only R is formed (one QR if both states share their factors).  O(N r^2).
+    Only R is formed (one QR if both states share their factors), with a dense
+    kernel's factor s stacked as the N x N matrix s I.  O(N r^2).
     """
     _check_grids(X, Y)
-    sqrt_dx = np.sqrt(X.grid.dx)
+    n, sqrt_dx = X.grid.n_points, np.sqrt(X.grid.dx)
 
     def r_factor(F, G):
-        stacked = np.hstack([F, G])
+        stacked = np.hstack([np.eye(n) * M if np.ndim(M) == 0 else M for M in (F, G)])
         stacked *= sqrt_dx
         return np.linalg.qr(stacked, mode="r")
 

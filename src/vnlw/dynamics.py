@@ -16,18 +16,15 @@ or the Cayley factor exp(-2i steps atan(dt E / 2hbar)).
 A trajectory of x-side observables reads A C, stepped, or rho_x = Psi Psi^H
 dx^2, projected on the eigenbasis once; for a rank-N state that is level-3
 BLAS throughout: one triangle of rho_x by zherk, and the rows of a block of
-step counts in one matrix product.  The identity factor of a dense kernel
-(`BipartiteWave.from_kernel`) is read as a scale by `_times`, the product
-of a factor or an eigenbasis in the propagators, the trajectory,
-`scenarios.build_state`, `schmidt`, `apply_rho`, `expectation`,
-`position_density`, `transition_amplitudes` and `entropy_from_reduced`, so
-none multiplies it, and none casts a real factor or eigenbasis to complex.
+step counts in one matrix product.  Every product of a factor or an
+eigenbasis goes through `_times`, which reads the 0-d factor s of a dense
+kernel (`BipartiteWave.from_kernel`) as s I and casts no real operand to
+complex.
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,7 +58,8 @@ class BipartiteWave:
     columns, A^H A dx = I, so the core C (r x s) holds the amplitudes: its
     singular values are the Schmidt coefficients and |C|_F^2 is the norm.
     A product kernel has r = 1, a two-slit kernel r = 2, and a dense kernel
-    r = N.  Factors that are not orthonormal go through `from_factors`.
+    r = N, whose factor is the scalar s = 1 / sqrt(dx) standing for s I.
+    Factors that are not orthonormal go through `from_factors`.
     """
 
     left: np.ndarray
@@ -86,14 +84,16 @@ class BipartiteWave:
     def from_kernel(cls, K, grid: Grid1D) -> "BipartiteWave":
         """A dense N x N kernel K as the rank-N state A = B = I / sqrt(dx), C = K dx.
 
-        The identity factor is read-only and known to `_times`, which reads it
-        as a scale: the eigenbasis projection S^T A is S^T / sqrt(dx) and A C
-        is C / sqrt(dx), with no N^3 product.
+        Both factors are the one scalar s = 1 / sqrt(dx), which `_times` reads
+        as s I: the eigenbasis projection S^T A is S^T s and A C is C s, with
+        no N x N factor and no N^3 product.  A K that is not N x N raises
+        GridMismatchError.
         """
-        eye = np.eye(grid.n_points) / np.sqrt(grid.dx)
-        eye.flags.writeable = False
-        _IDENTITIES[id(eye)] = eye
-        return cls(eye, np.asarray(K) * grid.dx, eye, grid)
+        K, n = np.asarray(K), grid.n_points
+        if K.shape != (n, n):
+            raise GridMismatchError(f"a kernel of shape {K.shape} on a grid of {n} points")
+        scale = np.float64(1 / np.sqrt(grid.dx))
+        return cls(scale, K * grid.dx, scale, grid)
 
 
 @dataclass(frozen=True)
@@ -224,29 +224,20 @@ def _check_normalized(norm_sq: float, what: str) -> None:
         raise UnnormalizedStateError(f"{what} is not normalized: |psi|^2 = {norm_sq}")
 
 
-# The factor I / sqrt(dx) of each live `from_kernel` state, by id, so that `_times` knows it in O(1).
-_IDENTITIES = weakref.WeakValueDictionary()
-
-
 def _times(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """P @ Q, the one product of a state's factor or an eigenbasis with another array.
 
-    Its callers are the propagators and the trajectory here, `build_state`'s
-    eigen states, and in `bipartite` `schmidt`, `apply_rho`, `expectation`,
-    `position_density`, `transition_amplitudes` and `entropy_from_reduced`.
-    A `from_kernel` factor I / sqrt(dx), on either side, is read as that
-    scale, so no product with the identity is formed; it is known by object,
-    so a caller passes the factor itself, never a view of it such as its
-    transpose.  For a real P and a complex Q, Q is multiplied as its
-    interleaved real and imaginary parts: one real product, so P is never
-    copied to complex and the cost is half that of a complex product; a
-    complex P and a real Q are multiplied the same way, transposed.  Either
-    operand may be a vector.
+    A 0-d operand s, the factor of a `from_kernel` state, is read as s I, so
+    no product with the identity is formed.  For a real P and a complex Q, Q
+    is multiplied as its interleaved real and imaginary parts: one real
+    product, so P is never copied to complex and the cost is half that of a
+    complex product; a complex P and a real Q are multiplied the same way,
+    transposed.  Either operand may be a vector.
     """
-    if _IDENTITIES.get(id(P)) is P:
-        return Q * P[0, 0]
-    if _IDENTITIES.get(id(Q)) is Q:
-        return P * Q[0, 0]
+    if np.ndim(P) == 0:
+        return Q * P
+    if np.ndim(Q) == 0:
+        return P * Q
     if np.iscomplexobj(P) == np.iscomplexobj(Q):
         return P @ Q
     if np.iscomplexobj(P):  # P Q = (Q^T P^T)^T, with the real operand on the left
@@ -374,10 +365,14 @@ def propagate_schrodinger(psi: WaveFunction, H: HamiltonianMatrix, cfg: Propagat
 
 
 def propagate_amplitudes(v: np.ndarray, H: HamiltonianMatrix, cfg: PropagatorConfig) -> np.ndarray:
-    """cfg.steps steps of cfg.method applied to the vector v, or to each column of the N x r array v."""
+    """cfg.steps steps of cfg.method applied to the vector v, or to each column of the N x r array v.
+
+    A 0-d v, the factor s of a dense kernel, stands for the N columns of s I.
+    """
     if cfg.steps == 0:
         return v
-    if stepped(cfg.method, v.size // len(v), len(v)):
+    n = H.grid.n_points
+    if stepped(cfg.method, np.size(v) // n if np.ndim(v) else n, n):
         return CrankNicolsonStepper(H, cfg.dt).apply(v, cfg.steps)
     return SpectralPropagator(H, cfg.dt, cfg.method).apply(v, cfg.steps)
 
@@ -386,7 +381,7 @@ def propagate_vnl(Psi: BipartiteWave, H: HamiltonianMatrix, cfg: PropagatorConfi
     """Evolve a kernel under i hbar dPsi/dt = (H(x) - H(y)) Psi: one propagation of [A B], or of A if B is A."""
     _check_grids(Psi, H)
     _check_normalized(bipartite_norm(Psi), "bipartite wave")
-    shared, r = Psi.right is Psi.left, Psi.left.shape[1]
+    shared, r = Psi.right is Psi.left, Psi.core.shape[0]
     F = propagate_amplitudes(Psi.left if shared else np.hstack([Psi.left, Psi.right]), H, cfg)
     left, right = (F, F) if shared else (F[:, :r], F[:, r:])
     return BipartiteWave(left, Psi.core, right, Psi.grid)

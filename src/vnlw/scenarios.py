@@ -155,7 +155,9 @@ def build_state(c, grid: Grid1D, H: HamiltonianMatrix, eigs: EigenSystem | None 
     if st.type == "random":
         rng = np.random.default_rng(st.seed)
         shape = (grid.n_points, grid.n_points)
-        K = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        K = np.empty(shape, complex)  # one buffer, the same bytes as a + 1j b with no temporaries
+        K.real = rng.standard_normal(shape)
+        K.imag = rng.standard_normal(shape)
         K /= np.sqrt(np.sum(np.abs(K) ** 2) * np.float64(grid.dx) ** 2)
         return BipartiteWave.from_kernel(K, grid)
     if st.type == "two-slit":

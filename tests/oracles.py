@@ -6,6 +6,7 @@ that a test can compare the two:
 - `difference_operator_spectrum`: the gap spectrum from the dense Kronecker
   difference operator, not from single-particle energies;
 - `dense`: the dense N x N matrix of a tridiagonal H;
+- `factor`: the N x r matrix of a state's factor, s I for a dense kernel's scalar s;
 - `kernel`: the dense N x N kernel of a factored state;
 - `dense_propagator`: the N x N unitary of a run from the dense H, by
   `scipy.linalg.expm` or by powers of the dense Cayley matrix, not from the
@@ -29,9 +30,15 @@ def dense(H) -> np.ndarray:
     return np.diag(H.diagonal) + np.diag(H.off_diagonal, 1) + np.diag(H.off_diagonal, -1)
 
 
+def factor(F, n: int) -> np.ndarray:
+    """The N x r matrix of a state's factor F: the matrix s I for the scalar s of a dense kernel on n points."""
+    return np.eye(n) * F if np.ndim(F) == 0 else F
+
+
 def kernel(Psi: BipartiteWave) -> np.ndarray:
     """The dense N x N array A C B^H of a factored state."""
-    return Psi.left @ Psi.core @ Psi.right.conj().T
+    n = Psi.grid.n_points
+    return factor(Psi.left, n) @ Psi.core @ factor(Psi.right, n).conj().T
 
 
 def difference_operator_spectrum(H, max_dim: int = 4096) -> np.ndarray:

@@ -96,6 +96,13 @@ def test_grid_mismatch(harmonic, operation):
         calls[operation]()
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (8, 5), (5, 8), (8,), (8, 8, 1)])
+def test_from_kernel_refuses_a_kernel_not_n_by_n(shape):
+    """A dense state's size is tied to its grid by K alone: its factor is a scalar."""
+    with pytest.raises(GridMismatchError, match="on a grid of 8 points"):
+        BipartiteWave.from_kernel(np.ones(shape, complex), build_grid(-5, 5, 8))
+
+
 def test_distance_forms_only_r():
     """distance takes only R of the dx-weighted stacked factors, which it holds with QR's copy of them:
     at most 4.5 complex N-vectors for two rank-1 states at N = 10^5 (8 when it built the whole
@@ -280,10 +287,11 @@ class TestApplyRho:
 
 
 class TestIdentityFactor:
-    """A `from_kernel` state's identity factor is read as a scale, at N = 1024: no N x N product with it, and
-    apply_rho holds no N x N array at all.  Measured peaks over 16 N^2: apply_rho 0.003 (1.00 when it
-    multiplied the identity), expectation 2.00 for the dense state (2.50), 0.002 for a product state (1.00,
-    the real H copied to complex)."""
+    """A `from_kernel` state's factor is one scalar s, read as s I, at N = 1024: from_kernel holds no N x N array
+    but the core, no N x N product with the factor is formed, and apply_rho holds no N x N array at all.
+    Measured peaks over 16 N^2: from_kernel 1.00 (1.50 with the N x N identity factor), apply_rho 0.003 (1.00
+    when it multiplied the identity), expectation 2.00 for the dense state (2.50), 0.002 for a product state
+    (1.00, the real H copied to complex)."""
 
     N = 1024
 
@@ -301,6 +309,13 @@ class TestIdentityFactor:
             return out, tracemalloc.get_traced_memory()[1] / (16 * self.N**2)
         finally:
             tracemalloc.stop()
+
+    def test_from_kernel(self, problem):
+        g, H, Psi = problem
+        K = Psi.core / g.dx
+        state, peak = self.peak(lambda: BipartiteWave.from_kernel(K, g))
+        assert peak <= 1.05, peak  # the core K dx
+        assert np.ndim(state.left) == 0 and state.left is state.right
 
     def test_apply_rho(self, problem):
         g, H, Psi = problem

@@ -36,7 +36,7 @@ from vnlw.dynamics import (
 )
 from vnlw.lattice import build_grid, build_hamiltonian, sample_potential
 from vnlw.spectra import eigensystem
-from oracles import dense_propagator, kernel
+from oracles import dense_propagator, factor, kernel
 
 TOL = 1e-12
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -73,7 +73,7 @@ class TestDenseOracle:
     @given(**cases)
     def test_factors_orthonormal_and_kernel(self, n_points, rank, shared, seed):
         g, H, Psi = _problem(n_points, rank, shared, seed)
-        for F in (Psi.left, Psi.right):
+        for F in (factor(Psi.left, n_points), factor(Psi.right, n_points)):
             gram = F.conj().T @ F * g.dx
             assert np.max(np.abs(gram - np.eye(F.shape[1]))) <= TOL
         assert (Psi.right is Psi.left) == (shared or rank is None)
@@ -160,7 +160,7 @@ class TestDenseOracle:
         out = propagate_vnl(Psi, H, cfg)
         assert np.max(np.abs(kernel(out) - U @ kernel(Psi) @ U.conj().T)) <= TOL
         assert (out.right is out.left) == (Psi.right is Psi.left)
-        for F in (out.left, out.right):
+        for F in (factor(out.left, n_points), factor(out.right, n_points)):
             assert np.max(np.abs(F.conj().T @ F * g.dx - np.eye(F.shape[1]))) <= TOL
 
     @PROPERTY
@@ -170,9 +170,9 @@ class TestDenseOracle:
         _, _, other = _problem(n_points, rank, shared, seed + 1)
         # Y = Psi + scale * other
         Y = BipartiteWave.from_factors(
-            np.hstack([Psi.left, other.left]),
+            np.hstack([factor(Psi.left, n_points), factor(other.left, n_points)]),
             scipy.linalg.block_diag(Psi.core, scale * other.core),
-            np.hstack([Psi.right, other.right]),
+            np.hstack([factor(Psi.right, n_points), factor(other.right, n_points)]),
             g,
         )
         dense = float(np.sqrt(np.sum(np.abs(kernel(Psi) - kernel(Y)) ** 2) * g.dx**2))

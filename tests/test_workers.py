@@ -178,3 +178,13 @@ def test_no_module_makes_a_strided_view():
     error: no module of the package makes one."""
     modules = {path.name: called(path, VIEWS) for path in sorted(Path(vnlw.__file__).parent.glob("*.py"))}
     assert {name: names for name, names in modules.items() if names} == {}
+
+
+IDENTITY_KEYS = {"id", "WeakValueDictionary", "WeakKeyDictionary", "WeakSet"}
+
+
+def test_no_module_keys_objects_by_identity():
+    """An array known by its id or held in a weak container is lost in any view or copy of it: no module of the
+    package calls id or makes a weak container."""
+    modules = {path.name: called(path, IDENTITY_KEYS) for path in sorted(Path(vnlw.__file__).parent.glob("*.py"))}
+    assert {name: names for name, names in modules.items() if names} == {}
