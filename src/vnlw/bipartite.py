@@ -128,9 +128,12 @@ def schmidt_coefficients(s: np.ndarray, tol: float = 1e-12) -> tuple:
 def entanglement_entropy(Psi: BipartiteWave) -> float:
     """Von Neumann entropy S = -sum mu_n^2 ln mu_n^2, with 0 ln 0 = 0."""
     _check_normalized(bipartite_norm(Psi), "bipartite state")
-    mu2 = np.linalg.svd(Psi.core, compute_uv=False) ** 2
-    mu2 = mu2[mu2 > 0.0]
-    return float(-np.sum(mu2 * np.log(mu2)) + 0.0)  # + 0.0: a pure state's -0.0 reads 0.0
+    return float(_entropy(np.linalg.svd(Psi.core, compute_uv=False) ** 2))
+
+
+def _entropy(w: np.ndarray) -> np.ndarray:
+    """-sum w ln w over the last axis of the weights w, with 0 ln 0 = 0; + 0.0 reads a pure state's -0.0 as 0.0."""
+    return -np.sum(w * np.log(np.where(w > 0.0, w, 1.0)), axis=-1) + 0.0
 
 
 def entropy_from_reduced(Psi: BipartiteWave) -> float:
@@ -146,8 +149,7 @@ def entropy_from_reduced(Psi: BipartiteWave) -> float:
     _check_normalized(bipartite_norm(Psi), "bipartite state")
     F = _times(Psi.left, Psi.core)
     w = np.linalg.eigvalsh(_lapack.zherk(Psi.grid.dx, F.T, trans=0, lower=1), UPLO="L")
-    w = w[w > 1e-300]
-    return float(-np.sum(w * np.log(w)) + 0.0)  # + 0.0: a pure state's -0.0 reads 0.0
+    return float(_entropy(w[w > 1e-300]))
 
 
 def apply_rho(Psi: BipartiteWave, phi: WaveFunction) -> WaveFunction:

@@ -13,16 +13,22 @@ that a test can compare the two:
   tridiagonal eigensolve of `SpectralPropagator`;
 - `eigenbasis_bipartite_evolution`: the closed-form state at time t from
   coefficients over an eigenbasis;
+- `sweep`: the complementarity sweep from each point's dense kernel, not
+  from the shared Schmidt basis of the family;
 - `sturm_count`: how many eigenvalues of a tridiagonal H lie below each shift,
   from the LDL^T inertia of H - E I, in numpy only.
 
 pytest does not collect this module (its name does not start with test_).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import scipy.linalg
 
 from vnlw.dynamics import BipartiteWave
+from vnlw.scenarios import fringe_visibility
+from vnlw.schema import two_slit_amplitudes
 
 
 def dense(H) -> np.ndarray:
@@ -80,6 +86,28 @@ def eigenbasis_bipartite_evolution(C, eigs, t: float, hbar: float = 1.0) -> Bipa
     phases = np.exp(-1j * eigs.energies * t / hbar)
     S = eigs.states
     return BipartiteWave(S, phases[:, None] * C * phases.conj()[None, :], S, eigs.grid)
+
+
+def sweep(evolved: BipartiteWave, window, n_points: int) -> tuple:
+    """(theta, entropy, visibility) along cos(theta) Psi_W + sin(theta) Psi_P, point by point on the dense kernel.
+
+    Each point is the evolved state with the core a / |a|, a = cos(theta) a_W
+    + sin(theta) a_P, written out as its N x N kernel K: the entropy is that
+    of the squared singular values of K dx, and the visibility that of the
+    density sum_j |K_ij|^2 dx.
+    """
+    thetas = np.linspace(0.0, 0.5 * np.pi, n_points)
+    a_W, a_P = (np.array(two_slit_amplitudes(v), dtype=complex).reshape(2, 2) for v in ("wave", "particle"))
+    dx = evolved.grid.dx
+    entropies, visibilities = [], []
+    for theta in thetas:
+        a = np.cos(theta) * a_W + np.sin(theta) * a_P
+        K = kernel(replace(evolved, core=a / np.linalg.norm(a)))
+        mu2 = np.linalg.svd(K * dx, compute_uv=False) ** 2
+        mu2 = mu2[mu2 > 0.0]
+        entropies.append(float(-np.sum(mu2 * np.log(mu2))))
+        visibilities.append(fringe_visibility(np.sum(np.abs(K) ** 2, axis=1) * dx, window))
+    return thetas, np.array(entropies, dtype=float), np.array(visibilities, dtype=float)
 
 
 def sturm_count(H, shifts) -> np.ndarray:

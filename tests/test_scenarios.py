@@ -8,24 +8,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vnlw.bipartite import entanglement_entropy, position_density
-from vnlw.dynamics import BipartiteWave
+from vnlw.dynamics import METHODS, BipartiteWave, PropagatorConfig, propagate_amplitudes
 from vnlw.errors import ScenarioError
-from vnlw.lattice import build_grid
+from vnlw.lattice import build_grid, build_hamiltonian, sample_potential
+from vnlw.schema import resolve, two_slit_steps, window_indices
 from vnlw import _workers, scenarios
 from vnlw._digits import _BLOCK
 from vnlw.cli import main
 from vnlw.scenarios import (
     RUNNERS,
     ScenarioReport,
+    complementarity_sweep,
     fringe_visibility,
     make_slit_modes,
     run_scenario,
     two_slit_state,
     write_report,
 )
+import oracles
 from oracles import kernel
 
 
@@ -109,6 +112,119 @@ class TestFringeVisibility:
     def test_empty_window(self):
         with pytest.raises(ScenarioError):
             fringe_visibility(np.ones(50), (10, 12))
+
+    @pytest.mark.parametrize("bad", ["all-nan", "one-nan", "inf"])
+    def test_refuses_a_density_that_is_not_finite(self, bad):
+        x = np.linspace(-5, 5, 400)
+        d = (1 + np.cos(6 * x)) * np.exp(-(x**2) / 40)
+        if bad == "all-nan":
+            d = np.full(50, np.nan)
+        else:
+            d[200] = np.nan if bad == "one-nan" else np.inf
+        with pytest.raises(ScenarioError, match="non-finite"):
+            fringe_visibility(d, (0, len(d)))
+
+
+# The two-slit geometry of the two-slit workload, at the property's largest grid.
+WORKLOAD = dict(n=96, separation=4.0, sigma=0.35, dt=1e-3, steps=2000, window=(-8.0, 16.0))
+
+
+class TestTwoSlitOracle:
+    """The two-slit run and its sweep against dense kernels from tests/oracles.py.
+
+    The closed-form sweep takes the evolved slit modes as dx-orthonormal,
+    and so does the run's entropy; the dense routes take the modes as they
+    are.  Both propagators keep the modes orthonormal to round-off that
+    grows with the step count, so the tolerance is TOL_PER_STEP * (steps + N).
+
+    The slit modes are mirror images, so every density of the wave/particle
+    family is even in x, and on an even grid its two middle points tie.  A
+    window that ends between them holds half of that tie as its first or last
+    two points, and round-off alone decides whether the point beside the edge
+    is a strict extremum: there the visibility is discontinuous, and it is
+    only checked to lie in [0, 1].  The run's visibility is checked the same
+    way where the window holds a density below tol^2 of the peak: the
+    library's propagators leave round-off of order tol on the amplitudes,
+    whose wiggles there count as fringes, while the dense propagator leaves
+    the tails monotone.
+    """
+
+    TOL_PER_STEP = 1e-14
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(32, 96), method=st.sampled_from(METHODS), separation=st.floats(3.0, 6.0),
+           sigma=st.floats(0.3, 1.0), dt=st.floats(1e-3, 0.05), steps=st.integers(0, 100),
+           window=st.tuples(st.floats(-20.0, 14.0), st.floats(6.0, 40.0)),  # (start, width), clipped to the grid
+           n_points=st.integers(0, 16))
+    @example(method=METHODS[0], n_points=0, **WORKLOAD)
+    @example(method=METHODS[1], n_points=1, **WORKLOAD)
+    @example(method=METHODS[0], n_points=2, **WORKLOAD)
+    @example(method=METHODS[0], n_points=11, **WORKLOAD)
+    @example(method=METHODS[1], n_points=11, **WORKLOAD)
+    def test_sweep_matches_dense_oracle(self, n, method, separation, sigma, dt, steps, window, n_points):
+        """The closed-form sweep against each point's dense kernel (`oracles.sweep`), on the evolved modes."""
+        grid = {"x_min": -20.0, "x_max": 20.0, "n_points": n, "box": False}
+        g = build_grid(grid["x_min"], grid["x_max"], n)
+        H = build_hamiltonian(g, sample_potential(g, "infinite-box"))
+        modes = propagate_amplitudes(make_slit_modes(g, separation, sigma), H, PropagatorConfig(dt, steps, method))
+        evolved = two_slit_state(g, modes, "wave")
+        lo, hi = window_indices(grid, (window[0], min(20.0, window[0] + window[1])))
+        thetas, entropies, visibilities = complementarity_sweep(evolved, (lo, hi), n_points)
+        expected = oracles.sweep(evolved, (lo, hi), n_points)
+        tol = self.TOL_PER_STEP * (steps + n)
+        assert np.array_equal(thetas, expected[0])
+        assert entropies.dtype == visibilities.dtype == np.float64
+        assert np.max(np.abs(entropies - expected[1]), initial=0.0) <= tol
+        if n % 2 == 0 and n // 2 in (lo + 1, hi - 1):  # the window splits the middle tie
+            assert np.all((visibilities >= 0.0) & (visibilities <= 1.0))
+        else:
+            assert np.max(np.abs(visibilities - expected[2]), initial=0.0) <= tol
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(16, 64), method=st.sampled_from(METHODS),
+           potential=st.sampled_from(["infinite-box", "harmonic"]),
+           coefficients=st.sampled_from(["wave", "particle", [0.6, 0.0, 0.0, 0.8], [[0.5, 0.5], 0.5, 0.0, [0, -0.5]]]),
+           separation=st.floats(3.0, 6.0), sigma=st.floats(0.3, 1.0), dt=st.floats(1e-3, 0.05),
+           steps=st.integers(0, 100), sweep_points=st.integers(0, 5))
+    @example(n=64, method=METHODS[0], potential="infinite-box", coefficients="wave", separation=4.0, sigma=0.35,
+             dt=1e-3, steps=2000, sweep_points=11)
+    def test_run_matches_dense_propagation(self, n, method, potential, coefficients, separation, sigma, dt, steps,
+                                           sweep_points):
+        """density, entropy, visibility and sweep of a two-slit run against the slit modes evolved by the dense
+        propagator (`oracles.dense_propagator`), written out as the N x N kernel K."""
+        config = {
+            "schema_version": 1,
+            "grid": {"x_min": -20.0, "x_max": 20.0, "n_points": n},
+            "potential": {"kind": potential},
+            "dynamics": {"dt": dt, "method": method},
+            "scenario": {"name": "two-slit", "coefficients": coefficients, "evolve_time": steps * dt,
+                         "separation": separation, "sigma": sigma, "window": [-12.0, 12.0],
+                         "sweep_points": sweep_points},
+        }
+        report = run_scenario(config)
+        c = resolve(config, "two-slit")
+        g = scenarios.grid_from_config(c)
+        H = scenarios.hamiltonian_from_config(c, g)
+        taken = two_slit_steps(steps * dt, dt)
+        U = oracles.dense_propagator(H, dt, taken, method)
+        evolved = two_slit_state(g, U @ make_slit_modes(g, separation, sigma), coefficients)
+        K = kernel(evolved)
+        density = np.sum(np.abs(K) ** 2, axis=1) * g.dx
+        mu2 = np.linalg.svd(K * g.dx, compute_uv=False) ** 2
+        mu2 = mu2[mu2 > 0.0]
+        window = window_indices(vars(c.grid), c.scenario.window)
+        tol = self.TOL_PER_STEP * (taken + n)
+        assert np.max(np.abs(report.tables["density"]["density"] - density)) <= tol
+        assert abs(report.summary["entropy"] - float(-np.sum(mu2 * np.log(mu2)))) <= tol
+        resolved = density[slice(*window)].min() > tol**2 * density.max()  # no round-off wiggles in the window
+        if resolved:
+            assert abs(report.summary["visibility"] - fringe_visibility(density, window)) <= tol
+        if sweep_points:
+            _, entropies, visibilities = oracles.sweep(evolved, window, sweep_points)
+            assert np.max(np.abs(report.tables["sweep"]["entropy"] - entropies)) <= tol
+            if resolved:
+                assert np.max(np.abs(report.tables["sweep"]["visibility"] - visibilities)) <= tol
+        assert 0.0 <= report.summary["visibility"] <= 1.0
 
 
 class TestRunScenario:
