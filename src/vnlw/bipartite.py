@@ -10,9 +10,9 @@ Conventions: the kernel operator associated with Psi acts as
 is Psi*dx; singular values of Psi*dx are the continuum Schmidt coefficients
 mu_n, and mu_n^2 are the eigenvalues of either reduced density matrix.
 
-Every state is held as Psi = A C B^H with dx-orthonormal A (N x r) and B,
-so each analysis works on the r x r core C and costs O(N r^2) or O(N k r),
-never an N x N decomposition unless r = N.
+Every state is held as Psi = A C A^H, with one dx-orthonormal factor A
+(N x r) for both arguments, so each analysis works on the r x r core C and
+costs O(N r^2) or O(N k r), never an N x N decomposition unless r = N.
 """
 
 from __future__ import annotations
@@ -72,38 +72,34 @@ class CollapseStatistics:
 
 
 def from_product(psi: WaveFunction, phi: WaveFunction) -> BipartiteWave:
-    """Product kernel Psi_ij = psi_i phi_j^*, the rank-1 state with core |psi| |phi|."""
+    """Product kernel Psi_ij = psi_i phi_j^*: for equal amplitudes the rank-1 state of factor psi / |psi| and core
+    |psi| |phi|, else the factor [psi phi] with the core [[0, 1], [0, 0]]."""
     _check_grids(psi, phi)
     a, b = psi.norm(), phi.norm()
     _check_normalized(a**2, "factor psi")
     _check_normalized(b**2, "factor phi")
-    left = (psi.amplitudes / a)[:, None]
-    right = left if phi is psi else (phi.amplitudes / b)[:, None]
-    return BipartiteWave(left, np.array([[a * b]], dtype=complex), right, psi.grid)
+    if np.array_equal(psi.amplitudes, phi.amplitudes):
+        return BipartiteWave((psi.amplitudes / a)[:, None], np.array([[a * b]], dtype=complex), psi.grid)
+    return BipartiteWave.from_factors(np.column_stack([psi.amplitudes, phi.amplitudes]), [[0, 1], [0, 0]], psi.grid)
 
 
 def distance(X: BipartiteWave, Y: BipartiteWave) -> float:
-    """|X - Y| = |R_A diag(C_X, -C_Y) R_B^H|_F, with R the triangular factors of the stacked factors.
+    """|X - Y| = |R diag(C_X, -C_Y) R^H|_F, with R the triangular factor of the stacked factors [A_X A_Y].
 
-    X - Y is [A_X A_Y] diag(C_X, -C_Y) [B_X B_Y]^H, and the QR of each
+    X - Y is [A_X A_Y] diag(C_X, -C_Y) [A_X A_Y]^H, and the QR of the
     dx-weighted stack keeps the accuracy of a small difference, which the
     Gram expansion |X|^2 + |Y|^2 - 2 Re<X, Y> would lose to sqrt(eps) noise.
-    Only R is formed (one QR if both states share their factors), with a dense
-    kernel's factor s stacked as the N x N matrix s I.  O(N r^2).
+    Only R is formed, with a dense kernel's factor s stacked as the N x N
+    matrix s I.  O(N r^2).
     """
     _check_grids(X, Y)
-    n, sqrt_dx = X.grid.n_points, np.sqrt(X.grid.dx)
-
-    def r_factor(F, G):
-        stacked = np.hstack([np.eye(n) * M if np.ndim(M) == 0 else M for M in (F, G)])
-        stacked *= sqrt_dx
-        return np.linalg.qr(stacked, mode="r")
-
-    RA = r_factor(X.left, Y.left)
-    RB = RA if X.right is X.left and Y.right is Y.left else r_factor(X.right, Y.right)
-    (r, s), (p, q) = X.core.shape, Y.core.shape
-    core = np.block([[X.core, np.zeros((r, q))], [np.zeros((p, s)), -Y.core]])
-    return float(np.sqrt(np.sum(np.abs(RA @ core @ RB.conj().T) ** 2)))
+    n = X.grid.n_points
+    stacked = np.hstack([np.eye(n) * A if np.ndim(A) == 0 else A for A in (X.factor, Y.factor)])
+    stacked *= np.sqrt(X.grid.dx)
+    R = np.linalg.qr(stacked, mode="r")
+    r, p = len(X.core), len(Y.core)
+    core = np.block([[X.core, np.zeros((r, p))], [np.zeros((p, r)), -Y.core]])
+    return float(np.sqrt(np.sum(np.abs(R @ core @ R.conj().T) ** 2)))
 
 
 def schmidt(Psi: BipartiteWave, tol: float = 1e-12) -> SchmidtDecomposition:
@@ -113,7 +109,7 @@ def schmidt(Psi: BipartiteWave, tol: float = 1e-12) -> SchmidtDecomposition:
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise DecompositionError(f"SVD failed: {exc}") from exc
     mu, residual = schmidt_coefficients(s, tol)
-    return SchmidtDecomposition(mu, _times(Psi.left, u[:, :len(mu)]), _times(Psi.right, vh[:len(mu)].conj().T),
+    return SchmidtDecomposition(mu, _times(Psi.factor, u[:, :len(mu)]), _times(Psi.factor, vh[:len(mu)].conj().T),
                                 residual)
 
 
@@ -126,9 +122,11 @@ def schmidt_coefficients(s: np.ndarray, tol: float = 1e-12) -> tuple:
 
 
 def entanglement_entropy(Psi: BipartiteWave) -> float:
-    """Von Neumann entropy S = -sum mu_n^2 ln mu_n^2, with 0 ln 0 = 0."""
+    """Von Neumann entropy S = -sum w_n ln w_n, with 0 ln 0 = 0, of the weights w_n = mu_n^2 / sum mu^2: sum mu^2 =
+    |C|_F^2 is 1 only to round-off, and a pure state reads 0, not -(1 + d) ln(1 + d)."""
     _check_normalized(bipartite_norm(Psi), "bipartite state")
-    return float(_entropy(np.linalg.svd(Psi.core, compute_uv=False) ** 2))
+    w = np.linalg.svd(Psi.core, compute_uv=False) ** 2
+    return float(_entropy(w / w.sum()))
 
 
 def _entropy(w: np.ndarray) -> np.ndarray:
@@ -147,16 +145,16 @@ def entropy_from_reduced(Psi: BipartiteWave) -> float:
     entanglement_entropy reads.
     """
     _check_normalized(bipartite_norm(Psi), "bipartite state")
-    F = _times(Psi.left, Psi.core)
+    F = _times(Psi.factor, Psi.core)
     w = np.linalg.eigvalsh(_lapack.zherk(Psi.grid.dx, F.T, trans=0, lower=1), UPLO="L")
     return float(_entropy(w[w > 1e-300]))
 
 
 def apply_rho(Psi: BipartiteWave, phi: WaveFunction) -> WaveFunction:
-    """Action of the kernel operator: (rho phi)_i = sum_j Psi_ij phi_j dx = A C conj(phi^H B) dx, O(N r)."""
+    """Action of the kernel operator: (rho phi)_i = sum_j Psi_ij phi_j dx = A C conj(phi^H A) dx, O(N r)."""
     _check_grids(Psi, phi)
-    projected = _times(phi.amplitudes.conj(), Psi.right).conj()
-    return WaveFunction(_times(Psi.left, Psi.core @ projected) * Psi.grid.dx, Psi.grid)
+    projected = _times(phi.amplitudes.conj(), Psi.factor).conj()
+    return WaveFunction(_times(Psi.factor, Psi.core @ projected) * Psi.grid.dx, Psi.grid)
 
 
 def projector(phi: WaveFunction) -> np.ndarray:
@@ -165,14 +163,14 @@ def projector(phi: WaveFunction) -> np.ndarray:
 
 
 def expectation(Psi: BipartiteWave, O: np.ndarray, imag_tol: float = 1e-10) -> float:
-    """Measurement functional Tr[rho_Psi O rho_Psi^dagger] = Tr[C (B^H O B) C^H] dx = Tr[F^H O F] dx, F = B C^H.
+    """Measurement functional Tr[rho_Psi O rho_Psi^dagger] = Tr[C (A^H O A) C^H] dx = Tr[F^H O F] dx, F = A C^H.
 
     O is the Euclidean matrix of a Hermitian operator on the grid (e.g. the
     dense Hamiltonian, or projector()); for product states this reduces to
     the usual <psi|O|psi>.  F and O F are `_times` products.
     """
     _check_normalized(bipartite_norm(Psi), "bipartite state")
-    F = _times(Psi.right, np.ascontiguousarray(Psi.core.conj().T))  # in the memory order of O F, so vdot copies neither
+    F = _times(Psi.factor, np.ascontiguousarray(Psi.core.conj().T))  # in O F's memory order, so vdot copies neither
     value = complex(np.vdot(F, _times(np.asarray(O), F)) * Psi.grid.dx)
     if abs(value.imag) > imag_tol * max(1.0, abs(value.real)):
         raise NonHermitianOperatorError(
@@ -191,15 +189,14 @@ def projection_probability(Psi: BipartiteWave, phi: WaveFunction) -> float:
 def position_density(Psi: BipartiteWave) -> np.ndarray:
     """Density d_i = sum_j |Psi_ij|^2 dx, the diagonal of rho rho^dagger: row norms of A C, O(N r^2)."""
     _check_normalized(bipartite_norm(Psi), "bipartite state")
-    return np.sum(np.abs(_times(Psi.left, Psi.core)) ** 2, axis=1)
+    return np.sum(np.abs(_times(Psi.factor, Psi.core)) ** 2, axis=1)
 
 
 def transition_amplitudes(Psi: BipartiteWave, eigs: EigenSystem) -> TransitionAmplitudes:
-    """Double projection c_{n,m} = <psi_n, rho_Psi psi_m> = (S^T A) C (S^T B)^H dx^2, O(N k r), for the real S of H."""
+    """Double projection c_{n,m} = <psi_n, rho_Psi psi_m> = (S^T A) C (S^T A)^H dx^2, O(N k r), for the real S of H."""
     _check_grids(Psi, eigs)
-    SA = _times(eigs.states.T, Psi.left)
-    SB = SA if Psi.right is Psi.left else _times(eigs.states.T, Psi.right)
-    C = np.float64(Psi.grid.dx) ** 2 * (_times(SA, Psi.core) @ SB.conj().T)
+    SA = _times(eigs.states.T, Psi.factor)
+    C = np.float64(Psi.grid.dx) ** 2 * (_times(SA, Psi.core) @ SA.conj().T)
     residual = float(bipartite_norm(Psi) - np.sum(np.abs(C) ** 2))
     return TransitionAmplitudes(C, eigs, residual)
 

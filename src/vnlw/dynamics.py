@@ -2,9 +2,10 @@
 
 One-partite states evolve under i hbar dpsi/dt = H psi; bipartite kernels
 Psi(x, y) under i hbar dPsi/dt = (H(x) - H(y)) Psi, realized as
-Psi <- U Psi U^dagger.  A kernel is held factored, Psi = A C B^H, and
-H(x) - H(y) is separable, so U Psi U^dagger = (U A) C (U B)^H: U acts on the
-N x r factors (a vector is r = 1) and is never formed.  By `schema.stepped`,
+Psi <- U Psi U^dagger.  A kernel is held factored, Psi = A C A^H, with one
+factor A for both arguments, and H(x) - H(y) is separable, so Psi evolves as
+(U A) C (U A)^H: the Schrodinger evolution of its N x r factor (a vector is
+r = 1), with U never formed.  By `schema.stepped`,
 the rule the work budget reads too, Crank-Nicolson steps every factor of
 fewer columns than grid points: L = (I + i a H)/2 is factored once (gttrf),
 and a step is one solve of it (gttrs) less the state, O(N r).  Each column
@@ -52,39 +53,35 @@ class WaveFunction:
 
 @dataclass(frozen=True)
 class BipartiteWave:
-    """Kernel Psi(x, y) = A C B^H on the grid square.
+    """Kernel Psi(x, y) = A C A^H on the grid square.
 
-    The factors A = left (N x r) and B = right (N x s) have dx-orthonormal
-    columns, A^H A dx = I, so the core C (r x s) holds the amplitudes: its
+    The one factor A (N x r) spans both arguments and has dx-orthonormal
+    columns, A^H A dx = I, so the core C (r x r) holds the amplitudes: its
     singular values are the Schmidt coefficients and |C|_F^2 is the norm.
-    A product kernel has r = 1, a two-slit kernel r = 2, and a dense kernel
-    r = N, whose factor is the scalar s = 1 / sqrt(dx) standing for s I.
-    Factors that are not orthonormal go through `from_factors`.
+    A product kernel psi psi^* has r = 1, a two-slit kernel r = 2, and a
+    dense kernel r = N, whose factor is the scalar s = 1 / sqrt(dx) standing
+    for s I.  Factors that are not orthonormal go through `from_factors`.
     """
 
-    left: np.ndarray
+    factor: np.ndarray
     core: np.ndarray
-    right: np.ndarray
     grid: Grid1D
 
     @classmethod
-    def from_factors(cls, A, C, B, grid: Grid1D) -> "BipartiteWave":
-        """Psi = A C B^H for any factors, O(N r^2).
+    def from_factors(cls, F, C, grid: Grid1D) -> "BipartiteWave":
+        """Psi = F C F^H for any N x r factor F, O(N r^2): one dx-weighted QR F = Q R moves R C R^H into the core.
 
-        A dx-weighted QR of A and B (one QR if B is A) moves R_A C R_B^H into the core.
+        A kernel A C B^H of two factor families is F = [A B] with the core [[0, C], [0, 0]].
         """
         sqrt_dx = np.sqrt(grid.dx)
-        QA, RA = np.linalg.qr(np.asarray(A) * sqrt_dx)
-        QB, RB = (QA, RA) if B is A else np.linalg.qr(np.asarray(B) * sqrt_dx)
-        left = QA / sqrt_dx
-        right = left if B is A else QB / sqrt_dx
-        return cls(left, RA @ np.asarray(C) @ RB.conj().T, right, grid)
+        Q, R = np.linalg.qr(np.asarray(F) * sqrt_dx)
+        return cls(Q / sqrt_dx, R @ np.asarray(C) @ R.conj().T, grid)
 
     @classmethod
     def from_kernel(cls, K, grid: Grid1D) -> "BipartiteWave":
-        """A dense N x N kernel K as the rank-N state A = B = I / sqrt(dx), C = K dx.
+        """A dense N x N kernel K as the rank-N state A = I / sqrt(dx), C = K dx.
 
-        Both factors are the one scalar s = 1 / sqrt(dx), which `_times` reads
+        The factor is the one scalar s = 1 / sqrt(dx), which `_times` reads
         as s I: the eigenbasis projection S^T A is S^T s and A C is C s, with
         no N x N factor and no N^3 product.  A K that is not N x N raises
         GridMismatchError.
@@ -93,7 +90,7 @@ class BipartiteWave:
         if K.shape != (n, n):
             raise GridMismatchError(f"a kernel of shape {K.shape} on a grid of {n} points")
         scale = np.float64(1 / np.sqrt(grid.dx))
-        return cls(scale, K * grid.dx, scale, grid)
+        return cls(scale, K * grid.dx, grid)
 
 
 @dataclass(frozen=True)
@@ -312,7 +309,7 @@ class SpectralPropagator:
         if isinstance(state, WaveFunction):
             G = _times(S.T, state.amplitudes[:, None])
         else:
-            G = _times(_times(S.T, state.left), state.core)
+            G = _times(_times(S.T, state.factor), state.core)
         G *= np.sqrt(grid.dx)
         rows = np.empty((len(counts), 2))
         if _reduced_order_pays(*G.shape, len(counts)):
@@ -378,13 +375,10 @@ def propagate_amplitudes(v: np.ndarray, H: HamiltonianMatrix, cfg: PropagatorCon
 
 
 def propagate_vnl(Psi: BipartiteWave, H: HamiltonianMatrix, cfg: PropagatorConfig) -> BipartiteWave:
-    """Evolve a kernel under i hbar dPsi/dt = (H(x) - H(y)) Psi: one propagation of [A B], or of A if B is A."""
+    """Evolve a kernel under i hbar dPsi/dt = (H(x) - H(y)) Psi: (U A) C (U A)^H, one propagation of A."""
     _check_grids(Psi, H)
     _check_normalized(bipartite_norm(Psi), "bipartite wave")
-    shared, r = Psi.right is Psi.left, Psi.core.shape[0]
-    F = propagate_amplitudes(Psi.left if shared else np.hstack([Psi.left, Psi.right]), H, cfg)
-    left, right = (F, F) if shared else (F[:, :r], F[:, r:])
-    return BipartiteWave(left, Psi.core, right, Psi.grid)
+    return BipartiteWave(propagate_amplitudes(Psi.factor, H, cfg), Psi.core, Psi.grid)
 
 
 def trajectory(
@@ -402,7 +396,7 @@ def trajectory(
     _check_normalized(state.norm() ** 2 if one_partite else bipartite_norm(state), "initial state")
     counts = [*sampled_steps(cfg.steps, stride), cfg.steps]
     if stepped(cfg.method, 1 if one_partite else state.core.shape[1], state.grid.n_points):
-        F = state.amplitudes[:, None] if one_partite else _times(state.left, state.core)
+        F = state.amplitudes[:, None] if one_partite else _times(state.factor, state.core)
         values = _stepped_trajectory(F, state.grid, CrankNicolsonStepper(H, cfg.dt), counts)
     else:
         values = SpectralPropagator(H, cfg.dt, cfg.method).trajectory(state, counts)
@@ -414,7 +408,7 @@ def trajectory(
 def _stepped_trajectory(F: np.ndarray, grid: Grid1D, stepper: CrankNicolsonStepper, counts) -> np.ndarray:
     """Rows (norm, x_mean) of F = A C stepped to each step count in counts, O(N r) per step.
 
-    B is dx-orthonormal, so the density of A C B^H is the row sums of |A C|^2 dx.
+    A is dx-orthonormal, so the density of A C A^H is the row sums of |A C|^2 dx.
     """
     x, dx = grid.points, grid.dx
     rows = np.empty((len(counts), 2))

@@ -84,7 +84,7 @@ def two_slit_state(grid: Grid1D, modes: np.ndarray, coefficients) -> BipartiteWa
     if not residual <= 1e-6:  # refuses NaN too
         raise ScenarioError(f"slit modes not dx-orthonormal: max |A^H A dx - I| = {residual}")
     a = np.array(two_slit_amplitudes(coefficients), dtype=complex).reshape(2, 2)
-    return BipartiteWave(modes, a, modes, grid)
+    return BipartiteWave(modes, a, grid)
 
 
 def fringe_visibility(density: np.ndarray, window: tuple) -> float:
@@ -264,13 +264,13 @@ def _run_two_slit(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
     }
 
     if sc.sweep_points:
-        thetas, entropies, visibilities = complementarity_sweep(evolved, window, n_points=sc.sweep_points)
+        thetas, entropies, visibilities = complementarity_sweep(evolved, window, sc.sweep_points)
         tables["sweep"] = {"theta": thetas, "entropy": entropies, "visibility": visibilities}
         summary["sweep_points"] = int(sc.sweep_points)
     return ScenarioReport("two-slit", c.given, summary, tables)
 
 
-def complementarity_sweep(evolved: BipartiteWave, window, n_points: int = 11):
+def complementarity_sweep(evolved: BipartiteWave, window, n_points: int):
     """Entropy and visibility along the family cos(theta) Psi_W + sin(theta) Psi_P, in closed form.
 
     In the basis u+- = (e1 +- e2) / sqrt(2), a_W = u+ u+^T and a_P = (u+ u+^T + u- u-^T) / sqrt(2)
@@ -284,7 +284,7 @@ def complementarity_sweep(evolved: BipartiteWave, window, n_points: int = 11):
     w = np.column_stack([np.cos(thetas) + s, s]) ** 2
     w /= w.sum(axis=1, keepdims=True)
     lo, hi = window  # a window outside the grid leaves fewer than hi - lo rows, which fringe_visibility refuses
-    profiles = np.abs(_times(evolved.left[max(lo, 0):hi], np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))) ** 2
+    profiles = np.abs(_times(evolved.factor[max(lo, 0):hi], np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))) ** 2
     visibilities = np.array([fringe_visibility(profiles @ weights, (0, hi - lo)) for weights in w])
     return thetas, _entropy(w), visibilities
 

@@ -7,7 +7,7 @@ that a test can compare the two:
   difference operator, not from single-particle energies;
 - `dense`: the dense N x N matrix of a tridiagonal H;
 - `factor`: the N x r matrix of a state's factor, s I for a dense kernel's scalar s;
-- `kernel`: the dense N x N kernel of a factored state;
+- `kernel`: the dense N x N kernel A C A^H of a factored state;
 - `dense_propagator`: the N x N unitary of a run from the dense H, by
   `scipy.linalg.expm` or by powers of the dense Cayley matrix, not from the
   tridiagonal eigensolve of `SpectralPropagator`;
@@ -42,9 +42,9 @@ def factor(F, n: int) -> np.ndarray:
 
 
 def kernel(Psi: BipartiteWave) -> np.ndarray:
-    """The dense N x N array A C B^H of a factored state."""
-    n = Psi.grid.n_points
-    return factor(Psi.left, n) @ Psi.core @ factor(Psi.right, n).conj().T
+    """The dense N x N array A C A^H of a factored state."""
+    A = factor(Psi.factor, Psi.grid.n_points)
+    return A @ Psi.core @ A.conj().T
 
 
 def difference_operator_spectrum(H, max_dim: int = 4096) -> np.ndarray:
@@ -76,7 +76,7 @@ def dense_propagator(H, dt: float, steps: int, method: str) -> np.ndarray:
 def eigenbasis_bipartite_evolution(C, eigs, t: float, hbar: float = 1.0) -> BipartiteWave:
     """sum_{n,m} C_nm exp(-i (E_n - E_m) t / hbar) psi_n(x) psi_m^*(y), for the k x k array C.
 
-    Both factors are the eigenstates and the phases sit on the core; at t = 0
+    The factor is the eigenstates and the phases sit on the core; at t = 0
     this is the plain eigenbasis reconstruction of the kernel.
     """
     C = np.asarray(C, dtype=complex)
@@ -85,7 +85,7 @@ def eigenbasis_bipartite_evolution(C, eigs, t: float, hbar: float = 1.0) -> Bipa
         raise ValueError(f"coefficient matrix shape {C.shape} does not match k={k}")
     phases = np.exp(-1j * eigs.energies * t / hbar)
     S = eigs.states
-    return BipartiteWave(S, phases[:, None] * C * phases.conj()[None, :], S, eigs.grid)
+    return BipartiteWave(S, phases[:, None] * C * phases.conj()[None, :], eigs.grid)
 
 
 def sweep(evolved: BipartiteWave, window, n_points: int) -> tuple:

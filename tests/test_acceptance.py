@@ -63,7 +63,7 @@ def _random_factored(grid, rng, rank=4):
         for shape in ((grid.n_points, rank), (rank, rank), (grid.n_points, rank))
     )
     C /= np.sqrt(np.sum(np.abs(A @ C @ B.conj().T) ** 2) * grid.dx**2)
-    return BipartiteWave.from_factors(A, C, B, grid)
+    return BipartiteWave.from_factors(np.hstack([A, B]), np.kron([[0, 1], [0, 0]], C), grid)
 
 
 def _random_states(grid, rng):
@@ -134,9 +134,8 @@ def test_criterion_03_norm_conservation():
             out = propagate_vnl(Psi, H, PropagatorConfig(1e-3, 1000))
             # the core's norm, the evolved state's own, and the factors' orthonormality
             dense = np.sum(np.abs(kernel(out)) ** 2) * g.dx**2
-            ortho = max(
-                np.max(np.abs(F.conj().T @ F * g.dx - np.eye(F.shape[1]))) for F in (out.left, out.right)
-            )
+            F = out.factor
+            ortho = np.max(np.abs(F.conj().T @ F * g.dx - np.eye(F.shape[1])))
             worst = max(worst, abs(bipartite_norm(out) - 1.0), abs(dense - 1.0), ortho)
     elapsed = time.perf_counter() - start
     _verdict(

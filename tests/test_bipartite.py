@@ -232,7 +232,7 @@ class TestEntropy:
         """A factor off orthonormality by 1e-6 moves the Gram route, not the core's entropy."""
         g, modes = slits
         Psi = two_slit_state(g, modes, "particle")
-        skewed = BipartiteWave(Psi.left * (1 + 1e-6), Psi.core, Psi.right, g)
+        skewed = BipartiteWave(Psi.factor * (1 + 1e-6), Psi.core, g)
         assert entanglement_entropy(skewed) == entanglement_entropy(Psi)
         assert abs(entropy_from_reduced(skewed) - entanglement_entropy(Psi)) > 1e-7
 
@@ -315,7 +315,7 @@ class TestIdentityFactor:
         K = Psi.core / g.dx
         state, peak = self.peak(lambda: BipartiteWave.from_kernel(K, g))
         assert peak <= 1.05, peak  # the core K dx
-        assert np.ndim(state.left) == 0 and state.left is state.right
+        assert np.ndim(state.factor) == 0
 
     def test_apply_rho(self, problem):
         g, H, Psi = problem

@@ -582,8 +582,8 @@ class TestVnl:
             Psi = random_kernel(g, seed=7)
         else:
             A, B = (rng.standard_normal((g.n_points, 2)) + 1j * rng.standard_normal((g.n_points, 2)) for _ in "AB")
-            Psi = BipartiteWave.from_factors(A, np.eye(2), B, g)
-            Psi = BipartiteWave(Psi.left, Psi.core / np.linalg.norm(Psi.core), Psi.right, g)
+            Psi = BipartiteWave.from_factors(np.hstack([A, B]), np.kron([[0, 1], [0, 0]], np.eye(2)), g)
+            Psi = BipartiteWave(Psi.factor, Psi.core / np.linalg.norm(Psi.core), g)
         cfg = PropagatorConfig(1e-3, 100)
         out = propagate_vnl(Psi, H, cfg)
         assert (factored, calls) == (lus, solves)

@@ -1,10 +1,11 @@
-"""The factored bipartite state Psi = A C B^H against the dense kernel it stands for.
+"""The factored bipartite state Psi = A C A^H against the dense kernel it stands for.
 
 Each operation on a factored state is checked against the same operation
 written out on the dense N x N kernel, as the library computed it when every
-state was held dense.  States are drawn with random, non-orthonormal factors
-of rank 1 to 4 (shared or distinct on the two sides), and as dense rank-N
-kernels on small grids.
+state was held dense.  States are drawn from random, non-orthonormal factors
+of rank 1 to 4, as one family F C F^H or as two families A C B^H, held as
+F = [A B] with the core [[0, C], [0, 0]], and as dense rank-N kernels on
+small grids.
 """
 
 import numpy as np
@@ -57,7 +58,9 @@ def _problem(n_points, rank, shared, seed):
     A, C = _complex(rng, (n_points, rank)), _complex(rng, (rank, rank))
     B = A if shared else _complex(rng, (n_points, rank))
     C /= np.sqrt(np.sum(np.abs(A @ C @ B.conj().T) ** 2) * g.dx**2)
-    return g, H, BipartiteWave.from_factors(A, C, B, g)
+    if shared:
+        return g, H, BipartiteWave.from_factors(A, C, g)
+    return g, H, BipartiteWave.from_factors(np.hstack([A, B]), np.kron([[0, 1], [0, 0]], C), g)
 
 
 cases = dict(
@@ -73,10 +76,9 @@ class TestDenseOracle:
     @given(**cases)
     def test_factors_orthonormal_and_kernel(self, n_points, rank, shared, seed):
         g, H, Psi = _problem(n_points, rank, shared, seed)
-        for F in (factor(Psi.left, n_points), factor(Psi.right, n_points)):
-            gram = F.conj().T @ F * g.dx
-            assert np.max(np.abs(gram - np.eye(F.shape[1]))) <= TOL
-        assert (Psi.right is Psi.left) == (shared or rank is None)
+        F = factor(Psi.factor, n_points)
+        assert np.max(np.abs(F.conj().T @ F * g.dx - np.eye(F.shape[1]))) <= TOL
+        assert F.shape[1] == (n_points if rank is None else rank if shared else 2 * rank)
         assert np.sum(np.abs(kernel(Psi)) ** 2) * g.dx**2 == pytest.approx(1.0, abs=TOL)
 
     @PROPERTY
@@ -84,7 +86,7 @@ class TestDenseOracle:
     def test_norm(self, n_points, rank, shared, seed):
         g, H, Psi = _problem(n_points, rank, shared, seed)
         for scale in (1.0, 0.5):
-            state = BipartiteWave(Psi.left, scale * Psi.core, Psi.right, g)
+            state = BipartiteWave(Psi.factor, scale * Psi.core, g)
             dense = float(np.sum(np.abs(kernel(state)) ** 2) * g.dx**2)
             assert abs(bipartite_norm(state) - dense) <= TOL
 
@@ -159,9 +161,8 @@ class TestDenseOracle:
         U = dense_propagator(H, dt, steps, method)
         out = propagate_vnl(Psi, H, cfg)
         assert np.max(np.abs(kernel(out) - U @ kernel(Psi) @ U.conj().T)) <= TOL
-        assert (out.right is out.left) == (Psi.right is Psi.left)
-        for F in (factor(out.left, n_points), factor(out.right, n_points)):
-            assert np.max(np.abs(F.conj().T @ F * g.dx - np.eye(F.shape[1]))) <= TOL
+        F = factor(out.factor, n_points)
+        assert np.max(np.abs(F.conj().T @ F * g.dx - np.eye(F.shape[1]))) <= TOL
 
     @PROPERTY
     @given(**cases, scale=st.sampled_from([0.0, 1e-10, 1e-3, 1.0]))
@@ -170,9 +171,8 @@ class TestDenseOracle:
         _, _, other = _problem(n_points, rank, shared, seed + 1)
         # Y = Psi + scale * other
         Y = BipartiteWave.from_factors(
-            np.hstack([factor(Psi.left, n_points), factor(other.left, n_points)]),
+            np.hstack([factor(Psi.factor, n_points), factor(other.factor, n_points)]),
             scipy.linalg.block_diag(Psi.core, scale * other.core),
-            np.hstack([factor(Psi.right, n_points), factor(other.right, n_points)]),
             g,
         )
         dense = float(np.sqrt(np.sum(np.abs(kernel(Psi) - kernel(Y)) ** 2) * g.dx**2))
@@ -208,7 +208,7 @@ class TestTrajectory:
     def test_rows_match_the_dense_oracle(self, n_points, rank, shared, seed, method, dt, steps, stride, reduced):
         g, H, state = _problem(n_points, 1 if rank == "vector" else rank, shared, seed)
         if rank == "vector":
-            state = WaveFunction(state.left[:, 0], g)  # a dx-normalized column
+            state = WaveFunction(state.factor[:, 0], g)  # a dx-normalized column
         cfg = PropagatorConfig(dt, steps, method)
         with pytest.MonkeyPatch.context() as mp:
             if reduced is not None:

@@ -14,7 +14,7 @@ from vnlw.bipartite import entanglement_entropy, position_density
 from vnlw.dynamics import METHODS, BipartiteWave, PropagatorConfig, propagate_amplitudes
 from vnlw.errors import ScenarioError
 from vnlw.lattice import build_grid, build_hamiltonian, sample_potential
-from vnlw.schema import resolve, two_slit_steps, window_indices
+from vnlw.schema import AMPLITUDES, resolve, two_slit_steps, window_indices
 from vnlw import _workers, scenarios
 from vnlw._digits import _BLOCK
 from vnlw.cli import main
@@ -225,6 +225,95 @@ class TestTwoSlitOracle:
             if resolved:
                 assert np.max(np.abs(report.tables["sweep"]["visibility"] - visibilities)) <= tol
         assert 0.0 <= report.summary["visibility"] <= 1.0
+
+
+@st.composite
+def bipartite_configs(draw, max_points: int) -> dict:
+    """A config of a drawn bipartite state (random, two-slit, gaussian- or eigen-product) on a box or harmonic grid."""
+    n = draw(st.integers(8, max_points))
+    kind = draw(st.sampled_from(["random", "two-slit", "gaussian-product", "eigen-product"]))
+    state = {"type": kind, "tol": draw(st.sampled_from([0.0, 1e-12, 1e-2, 0.5]))}
+    if kind == "random":
+        state["seed"] = draw(st.integers(0, 2**32 - 1))
+    elif kind == "two-slit":
+        state.update(coefficients=draw(st.sampled_from(["wave", "particle", [0.6, 0.0, 0.0, 0.8],
+                                                        [[0.5, 0.5], 0.5, 0.0, [0, -0.5]]])),
+                     separation=draw(st.floats(3.0, 6.0)), sigma=draw(st.floats(0.3, 1.0)))
+    elif kind == "gaussian-product":
+        state.update(center=draw(st.floats(-3.0, 3.0)), sigma=draw(st.floats(0.5, 2.0)),
+                     momentum=draw(st.floats(-2.0, 2.0)))
+    else:
+        amplitude = st.one_of(st.floats(-1.0, 1.0), st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2))
+        state["coefficients"] = draw(st.lists(amplitude, min_size=1, max_size=min(n, 6)).filter(AMPLITUDES.accepts))
+    return {"schema_version": 1, "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": n},
+            "potential": {"kind": draw(st.sampled_from(["infinite-box", "harmonic"]))},
+            "spectra": {"k": draw(st.integers(1, min(n, 8)))}, "state": state}
+
+
+def _rebuilt(config: dict, run: str) -> tuple:
+    """(grid, H, the dense kernel K) of the state that run builds from config."""
+    c = resolve(config, run)
+    g = scenarios.grid_from_config(c)
+    H = scenarios.hamiltonian_from_config(c, g)
+    return g, H, kernel(scenarios.build_state(c, g, H))
+
+
+class TestAnalysisOracle:
+    """The entropy, schmidt and collapse runs of drawn bipartite states against the dense kernel K of the state
+    (`scenarios.build_state`, `oracles.kernel`): the SVD of K dx, and the amplitudes dx^2 S^T K S over the
+    dx-normalized eigenvectors S of the dense H (`numpy.linalg.eigh`), which |c|^2 does not see the signs of.
+
+    Tolerances: TOL, absolute, for the entropy and the Schmidt coefficients and residual.  An eigenvector is
+    fixed only to eps |H| / gap, its gap to the nearest other level and |H| the largest |E| of the dense H, and a
+    symmetric potential on a coarse grid holds pairs of levels that are degenerate to round-off (a harmonic well
+    at N = 8 has gaps of 1e-9 at |H| = 50), so the probabilities p take TOL * max(1, |H| / gap) over the k
+    levels, and the energy changes delta_E that times max(1, |H|).
+    """
+
+    TOL = 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(config=bipartite_configs(max_points=48))
+    def test_runs_match_the_dense_kernel(self, config):
+        g, H, K = _rebuilt(config, "entropy")
+        s = np.linalg.svd(K * g.dx, compute_uv=False)
+        w = s**2 / np.sum(s**2)
+        w = w[w > 0.0]
+        assert abs(run_scenario(config, "entropy").summary["entropy"] + np.sum(w * np.log(w))) <= self.TOL
+
+        tol = config["state"]["tol"]
+        keep = s > tol * s[0]
+        record = run_scenario(config, "schmidt").records["schmidt"]
+        # at tol = 0 the dense SVD also keeps its round-off values beyond the rank
+        assert record["rank"] == int(np.sum(keep)) or tol == 0.0
+        coefficients = np.zeros_like(s)
+        coefficients[:record["rank"]] = record["coefficients"]
+        assert np.max(np.abs(coefficients - np.where(keep, s, 0.0))) <= self.TOL
+        assert abs(record["residual"] - float(np.sum(s[~keep] ** 2))) <= self.TOL
+
+        k = config["spectra"]["k"]
+        E, S = np.linalg.eigh(oracles.dense(H))
+        norm, spacing = np.abs(E).max(), np.diff(E)
+        gap = np.minimum(np.append(spacing, np.inf), np.insert(spacing, 0, np.inf))[:k].min()  # to the nearest level
+        E, S = E[:k], S[:, :k] / np.sqrt(g.dx)
+        weights = np.abs(g.dx**2 * (S.T @ K @ S)) ** 2
+        summary = run_scenario(config, "collapse").summary
+        p_tol = self.TOL * max(1.0, norm / gap if gap else np.inf)
+        assert np.max(np.abs(summary["p"] - weights.sum(axis=0))) <= p_tol
+        delta_E = (weights * E[:, None]).sum(axis=0) - weights.sum(axis=0) * E
+        assert np.max(np.abs(summary["delta_E"] - delta_E)) <= p_tol * max(1.0, norm)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(config=bipartite_configs(max_points=400))
+    @example(config={"schema_version": 1, "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 301},
+                     "potential": {"kind": "harmonic"},
+                     "state": {"type": "eigen-product", "coefficients": [1, [0.5, -0.5], 0.25]}})
+    def test_entropy_is_not_negative(self, config):
+        """A product state reads exactly 0, and no state below it: the weights mu^2 / sum mu^2 sum to 1."""
+        entropy = run_scenario(config, "entropy").summary["entropy"]
+        assert entropy >= 0.0
+        if config["state"]["type"] in ("gaussian-product", "eigen-product"):
+            assert entropy == 0.0
 
 
 class TestRunScenario:

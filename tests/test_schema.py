@@ -289,7 +289,7 @@ class TestResolve:
         assert [schema._columns(run, kind, n) for run in runs] == [r] * len(runs)
         assert schema._columns("two-slit", kind, n) == make_slit_modes(grid).shape[1]
         packet = gaussian_packet(grid, 0.0, 1.0)
-        assert schema._columns("product-equivalence", kind, n) == from_product(packet, packet).left.shape[1]
+        assert schema._columns("product-equivalence", kind, n) == from_product(packet, packet).factor.shape[1]
 
     # Peak of run_scenario's own allocations over its charge, the largest array the budget counts, for
     # every run x state type x method at N = 512, spectra.k = N (N / 4 for collapse): the factors the

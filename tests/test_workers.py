@@ -188,3 +188,24 @@ def test_no_module_keys_objects_by_identity():
     package calls id or makes a weak container."""
     modules = {path.name: called(path, IDENTITY_KEYS) for path in sorted(Path(vnlw.__file__).parent.glob("*.py"))}
     assert {name: names for name, names in modules.items() if names} == {}
+
+
+def identity_tests(path: Path) -> list:
+    """The source of each `is` or `is not` comparison in the module at path with no None on either side."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for op, a, b in zip(node.ops, operands, operands[1:]):
+                none = any(isinstance(x, ast.Constant) and x.value is None for x in (a, b))
+                if isinstance(op, (ast.Is, ast.IsNot)) and not none:
+                    found.append(ast.unparse(ast.Compare(a, [op], [b])))
+    return found
+
+
+def test_no_module_chooses_a_path_by_identity():
+    """A branch on `a is b` takes the other path for an equal copy or view of a: no module compares two objects
+    by identity, except with None and a signal's handler with the default one."""
+    modules = {path.name: identity_tests(path) for path in sorted(Path(vnlw.__file__).parent.glob("*.py"))}
+    assert {name: found for name, found in modules.items() if found} == {
+        "cli.py": ["signal.getsignal(signum) is signal.SIG_DFL"]}
