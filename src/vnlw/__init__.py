@@ -19,7 +19,7 @@ _EXPORTS = {
     "sample_potential",
     "spectra": "EigenSystem distinct_gaps eigensystem eigenvalues gap_spectrum",
     "dynamics": "BipartiteWave CrankNicolsonStepper PropagatorConfig SpectralPropagator WaveFunction "
-    "bipartite_norm gaussian_packet normalize propagate_amplitudes propagate_schrodinger propagate_vnl",
+    "bipartite_norm gaussian_packet normalize propagate_schrodinger propagate_vnl propagator",
     "bipartite": "CollapseStatistics SchmidtDecomposition TransitionAmplitudes apply_rho "
     "collapse_statistics entanglement_entropy entropy_from_reduced expectation from_product "
     "position_density projection_probability projector schmidt transition_amplitudes",

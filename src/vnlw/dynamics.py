@@ -5,15 +5,15 @@ Psi(x, y) under i hbar dPsi/dt = (H(x) - H(y)) Psi, realized as
 Psi <- U Psi U^dagger.  A kernel is held factored, Psi = A C A^H, with one
 factor A for both arguments, and H(x) - H(y) is separable, so Psi evolves as
 (U A) C (U A)^H: the Schrodinger evolution of its N x r factor (a vector is
-r = 1), with U never formed.  By `schema.stepped`,
-the rule the work budget reads too, Crank-Nicolson steps every factor of
-fewer columns than grid points: L = (I + i a H)/2 is factored once (gttrf),
-and a step is one solve of it (gttrs) less the state, O(N r).  Each column
-evolves on its own, so a long call steps groups of columns on every CPU the
-process may use, with the same bytes on any number of CPUs.  The eigenbasis
-method, and a dense kernel (r = N), use one spectral matrix
-U = S diag(f(E)) S^T of the full eigensystem, with f(E) = exp(-i E t / hbar)
-or the Cayley factor exp(-2i steps atan(dt E / 2hbar)).
+r = 1), with U never formed.  A run builds one U (`propagator`) for all its
+propagations.  By `schema.stepped`, the rule the work budget reads too,
+Crank-Nicolson steps every factor of fewer columns than grid points:
+L = (I + i a H)/2 is factored once (gttrf), and a step is one solve of it
+(gttrs) less the state, O(N r).  Each column evolves on its own, so a long
+call steps groups of columns on every CPU the process may use, with the
+same bytes on any number of CPUs.  The eigenbasis method, and a dense
+kernel (r = N), use U = S diag(f(E)) S^T of the full eigensystem, with
+f(E) = exp(-i E t / hbar) or the Cayley factor exp(-2i steps atan(dt E / 2hbar)).
 A trajectory of x-side observables reads A C, stepped, or rho_x = Psi Psi^H
 dx^2, projected on the eigenbasis once; for a rank-N state that is level-3
 BLAS throughout: one triangle of rho_x by zherk, and the rows of a block of
@@ -35,7 +35,7 @@ from ._lapack import zgttrf, zgttrs
 from .errors import GridMismatchError, SimulationError, UnnormalizedStateError
 from .lattice import Grid1D, HamiltonianMatrix
 from .schema import METHODS, sampled_steps, stepped
-from .spectra import eigensystem
+from .spectra import EigenSystem, eigensystem
 
 NORM_TOL = 1e-6
 
@@ -161,6 +161,7 @@ class CrankNicolsonStepper:
     """
 
     def __init__(self, H: HamiltonianMatrix, dt: float):
+        self.grid = H.grid
         a = 0.25j * dt / H.hbar
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             d, e = a * H.diagonal, a * H.off_diagonal
@@ -209,9 +210,24 @@ class CrankNicolsonStepper:
                 v = u
         return v
 
+    def trajectory(self, state: WaveFunction | BipartiteWave, counts) -> np.ndarray:
+        """Rows (norm, x_mean) of F = A C (psi for a vector) stepped to each count in counts, O(N r) per step.
+
+        A is dx-orthonormal, so the density of A C A^H is the row sums of |F|^2 dx.
+        """
+        F = state.amplitudes[:, None] if isinstance(state, WaveFunction) else _times(state.factor, state.core)
+        x, dx = self.grid.points, self.grid.dx
+        rows = np.empty((len(counts), 2))
+        for i, steps in enumerate(np.diff(counts, prepend=0)):
+            F = self.apply(F, steps)
+            with np.errstate(over="ignore", invalid="ignore"):  # past the float range, which run_scenario refuses
+                density = np.sum(np.abs(F) ** 2, axis=1) * dx
+                rows[i] = np.sum(density), x @ density
+        return rows
+
 
 def _check_grids(a, b) -> None:
-    """Refuse two operands (states, a Hamiltonian, an eigensystem) built on different grids."""
+    """Refuse two operands (a state and a propagator) built on different grids."""
     if a.grid != b.grid:
         raise GridMismatchError(f"{type(a).__name__} and {type(b).__name__} were built on different grids")
 
@@ -244,22 +260,20 @@ def _times(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 class SpectralPropagator:
-    """Propagators S diag(f(E)) S^T of one method, from one full eigensolve of H.
+    """Propagators S diag(f(E)) S^T of one method, from the full eigensystem of H.
 
     S holds the Euclidean-orthonormal eigenvectors of H and f(E) the method's
     factor for a step count, so one instance serves every step count of a run.
-    A factor that is not finite (dt or steps * dt overflows) raises
-    SimulationError.  The eigensolve refuses an H with a state that is no
-    eigenvector (EigensolverError), whose S would not be orthonormal nor the
-    propagator unitary.
+    It takes over eigs, the run's solve of all N levels of H (whose hbar it
+    is given), and scales its states back to Euclidean norm in place, so eigs
+    is not read after.  A factor that is not finite (dt or steps * dt
+    overflows) raises SimulationError.
     """
 
-    def __init__(self, H: HamiltonianMatrix, dt: float, method: str):
-        eigs = eigensystem(H, H.grid.n_points)
-        self._S = eigs.states  # this run's own eigensystem, scaled back to Euclidean norm in place
-        self._S *= np.sqrt(H.grid.dx)
-        self._E = eigs.energies
-        self._dt, self._method, self._hbar = dt, method, H.hbar
+    def __init__(self, eigs: EigenSystem, dt: float, method: str, hbar: float):
+        self.grid, self._S, self._E = eigs.grid, eigs.states, eigs.energies
+        self._S *= np.sqrt(self.grid.dx)
+        self._dt, self._method, self._hbar = dt, method, hbar
 
     def _factor(self, steps) -> np.ndarray:
         """The method's f(E) for a step count (N), or for each of a 1-D array of counts (counts x N, a row each).
@@ -281,7 +295,9 @@ class SpectralPropagator:
         return f
 
     def apply(self, v: np.ndarray, steps: int) -> np.ndarray:
-        """`steps` steps applied to the vector v, or to each column of v, O(N^2) per column."""
+        """`steps` steps applied to the vector v, or to each column of v (of v I for a 0-d v), O(N^2) per column."""
+        if steps == 0:
+            return v
         projected = _times(self._S.T, v)
         f = self._factor(steps)
         return _times(self._S, f.reshape(f.shape + (1,) * (projected.ndim - 1)) * projected)
@@ -352,72 +368,44 @@ def _reduced_order_pays(n: int, r: int, rows: int) -> bool:
     return n + 2 * r + 4 * rows < 2 * rows * r
 
 
-def propagate_schrodinger(psi: WaveFunction, H: HamiltonianMatrix, cfg: PropagatorConfig) -> WaveFunction:
-    """Evolve psi by steps*dt under the single-particle equation."""
-    _check_grids(psi, H)
+def propagator(H: HamiltonianMatrix, cfg: PropagatorConfig, columns: int, eigs: EigenSystem | None = None):
+    """The one U of a run of cfg whose factor has `columns` columns, by `schema.stepped`: a stepper of one LU,
+    or a spectral propagator of eigs, the run's full eigensystem of H, or of the one eigensolve made here."""
+    n = H.grid.n_points
+    if stepped(cfg.method, columns, n):
+        return CrankNicolsonStepper(H, cfg.dt)
+    return SpectralPropagator(eigensystem(H, n) if eigs is None else eigs, cfg.dt, cfg.method, H.hbar)
+
+
+def propagate_schrodinger(psi: WaveFunction, U, cfg: PropagatorConfig) -> WaveFunction:
+    """Evolve psi by cfg.steps steps of the run's U (`propagator`) under the single-particle equation."""
+    _check_grids(psi, U)
     _check_normalized(psi.norm() ** 2, "wave function")
     if cfg.steps == 0:
         return psi
-    return WaveFunction(propagate_amplitudes(psi.amplitudes, H, cfg), psi.grid)
+    return WaveFunction(U.apply(psi.amplitudes, cfg.steps), psi.grid)
 
 
-def propagate_amplitudes(v: np.ndarray, H: HamiltonianMatrix, cfg: PropagatorConfig) -> np.ndarray:
-    """cfg.steps steps of cfg.method applied to the vector v, or to each column of the N x r array v.
-
-    A 0-d v, the factor s of a dense kernel, stands for the N columns of s I.
-    """
-    if cfg.steps == 0:
-        return v
-    n = H.grid.n_points
-    if stepped(cfg.method, np.size(v) // n if np.ndim(v) else n, n):
-        return CrankNicolsonStepper(H, cfg.dt).apply(v, cfg.steps)
-    return SpectralPropagator(H, cfg.dt, cfg.method).apply(v, cfg.steps)
-
-
-def propagate_vnl(Psi: BipartiteWave, H: HamiltonianMatrix, cfg: PropagatorConfig) -> BipartiteWave:
-    """Evolve a kernel under i hbar dPsi/dt = (H(x) - H(y)) Psi: (U A) C (U A)^H, one propagation of A."""
-    _check_grids(Psi, H)
+def propagate_vnl(Psi: BipartiteWave, U, cfg: PropagatorConfig) -> BipartiteWave:
+    """Evolve a kernel under i hbar dPsi/dt = (H(x) - H(y)) Psi: (U A) C (U A)^H, cfg.steps steps of U on A."""
+    _check_grids(Psi, U)
     _check_normalized(bipartite_norm(Psi), "bipartite wave")
-    return BipartiteWave(propagate_amplitudes(Psi.factor, H, cfg), Psi.core, Psi.grid)
+    return BipartiteWave(U.apply(Psi.factor, cfg.steps), Psi.core, Psi.grid)
 
 
-def trajectory(
-    state: WaveFunction | BipartiteWave, H: HamiltonianMatrix, cfg: PropagatorConfig, stride: int
-) -> np.ndarray:
-    """Rows (t, norm, x_mean) of state after 0, stride, 2 stride, ... and cfg.steps steps.
+def trajectory(state: WaveFunction | BipartiteWave, U, cfg: PropagatorConfig, stride: int) -> np.ndarray:
+    """Rows (t, norm, x_mean) of state after 0, stride, 2 stride, ... and cfg.steps steps of the run's U.
 
     norm is the total probability of the evolved state, sum |psi|^2 dx for a
     vector and sum |Psi|^2 dx^2 for a kernel, so it watches the propagation;
-    x_mean is the mean position.  A C is stepped (`_stepped_trajectory`), or the
-    state read in the eigenbasis of one eigensolve, as `schema.stepped` decides.
+    x_mean is the mean position.  U.trajectory reads both.
     """
-    _check_grids(state, H)
-    one_partite = isinstance(state, WaveFunction)
-    _check_normalized(state.norm() ** 2 if one_partite else bipartite_norm(state), "initial state")
+    _check_grids(state, U)
+    _check_normalized(state.norm() ** 2 if isinstance(state, WaveFunction) else bipartite_norm(state), "initial state")
     counts = [*sampled_steps(cfg.steps, stride), cfg.steps]
-    if stepped(cfg.method, 1 if one_partite else state.core.shape[1], state.grid.n_points):
-        F = state.amplitudes[:, None] if one_partite else _times(state.factor, state.core)
-        values = _stepped_trajectory(F, state.grid, CrankNicolsonStepper(H, cfg.dt), counts)
-    else:
-        values = SpectralPropagator(H, cfg.dt, cfg.method).trajectory(state, counts)
     with np.errstate(over="ignore"):  # a time past the float range, which run_scenario refuses
         times = cfg.dt * np.array(counts, dtype=float)
-    return np.column_stack([times, values])
-
-
-def _stepped_trajectory(F: np.ndarray, grid: Grid1D, stepper: CrankNicolsonStepper, counts) -> np.ndarray:
-    """Rows (norm, x_mean) of F = A C stepped to each step count in counts, O(N r) per step.
-
-    A is dx-orthonormal, so the density of A C A^H is the row sums of |A C|^2 dx.
-    """
-    x, dx = grid.points, grid.dx
-    rows = np.empty((len(counts), 2))
-    for i, steps in enumerate(np.diff(counts, prepend=0)):
-        F = stepper.apply(F, steps)
-        with np.errstate(over="ignore", invalid="ignore"):  # a state past the float range, which run_scenario refuses
-            density = np.sum(np.abs(F) ** 2, axis=1) * dx
-            rows[i] = np.sum(density), x @ density
-    return rows
+    return np.column_stack([times, U.trajectory(state, counts)])
 
 
 def bipartite_norm(Psi: BipartiteWave) -> float:

@@ -18,7 +18,8 @@ import numpy as np
 
 from ._digits import _distinct_cells, _kind, _layout, _write_cells
 from .errors import ScenarioError
-from .schema import ONE_PARTITE, TWO_SLIT, amplitudes, resolve, two_slit_amplitudes, two_slit_steps, window_indices
+from .schema import (ONE_PARTITE, TWO_SLIT, _columns, amplitudes, resolve, stepped, two_slit_amplitudes,
+                     two_slit_steps, window_indices)
 from .lattice import (
     Grid1D,
     HamiltonianMatrix,
@@ -34,9 +35,9 @@ from .dynamics import (
     WaveFunction,
     _times,
     gaussian_packet,
-    propagate_amplitudes,
     propagate_schrodinger,
     propagate_vnl,
+    propagator,
     trajectory,
 )
 from .bipartite import (
@@ -148,9 +149,10 @@ def build_state(c, grid: Grid1D, H: HamiltonianMatrix, eigs: EigenSystem | None 
 
     A one-partite type gives the wave function psi; its bipartite
     counterpart gives the product kernel psi(x) psi^*(y).  An eigen state of
-    m coefficients takes the lowest m levels of eigs, an eigensystem of H
-    with at least m levels that the run has solved already, or solves for
-    them when eigs is None.
+    m coefficients takes the lowest m levels of eigs, the run's one solve
+    of H (collapse's, or the N levels of an eigenbasis evolve, which its
+    propagator takes over next), or solves for them when eigs is None.  The
+    coefficients are scaled by a power of two, so |a|^2 cannot overflow.
     """
     st = c.state
     if st.type == "random":
@@ -166,9 +168,9 @@ def build_state(c, grid: Grid1D, H: HamiltonianMatrix, eigs: EigenSystem | None 
     if st.type in ("gaussian", "gaussian-product"):
         psi = gaussian_packet(grid, st.center, st.sigma, st.momentum)
     else:  # eigen, eigen-product
-        a = np.array(amplitudes(st.coefficients))
-        a = a / np.abs(a).max()  # so that |a|^2 cannot overflow: the schema admits any finite amplitudes
-        a = a / np.linalg.norm(a)
+        parts = np.array(amplitudes(st.coefficients)).view(np.float64)
+        a = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex)  # exact: the largest part in [1/2, 1)
+        a /= np.linalg.norm(a)
         states = (eigs or eigensystem(H, len(a))).states
         psi = WaveFunction(_times(states[:, :len(a)], a), grid)
     return psi if st.type in ONE_PARTITE else from_product(psi, psi)
@@ -252,7 +254,8 @@ def _run_two_slit(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
     sc = c.scenario
     cfg = PropagatorConfig(c.dynamics.dt, two_slit_steps(sc.evolve_time, c.dynamics.dt), c.dynamics.method)
     window = window_indices(vars(c.grid), sc.window)
-    modes = propagate_amplitudes(make_slit_modes(grid, sc.separation, sc.sigma), H, cfg)
+    U = propagator(H, cfg, _columns(c.run, c.state.type, grid.n_points))  # the budget's column count
+    modes = U.apply(make_slit_modes(grid, sc.separation, sc.sigma), cfg.steps)
     evolved = two_slit_state(grid, modes, sc.coefficients)
 
     density = position_density(evolved)
@@ -291,12 +294,14 @@ def complementarity_sweep(evolved: BipartiteWave, window, n_points: int):
 
 def _run_product_equivalence(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
     """frobenius_gap: the factored vNL evolution of psi psi^* against the product of Schrodinger evolutions
-    of psi.  Both apply one propagator (with Crank-Nicolson, one Cayley step), so the gap is round-off."""
+    of psi.  Both apply the run's one propagator U, so the gap is round-off."""
     sc = c.scenario
     psi = gaussian_packet(grid, sc.center, sc.sigma, sc.momentum)
     cfg = PropagatorConfig(c.dynamics.dt, c.dynamics.steps, c.dynamics.method)
-    Psi_t = propagate_vnl(from_product(psi, psi), H, cfg)
-    psi_t = propagate_schrodinger(psi, H, cfg)
+    U = propagator(H, cfg, _columns(c.run, c.state.type, grid.n_points))
+    Psi_t = propagate_vnl(from_product(psi, psi), U, cfg)
+    psi_t = propagate_schrodinger(psi, U, cfg)
+    del U  # its factors are not held beside those of `distance`
     gap = distance(Psi_t, from_product(psi_t, psi_t))
     summary = {
         "frobenius_gap": gap,
@@ -318,7 +323,12 @@ def _run_spectrum(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
 
 def _run_evolve(c, grid: Grid1D, H: HamiltonianMatrix) -> ScenarioReport:
     cfg = PropagatorConfig(c.dynamics.dt, c.dynamics.steps, c.dynamics.method)
-    rows = trajectory(build_state(c, grid, H), H, cfg, c.dynamics.stride)
+    n, kind = grid.n_points, c.state.type
+    columns = _columns(c.run, kind, n)
+    # an eigen state of a spectral run reads its levels from the one solve that its propagator takes over
+    eigs = eigensystem(H, n) if kind in ("eigen", "eigen-product") and not stepped(cfg.method, columns, n) else None
+    state = build_state(c, grid, H, eigs)
+    rows = trajectory(state, propagator(H, cfg, columns, eigs), cfg, c.dynamics.stride)
     tables = {"trajectory": dict(zip(("t", "norm", "x_mean"), rows.T))}
     summary = {"steps": cfg.steps, "dt": cfg.dt, "final_norm": float(rows[-1, 1])}
     return ScenarioReport("evolve", c.given, summary, tables)

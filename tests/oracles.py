@@ -8,6 +8,8 @@ that a test can compare the two:
 - `dense`: the dense N x N matrix of a tridiagonal H;
 - `factor`: the N x r matrix of a state's factor, s I for a dense kernel's scalar s;
 - `kernel`: the dense N x N kernel A C A^H of a factored state;
+- `run_propagator`, no oracle: the one propagator a run holding a state
+  builds, for the propagation tests to pass to `propagate_*`;
 - `dense_propagator`: the N x N unitary of a run from the dense H, by
   `scipy.linalg.expm` or by powers of the dense Cayley matrix, not from the
   tridiagonal eigensolve of `SpectralPropagator`;
@@ -26,7 +28,7 @@ from dataclasses import replace
 import numpy as np
 import scipy.linalg
 
-from vnlw.dynamics import BipartiteWave
+from vnlw.dynamics import BipartiteWave, WaveFunction, propagator
 from vnlw.scenarios import fringe_visibility
 from vnlw.schema import two_slit_amplitudes
 
@@ -45,6 +47,15 @@ def kernel(Psi: BipartiteWave) -> np.ndarray:
     """The dense N x N array A C A^H of a factored state."""
     A = factor(Psi.factor, Psi.grid.n_points)
     return A @ Psi.core @ A.conj().T
+
+
+def run_propagator(H, cfg, state):
+    """`dynamics.propagator` for the column count of state's factor: 1 for a vector, N for a dense kernel's scalar."""
+    if isinstance(state, WaveFunction):
+        columns = 1
+    else:
+        columns = state.factor.shape[1] if np.ndim(state.factor) else H.grid.n_points
+    return propagator(H, cfg, columns)
 
 
 def difference_operator_spectrum(H, max_dim: int = 4096) -> np.ndarray:

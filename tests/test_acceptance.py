@@ -29,14 +29,14 @@ from vnlw.dynamics import (
     WaveFunction,
     bipartite_norm,
     gaussian_packet,
-    propagate_amplitudes,
     propagate_schrodinger,
     propagate_vnl,
+    propagator,
 )
 from vnlw.lattice import box_grid, build_grid, build_hamiltonian, sample_potential
 from vnlw.scenarios import complementarity_sweep, make_slit_modes, two_slit_state
 from vnlw.spectra import eigensystem
-from oracles import difference_operator_spectrum, kernel
+from oracles import difference_operator_spectrum, kernel, run_propagator
 
 
 def _verdict(number, label, ok):
@@ -108,12 +108,13 @@ def test_criterion_02_stationary_bipartite_phase():
     )
     target = np.exp(-1j * gap * 1.0) * kernel(Psi0)
     deficit_cn = deficit_eb = 0.0
+    cn, eb = PropagatorConfig(1e-3, 1000, "crank-nicolson"), PropagatorConfig(1e-3, 1000, "eigenbasis")
     for Psi in _representations(Psi0):
-        out_cn = propagate_vnl(Psi, H, PropagatorConfig(1e-3, 1000, "crank-nicolson"))
+        out_cn = propagate_vnl(Psi, run_propagator(H, cn, Psi), cn)
         ov_cn = np.sum(kernel(out_cn) * target.conj()) * g.dx**2
         deficit_cn = max(deficit_cn, abs(1.0 - ov_cn))
 
-        out_eb = propagate_vnl(Psi, H, PropagatorConfig(1e-3, 1000, "eigenbasis"))
+        out_eb = propagate_vnl(Psi, run_propagator(H, eb, Psi), eb)
         ov_eb = np.sum(kernel(out_eb) * target.conj()) * g.dx**2
         deficit_eb = max(deficit_eb, abs(1.0 - ov_eb))
     elapsed = time.perf_counter() - start
@@ -128,10 +129,10 @@ def test_criterion_03_norm_conservation():
     start = time.perf_counter()
     g, H = _harmonic(201)
     rng = np.random.default_rng(42)
-    worst = 0.0
+    worst, cfg = 0.0, PropagatorConfig(1e-3, 1000)
     for _ in range(3):
         for Psi in _random_states(g, rng):
-            out = propagate_vnl(Psi, H, PropagatorConfig(1e-3, 1000))
+            out = propagate_vnl(Psi, run_propagator(H, cfg, Psi), cfg)
             # the core's norm, the evolved state's own, and the factors' orthonormality
             dense = np.sum(np.abs(kernel(out)) ** 2) * g.dx**2
             F = out.factor
@@ -149,11 +150,11 @@ def test_criterion_04_product_state_equivalence():
     g, H = _harmonic(401, half_width=20.0)
     psi = gaussian_packet(g, 0.0, 1.0, momentum=1.0)
     cfg = PropagatorConfig(1e-3, 1000)
-    psi_t = propagate_schrodinger(psi, H, cfg)
+    psi_t = propagate_schrodinger(psi, propagator(H, cfg, 1), cfg)
     outer = from_product(psi_t, psi_t)
     gap = 0.0
     for Psi in _representations(from_product(psi, psi)):
-        Psi_t = propagate_vnl(Psi, H, cfg)
+        Psi_t = propagate_vnl(Psi, run_propagator(H, cfg, Psi), cfg)
         gap = max(gap, float(np.sqrt(np.sum(np.abs(kernel(Psi_t) - kernel(outer)) ** 2) * g.dx**2)))
     _verdict(4, f"product-state Frobenius gap at t=1 is {gap:.2e}", gap < 1e-8)
 
@@ -270,7 +271,7 @@ def test_criterion_09_complementarity_sweep():
     H = build_hamiltonian(g, sample_potential(g, "infinite-box"))
     modes = make_slit_modes(g)
     cfg = PropagatorConfig(1e-3, 2000)
-    evolved = two_slit_state(g, propagate_amplitudes(modes, H, cfg), "wave")
+    evolved = two_slit_state(g, propagator(H, cfg, 2).apply(modes, cfg.steps), "wave")
     window = np.searchsorted(g.points, -8.0, side="left"), np.searchsorted(g.points, 8.0, side="right")
     thetas, entropies, visibilities = complementarity_sweep(evolved, window, 11)
     elapsed = time.perf_counter() - start

@@ -1058,20 +1058,25 @@ class TestProcessExit:
 def test_traced_run_binds_every_traced_function(tmp_path):
     """perfbench/trace_child.py wraps its traced functions by name and fails when
     one is renamed, deleted or no longer bound by the module that calls it; a
-    small two-slit run shows that here rather than only in the benchmark."""
-    cfg = {
-        "schema_version": 1,
-        "grid": {"n_points": 101},
-        "scenario": {"name": "two-slit", "evolve_time": 0.01, "sweep_points": 3},
-    }
-    spans = tmp_path / "spans.json"
+    small two-slit run and a small product-equivalence run show that here
+    rather than only in the benchmark.  The wrappers of the two propagations
+    read cfg as their third argument, and count its steps."""
     script = Path(__file__).resolve().parents[1] / "perfbench" / "trace_child.py"
-    argv = ["run", "--config", write_config(tmp_path, cfg), "--output", str(tmp_path / "out")]
     src = str(Path(vnlw.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, str(script), str(spans), str(time.perf_counter()), "--", *argv],
-                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert "scenarios.complementarity_sweep" in {span[0] for span in json.loads(spans.read_text())}
+    names = {}
+    for scenario in ({"name": "two-slit", "evolve_time": 0.01, "sweep_points": 3},
+                     {"name": "product-equivalence"}):
+        cfg = {"schema_version": 1, "grid": {"n_points": 101}, "dynamics": {"steps": 7}, "scenario": scenario}
+        spans, run = tmp_path / f"{scenario['name']}.json", tmp_path / scenario["name"]
+        run.mkdir()
+        argv = ["run", "--config", write_config(run, cfg), "--output", str(run / "out")]
+        out = subprocess.run([sys.executable, str(script), str(spans), str(time.perf_counter()), "--", *argv],
+                             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert out.returncode == 0, out.stderr
+        names[scenario["name"]] = [(span[0], span[4]) for span in json.loads(spans.read_text())]
+    assert "scenarios.complementarity_sweep" in {name for name, _ in names["two-slit"]}
+    propagations = [(name, counters) for name, counters in names["product-equivalence"] if name.startswith("dynamics.")]
+    assert propagations == [("dynamics.propagate_vnl", {"steps": 7}), ("dynamics.propagate_schrodinger", {"steps": 7})]
 
 
 # The CLI contract over the whole schema: every key's value drawn from a pool

@@ -21,13 +21,14 @@ from vnlw.dynamics import (
     gaussian_packet,
     propagate_schrodinger,
     propagate_vnl,
+    propagator,
     trajectory,
 )
 from vnlw.errors import GridMismatchError, SimulationError, UnnormalizedStateError
 from vnlw.lattice import HamiltonianMatrix, build_grid, build_hamiltonian, sample_potential
-from vnlw.schema import resolve
+from vnlw.schema import STATE_TYPES, resolve
 from vnlw.spectra import eigensystem
-from oracles import dense, dense_propagator, eigenbasis_bipartite_evolution, kernel
+from oracles import dense, dense_propagator, eigenbasis_bipartite_evolution, kernel, run_propagator
 
 
 @pytest.fixture(scope="module")
@@ -96,8 +97,18 @@ class TestSpectralPropagator:
         v = rng.standard_normal(shape).astype(dtype)
         if dtype is complex:
             v += 1j * rng.standard_normal(shape)
-        spectral = SpectralPropagator(H, 1e-2, method)
+        spectral = SpectralPropagator(eigensystem(H, g.n_points), 1e-2, method, H.hbar)
         assert np.max(np.abs(spectral.apply(v, 37) - dense_propagator(H, 1e-2, 37, method) @ v)) <= 1e-12
+        assert spectral.apply(v, 0) is v
+
+    def test_takes_the_eigensystem_over(self, harmonic):
+        """The propagator keeps the run's eigenvectors, scaled in place to Euclidean norm, and no copy."""
+        g, H, _ = harmonic
+        eigs = eigensystem(H, g.n_points)
+        expected = eigs.states * np.sqrt(g.dx)
+        spectral = SpectralPropagator(eigs, 1e-2, "eigenbasis", H.hbar)
+        assert spectral._S is eigs.states
+        assert np.array_equal(eigs.states, expected)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_factor_of_many_counts_is_each_counts_factor(self, harmonic, method):
@@ -106,7 +117,7 @@ class TestSpectralPropagator:
         g, H, _ = harmonic
         dt, counts = -3e-3, [0, 1, 7, 10, 999, 1000, 123456]
         E = eigensystem(H, g.n_points).energies
-        spectral = SpectralPropagator(H, dt, method)
+        spectral = SpectralPropagator(eigensystem(H, g.n_points), dt, method, H.hbar)
         rows = spectral._factor(np.array(counts))
         assert rows.shape == (len(counts), g.n_points)
         for row, steps in zip(rows, counts):
@@ -124,7 +135,7 @@ class TestSpectralPropagator:
         g = build_grid(-5, 5, 16)
         H = build_hamiltonian(g, sample_potential(g, "harmonic", omega=1.0))
         dt = 7e305
-        spectral = SpectralPropagator(H, dt, "eigenbasis")
+        spectral = SpectralPropagator(eigensystem(H, g.n_points), dt, "eigenbasis", H.hbar)
         first = 0
         while True:  # the first count whose factor alone is refused
             try:
@@ -134,7 +145,8 @@ class TestSpectralPropagator:
             first += 1
         assert 4 < first < 30 and first % 4
         with pytest.raises(SimulationError) as error:
-            trajectory(random_kernel(g, seed=1), H, PropagatorConfig(dt, 30, "eigenbasis"), 1)
+            cfg, Psi = PropagatorConfig(dt, 30, "eigenbasis"), random_kernel(g, seed=1)
+            trajectory(Psi, run_propagator(H, cfg, Psi), cfg, 1)
         assert str(error.value) == f"eigenbasis factor is not finite at dt={dt}, steps={first}"
 
 
@@ -359,13 +371,15 @@ class TestSchrodinger:
     def test_zero_steps_identity(self, harmonic):
         g, H, eigs = harmonic
         psi = eigenstate(eigs, 1)
-        out = propagate_schrodinger(psi, H, PropagatorConfig(1e-3, 0))
+        cfg = PropagatorConfig(1e-3, 0)
+        out = propagate_schrodinger(psi, run_propagator(H, cfg, psi), cfg)
         assert out is psi
 
     def test_stationary_phase_eigenbasis(self, harmonic):
         g, H, eigs = harmonic
         psi = eigenstate(eigs, 2)
-        out = propagate_schrodinger(psi, H, PropagatorConfig(1e-2, 70, "eigenbasis"))
+        cfg = PropagatorConfig(1e-2, 70, "eigenbasis")
+        out = propagate_schrodinger(psi, run_propagator(H, cfg, psi), cfg)
         overlap = np.vdot(out.amplitudes, psi.amplitudes) * g.dx
         assert abs(abs(overlap) - 1.0) < 1e-8
         # the phase itself is exp(-i E_2 t)
@@ -374,29 +388,34 @@ class TestSchrodinger:
     def test_cn_norm_drift_per_step(self, harmonic):
         g, H, _ = harmonic
         psi = gaussian_packet(g, 1.0, 0.7, momentum=2.0)
-        out = propagate_schrodinger(psi, H, PropagatorConfig(1e-3, 1))
+        cfg = PropagatorConfig(1e-3, 1)
+        out = propagate_schrodinger(psi, run_propagator(H, cfg, psi), cfg)
         assert abs(out.norm() - 1.0) < 1e-12
 
     def test_grid_mismatch(self, harmonic):
         g, H, _ = harmonic
         other = build_grid(-5, 5, 201)
         psi = gaussian_packet(other, 0.0, 1.0)
-        with pytest.raises(GridMismatchError):
-            propagate_schrodinger(psi, H, PropagatorConfig(1e-3, 1))
+        cfg = PropagatorConfig(1e-3, 1)
+        for U in (propagator(H, cfg, 1), propagator(H, cfg, g.n_points)):
+            with pytest.raises(GridMismatchError):
+                propagate_schrodinger(psi, U, cfg)
 
     def test_unnormalized_rejected(self, harmonic):
         g, H, _ = harmonic
         psi = gaussian_packet(g, 0.0, 1.0)
         bad = WaveFunction(2.0 * psi.amplitudes, g)
+        cfg = PropagatorConfig(1e-3, 1)
         with pytest.raises(UnnormalizedStateError):
-            propagate_schrodinger(bad, H, PropagatorConfig(1e-3, 1))
+            propagate_schrodinger(bad, run_propagator(H, cfg, bad), cfg)
 
 
 class TestVnl:
     def test_stationary_pair_phase(self, harmonic):
         g, H, eigs = harmonic
         Psi0 = from_product(eigenstate(eigs, 2), eigenstate(eigs, 0))
-        out = propagate_vnl(Psi0, H, PropagatorConfig(1e-3, 1000))
+        cfg = PropagatorConfig(1e-3, 1000)
+        out = propagate_vnl(Psi0, run_propagator(H, cfg, Psi0), cfg)
         gap = eigs.energies[2] - eigs.energies[0]
         expected = np.exp(-1j * gap * 1.0) * kernel(Psi0)
         assert frob(g, kernel(out), expected) < 1e-5
@@ -404,30 +423,34 @@ class TestVnl:
     def test_equal_pair_is_stationary(self, harmonic):
         g, H, eigs = harmonic
         Psi0 = from_product(eigenstate(eigs, 1), eigenstate(eigs, 1))
-        out = propagate_vnl(Psi0, H, PropagatorConfig(1e-3, 300))
+        cfg = PropagatorConfig(1e-3, 300)
+        out = propagate_vnl(Psi0, run_propagator(H, cfg, Psi0), cfg)
         assert frob(g, kernel(out), kernel(Psi0)) < 1e-6
 
     def test_product_factorization(self, harmonic):
         g, H, _ = harmonic
         psi = gaussian_packet(g, -1.0, 0.8, momentum=1.5)
         cfg = PropagatorConfig(1e-3, 400)
-        Psi_t = propagate_vnl(from_product(psi, psi), H, cfg)
-        psi_t = propagate_schrodinger(psi, H, cfg)
+        U = propagator(H, cfg, 1)
+        Psi_t = propagate_vnl(from_product(psi, psi), U, cfg)
+        psi_t = propagate_schrodinger(psi, U, cfg)
         assert frob(g, kernel(Psi_t), kernel(from_product(psi_t, psi_t))) < 1e-8
 
     def test_norm_conservation_1000_steps(self):
         g = build_grid(-5, 5, 101)
         H = build_hamiltonian(g, sample_potential(g, "harmonic", omega=1.0))
         Psi = random_kernel(g, seed=11)
-        out = propagate_vnl(Psi, H, PropagatorConfig(1e-3, 1000))
+        cfg = PropagatorConfig(1e-3, 1000)
+        out = propagate_vnl(Psi, run_propagator(H, cfg, Psi), cfg)
         assert abs(bipartite_norm(out) - 1.0) < 1e-10
         assert abs(dense_norm(out) - 1.0) < 1e-10
 
     def test_time_reversal(self, harmonic):
         g, H, _ = harmonic
         Psi = random_kernel(g, seed=5)
-        fwd = propagate_vnl(Psi, H, PropagatorConfig(1e-3, 200))
-        back = propagate_vnl(fwd, H, PropagatorConfig(-1e-3, 200))
+        cfg, reverse = PropagatorConfig(1e-3, 200), PropagatorConfig(-1e-3, 200)
+        fwd = propagate_vnl(Psi, run_propagator(H, cfg, Psi), cfg)
+        back = propagate_vnl(fwd, run_propagator(H, reverse, fwd), reverse)
         assert frob(g, kernel(back), kernel(Psi)) < 1e-8
 
     def test_cn_matches_eigenbasis_low_rank(self):
@@ -439,7 +462,8 @@ class TestVnl:
         C = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         C /= np.linalg.norm(C)
         Psi0 = eigenbasis_bipartite_evolution(C, eigs, 0.0)
-        cn = propagate_vnl(Psi0, H, PropagatorConfig(1e-3, 1000))
+        cfg = PropagatorConfig(1e-3, 1000)
+        cn = propagate_vnl(Psi0, run_propagator(H, cfg, Psi0), cfg)
         exact = eigenbasis_bipartite_evolution(C, eigs, 1.0)
         assert frob(g, kernel(cn), kernel(exact)) < 1e-6
 
@@ -454,11 +478,13 @@ class TestVnl:
         mu = np.array([0.8, 0.6])
         K0 = (q1 * mu) @ q2.conj().T
         cfg = PropagatorConfig(1e-3, 250)
-        evolved = propagate_vnl(BipartiteWave.from_kernel(K0, g), H, cfg)
+        Psi0 = BipartiteWave.from_kernel(K0, g)
+        evolved = propagate_vnl(Psi0, run_propagator(H, cfg, Psi0), cfg)
+        U = propagator(H, cfg, 1)
         factors = []
         for q in (q1, q2):
             cols = [
-                propagate_schrodinger(WaveFunction(q[:, j], g), H, cfg).amplitudes
+                propagate_schrodinger(WaveFunction(q[:, j], g), U, cfg).amplitudes
                 for j in range(2)
             ]
             factors.append(np.column_stack(cols))
@@ -475,7 +501,8 @@ class TestVnl:
         for _ in range(1000):
             K = stepper.apply(K)
             K = stepper.apply(K.conj().T).conj().T
-        out = propagate_vnl(Psi, H, PropagatorConfig(1e-3, 1000))
+        cfg = PropagatorConfig(1e-3, 1000)
+        out = propagate_vnl(Psi, run_propagator(H, cfg, Psi), cfg)
         assert np.max(np.abs(kernel(out) - K)) <= 1e-12
 
     def test_evolve_builds_propagator_once(self, monkeypatch):
@@ -492,7 +519,8 @@ class TestVnl:
         assert len(table["t"]) == 101
         g = scenarios.grid_from_config(resolve(config))
         H = scenarios.hamiltonian_from_config(resolve(config), g)
-        end = propagate_vnl(random_kernel(g, seed=3), H, PropagatorConfig(1e-3, 1000, "eigenbasis"))
+        cfg, Psi = PropagatorConfig(1e-3, 1000, "eigenbasis"), random_kernel(g, seed=3)
+        end = propagate_vnl(Psi, run_propagator(H, cfg, Psi), cfg)
         x_mean = float(np.sum(g.points * position_density(end)) * g.dx)
         assert table["x_mean"][-1] == pytest.approx(x_mean, abs=1e-12)
 
@@ -522,48 +550,41 @@ class TestVnl:
         assert np.max(np.abs(np.array(summary["p"]) - stats.p)) <= 1e-13
         assert np.max(np.abs(np.array(summary["delta_E"]) - stats.delta_E)) <= 1e-13
 
-    def test_evolve_one_partite_eigenbasis_solves_once(self, monkeypatch):
-        calls = count_eigensolves(monkeypatch)
-        config = {
-            "schema_version": 1,
-            "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 101},
-            "potential": {"kind": "harmonic", "omega": 1.0},
-            "dynamics": {"dt": 1e-3, "steps": 1000, "stride": 10, "method": "eigenbasis"},
-            "state": {"type": "gaussian", "center": 1.0, "sigma": 0.8, "momentum": 0.5},
-        }
-        table = scenarios.run_scenario(config, "evolve").tables["trajectory"]
-        assert len(calls) <= 1
-        assert len(table["t"]) == 101
-        g = scenarios.grid_from_config(resolve(config))
-        H = scenarios.hamiltonian_from_config(resolve(config), g)
-        psi = gaussian_packet(g, 1.0, 0.8, 0.5)
-        end = propagate_schrodinger(psi, H, PropagatorConfig(1e-3, 1000, "eigenbasis"))
-        x_mean = float(np.sum(g.points * np.abs(end.amplitudes) ** 2 * g.dx))
-        assert table["t"][-1] == pytest.approx(1.0, abs=1e-12)
-        assert table["norm"][-1] == pytest.approx(1.0, abs=1e-12)
-        assert table["x_mean"][-1] == pytest.approx(x_mean, abs=1e-12)
-
-    @pytest.mark.parametrize("state, method, solves", [
-        ({"type": "random", "seed": 3}, "eigenbasis", 1),
-        ({"type": "random", "seed": 3}, "crank-nicolson", 1),
-        ({"type": "gaussian-product", "center": 1.0}, "crank-nicolson", 0),
-        ({"type": "two-slit"}, "eigenbasis", 1),
-        ({"type": "gaussian", "center": 1.0}, "eigenbasis", 1),
-        ({"type": "gaussian", "center": 1.0}, "crank-nicolson", 0),
+    @pytest.mark.parametrize("run, state, method", [
+        *(pytest.param("evolve", state, method, id=f"evolve-{state}-{method}")
+          for state in STATE_TYPES for method in METHODS),
+        *(pytest.param(run, None, method, id=f"{run}-{method}")
+          for run in ("two-slit", "product-equivalence") for method in METHODS),
     ])
-    def test_evolve_forms_no_propagator(self, monkeypatch, state, method, solves):
-        calls = count_eigensolves(monkeypatch)
+    def test_propagating_run_solves_once(self, monkeypatch, run, state, method):
+        """Every run that propagates builds one propagator: at most one eigensolve, of all N levels but for the
+        m of an eigen state that is stepped, and at most one tridiagonal LU."""
+        n, m = 101, 3
+        if method == "eigenbasis" or state == "random":
+            solves, lus = [n], []
+        else:
+            solves, lus = ([m] if state in ("eigen", "eigen-product") else []), [n]
+        calls, factored = count_eigensolves(monkeypatch), []
 
+        def counting(dl, d, du, **overwrite):
+            factored.append(len(d))
+            return zgttrf(dl, d, du, **overwrite)
+
+        monkeypatch.setattr(dynamics, "zgttrf", counting)
         config = {
             "schema_version": 1,
-            "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 101},
+            "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": n},
             "potential": {"kind": "harmonic", "omega": 1.0},
             "dynamics": {"dt": 1e-3, "steps": 100, "stride": 10, "method": method},
-            "state": state,
+            "scenario": {"evolve_time": 0.1},
         }
-        table = scenarios.run_scenario(config, "evolve").tables["trajectory"]
-        assert len(calls) == solves
-        assert len(table["t"]) == 11
+        if state is not None:
+            config["state"] = {"type": state}
+            if "eigen" in state:
+                config["state"]["coefficients"] = [1.0, [0.5, -0.5], 0.25]
+        scenarios.run_scenario(config, run)
+        assert (calls, factored) == (solves, lus)
+        assert len(calls) <= 1 and len(factored) <= 1
 
     @pytest.mark.parametrize("rank, lus, solves", [(2, [201], []), (None, [], [201])], ids=["distinct-2", "kernel"])
     def test_crank_nicolson_factorizes_or_solves_once(self, harmonic, monkeypatch, rank, lus, solves):
@@ -585,7 +606,7 @@ class TestVnl:
             Psi = BipartiteWave.from_factors(np.hstack([A, B]), np.kron([[0, 1], [0, 0]], np.eye(2)), g)
             Psi = BipartiteWave(Psi.factor, Psi.core / np.linalg.norm(Psi.core), g)
         cfg = PropagatorConfig(1e-3, 100)
-        out = propagate_vnl(Psi, H, cfg)
+        out = propagate_vnl(Psi, run_propagator(H, cfg, Psi), cfg)
         assert (factored, calls) == (lus, solves)
         U = dense_propagator(H, cfg.dt, cfg.steps, cfg.method)
         assert np.max(np.abs(kernel(out) - U @ kernel(Psi) @ U.conj().T)) <= 1e-12
@@ -610,7 +631,8 @@ class TestVnl:
         assert len(table["t"]) == 101
         g = scenarios.grid_from_config(resolve(config))
         H = scenarios.hamiltonian_from_config(resolve(config), g)
-        end = propagate_schrodinger(gaussian_packet(g, 1.0, 0.8, 0.5), H, PropagatorConfig(1e-3, 1000))
+        psi, cfg = gaussian_packet(g, 1.0, 0.8, 0.5), PropagatorConfig(1e-3, 1000)
+        end = propagate_schrodinger(psi, run_propagator(H, cfg, psi), cfg)
         assert table["norm"][-1] == pytest.approx(np.sum(np.abs(end.amplitudes) ** 2) * g.dx, abs=1e-12)
         assert table["x_mean"][-1] == pytest.approx(np.sum(g.points * np.abs(end.amplitudes) ** 2) * g.dx, abs=1e-12)
 
@@ -636,7 +658,8 @@ class TestVnlProperties:
     @given(**cases)
     def test_norm_conserved(self, n_points, method, dt, steps, seed):
         g, H, Psi = self.problem(n_points, seed)
-        out = propagate_vnl(Psi, H, PropagatorConfig(dt, steps, method))
+        cfg = PropagatorConfig(dt, steps, method)
+        out = propagate_vnl(Psi, run_propagator(H, cfg, Psi), cfg)
         assert abs(bipartite_norm(out) - 1.0) <= 1e-12
         assert abs(dense_norm(out) - 1.0) <= 1e-12
 
@@ -644,19 +667,19 @@ class TestVnlProperties:
     @given(**cases)
     def test_time_reversal(self, n_points, method, dt, steps, seed):
         g, H, Psi = self.problem(n_points, seed)
-        fwd = propagate_vnl(Psi, H, PropagatorConfig(dt, steps, method))
-        back = propagate_vnl(fwd, H, PropagatorConfig(-dt, steps, method))
+        cfg, reverse = PropagatorConfig(dt, steps, method), PropagatorConfig(-dt, steps, method)
+        fwd = propagate_vnl(Psi, run_propagator(H, cfg, Psi), cfg)
+        back = propagate_vnl(fwd, run_propagator(H, reverse, fwd), reverse)
         assert frob(g, kernel(back), kernel(Psi)) < 1e-10
 
     @PROPERTY
     @given(**cases, more=st.integers(0, 50))
     def test_composition(self, n_points, method, dt, steps, seed, more):
         g, H, Psi = self.problem(n_points, seed)
-        two = propagate_vnl(
-            propagate_vnl(Psi, H, PropagatorConfig(dt, steps, method)),
-            H, PropagatorConfig(dt, more, method),
-        )
-        one = propagate_vnl(Psi, H, PropagatorConfig(dt, steps + more, method))
+        first, then, whole = (PropagatorConfig(dt, k, method) for k in (steps, more, steps + more))
+        U = run_propagator(H, whole, Psi)  # the steps of a config do not enter its propagator
+        two = propagate_vnl(propagate_vnl(Psi, U, first), U, then)
+        one = propagate_vnl(Psi, U, whole)
         assert frob(g, kernel(two), kernel(one)) < 1e-10
 
 

@@ -37,7 +37,7 @@ from vnlw.dynamics import (
 )
 from vnlw.lattice import build_grid, build_hamiltonian, sample_potential
 from vnlw.spectra import eigensystem
-from oracles import dense_propagator, factor, kernel
+from oracles import dense_propagator, factor, kernel, run_propagator
 
 TOL = 1e-12
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -159,7 +159,7 @@ class TestDenseOracle:
         g, H, Psi = _problem(n_points, rank, shared, seed)
         cfg = PropagatorConfig(dt, steps, method)
         U = dense_propagator(H, dt, steps, method)
-        out = propagate_vnl(Psi, H, cfg)
+        out = propagate_vnl(Psi, run_propagator(H, cfg, Psi), cfg)
         assert np.max(np.abs(kernel(out) - U @ kernel(Psi) @ U.conj().T)) <= TOL
         F = factor(out.factor, n_points)
         assert np.max(np.abs(F.conj().T @ F * g.dx - np.eye(F.shape[1]))) <= TOL
@@ -188,10 +188,10 @@ class TestTrajectory:
     def oracle_row(state, H, cfg):
         g = state.grid
         if isinstance(state, WaveFunction):
-            out = propagate_schrodinger(state, H, cfg)
+            out = propagate_schrodinger(state, run_propagator(H, cfg, state), cfg)
             density = np.abs(out.amplitudes) ** 2 * g.dx
         else:
-            out = propagate_vnl(state, H, cfg)
+            out = propagate_vnl(state, run_propagator(H, cfg, state), cfg)
             density = np.sum(np.abs(kernel(out)) ** 2, axis=1) * g.dx**2
         return [cfg.steps * cfg.dt, np.sum(density), np.sum(g.points * density)]
 
@@ -213,7 +213,7 @@ class TestTrajectory:
         with pytest.MonkeyPatch.context() as mp:
             if reduced is not None:
                 mp.setattr(dynamics, "_reduced_order_pays", lambda n, r, rows: reduced)
-            rows = trajectory(state, H, cfg, stride)
+            rows = trajectory(state, run_propagator(H, cfg, state), cfg, stride)
         counts = [*range(0, steps, stride), steps]
         expected = [self.oracle_row(state, H, PropagatorConfig(dt, k, method)) for k in counts]
         assert rows.shape == (len(counts), 3)
