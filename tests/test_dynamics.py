@@ -586,6 +586,50 @@ class TestVnl:
         assert (calls, factored) == (solves, lus)
         assert len(calls) <= 1 and len(factored) <= 1
 
+    def test_evolve_one_partite_eigenbasis_solves_once(self, monkeypatch):
+        calls = count_eigensolves(monkeypatch)
+        config = {
+            "schema_version": 1,
+            "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 101},
+            "potential": {"kind": "harmonic", "omega": 1.0},
+            "dynamics": {"dt": 1e-3, "steps": 1000, "stride": 10, "method": "eigenbasis"},
+            "state": {"type": "gaussian", "center": 1.0, "sigma": 0.8, "momentum": 0.5},
+        }
+        table = scenarios.run_scenario(config, "evolve").tables["trajectory"]
+        assert len(calls) <= 1
+        assert len(table["t"]) == 101
+        g = scenarios.grid_from_config(resolve(config))
+        H = scenarios.hamiltonian_from_config(resolve(config), g)
+        psi = gaussian_packet(g, 1.0, 0.8, 0.5)
+        cfg = PropagatorConfig(1e-3, 1000, "eigenbasis")
+        end = propagate_schrodinger(psi, run_propagator(H, cfg, psi), cfg)
+        x_mean = float(np.sum(g.points * np.abs(end.amplitudes) ** 2 * g.dx))
+        assert table["t"][-1] == pytest.approx(1.0, abs=1e-12)
+        assert table["norm"][-1] == pytest.approx(1.0, abs=1e-12)
+        assert table["x_mean"][-1] == pytest.approx(x_mean, abs=1e-12)
+
+    @pytest.mark.parametrize("state, method, solves", [
+        ({"type": "random", "seed": 3}, "eigenbasis", 1),
+        ({"type": "random", "seed": 3}, "crank-nicolson", 1),
+        ({"type": "gaussian-product", "center": 1.0}, "crank-nicolson", 0),
+        ({"type": "two-slit"}, "eigenbasis", 1),
+        ({"type": "gaussian", "center": 1.0}, "eigenbasis", 1),
+        ({"type": "gaussian", "center": 1.0}, "crank-nicolson", 0),
+    ])
+    def test_evolve_forms_no_propagator(self, monkeypatch, state, method, solves):
+        calls = count_eigensolves(monkeypatch)
+
+        config = {
+            "schema_version": 1,
+            "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 101},
+            "potential": {"kind": "harmonic", "omega": 1.0},
+            "dynamics": {"dt": 1e-3, "steps": 100, "stride": 10, "method": method},
+            "state": state,
+        }
+        table = scenarios.run_scenario(config, "evolve").tables["trajectory"]
+        assert len(calls) == solves
+        assert len(table["t"]) == 11
+
     @pytest.mark.parametrize("rank, lus, solves", [(2, [201], []), (None, [], [201])], ids=["distinct-2", "kernel"])
     def test_crank_nicolson_factorizes_or_solves_once(self, harmonic, monkeypatch, rank, lus, solves):
         """Distinct rank-2 factors are stepped as one N x 4 array, from one tridiagonal LU and
